@@ -10,18 +10,29 @@ lives only in the evaluation harness.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.bounds import BoundsSnapshot
-from repro.core.pipelines import Pipeline
+from repro.core.pipelines import Pipeline, PipelineState
 from repro.engine.plan import Plan
 from repro.errors import DegenerateBoundsError
+
+T = TypeVar("T")
 
 
 @dataclass
 class Observation:
-    """A snapshot of what an estimator may legally observe at one instant."""
+    """A snapshot of what an estimator may legally observe at one instant.
+
+    It is also the *single per-instant state*: the pipeline walk
+    (:attr:`pipeline_states`) and the answers of the parameter-free
+    estimators (:meth:`shared`) are computed once and memoised here, so
+    every estimator of a toolkit — top-level, inside a hybrid, inside the
+    robust pool — and the event sinks read the same figures.  The memo
+    belongs to this object and dies with it: build a fresh observation for
+    every instant, never carry one across ticks.
+    """
 
     #: counted getnext calls so far (``Curr``)
     curr: int
@@ -33,6 +44,45 @@ class Observation:
     estimates: Optional[Dict[int, float]] = None
     #: total tuples consumed so far from scanned leaves (μ̂'s denominator)
     leaf_input_consumed: int = 0
+    _shared: Optional[Dict[Callable, object]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def shared(self, compute: Callable[["Observation"], T]) -> T:
+        """``compute(self)``, evaluated at most once per observation.
+
+        For anything that is a pure function of the observation — the
+        pipeline walk, the answers of dne, pmax and safe: whichever
+        estimator instance asks first pays, the rest read.
+        """
+        shared = self._shared
+        if shared is None:
+            shared = self._shared = {}
+        try:
+            return shared[compute]
+        except KeyError:
+            value = shared[compute] = compute(self)
+            return value
+
+    @property
+    def pipeline_states(self) -> List[PipelineState]:
+        """Every pipeline's driver state, walked once per observation."""
+        return self.shared(_pipeline_states)
+
+    @property
+    def pipeline_weights(self) -> List[float]:
+        """dne's share weight of every pipeline, computed on first use."""
+        return self.shared(_pipeline_weights)
+
+
+def _pipeline_states(observation: Observation) -> List[PipelineState]:
+    estimates = observation.estimates
+    return [pipeline.state(estimates) for pipeline in observation.pipelines]
+
+
+def _pipeline_weights(observation: Observation) -> List[float]:
+    estimates = observation.estimates
+    return [pipeline.weight(estimates) for pipeline in observation.pipelines]
 
 
 class ProgressEstimator(abc.ABC):
@@ -69,10 +119,10 @@ class ProgressEstimator(abc.ABC):
 
 
 def clamp_progress(value: float) -> float:
-    """Progress estimates live in [0, 1]."""
-    if value != value:  # NaN guard
-        return 0.0
-    return max(0.0, min(1.0, value))
+    """Progress estimates live in [0, 1] (NaN, like anything ≤ 0, is 0)."""
+    if value > 0.0:
+        return value if value < 1.0 else 1.0
+    return 0.0
 
 
 def degenerate_reason(curr: float, bounds: BoundsSnapshot) -> Optional[str]:

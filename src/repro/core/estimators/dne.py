@@ -13,8 +13,6 @@ uses to give dne a worst-case guarantee on scan-based plans.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 from repro.core.estimators.base import (
     Observation,
     ProgressEstimator,
@@ -22,28 +20,22 @@ from repro.core.estimators.base import (
     progress_interval,
     require_sound_bounds,
 )
-from repro.core.pipelines import Pipeline
 
 
-def _pipeline_weight(
-    pipeline: Pipeline, estimates: Optional[Dict[int, float]]
-) -> float:
-    """Expected counted getnext calls in ``pipeline``.
-
-    Finished operators contribute their exact tick counts; unfinished ones
-    their optimizer estimate (falling back to driver totals when no estimate
-    is available).  These weights carry no guarantee — they only apportion
-    progress across pipelines, exactly as in [5].
-    """
-    from repro.core.pipelines import runtime_output_hint
-
-    weight = 0.0
-    for operator in pipeline.operators:
-        hint = runtime_output_hint(operator, estimates)
-        if hint is None:
-            hint = max(operator.rows_produced, 1.0)
-        weight += hint
-    return weight
+def _dne(observation: Observation) -> float:
+    states = observation.pipeline_states
+    if not states:
+        return 0.0
+    if len(states) == 1:
+        return clamp_progress(states[0].driver_fraction)
+    total_weight = 0.0
+    achieved = 0.0
+    for state, weight in zip(states, observation.pipeline_weights):
+        total_weight += weight
+        achieved += weight * state.driver_fraction
+    if total_weight <= 0:
+        return 0.0
+    return clamp_progress(achieved / total_weight)
 
 
 class DneEstimator(ProgressEstimator):
@@ -52,21 +44,7 @@ class DneEstimator(ProgressEstimator):
     name = "dne"
 
     def estimate(self, observation: Observation) -> float:
-        pipelines = observation.pipelines
-        if not pipelines:
-            return 0.0
-        if len(pipelines) == 1:
-            return clamp_progress(pipelines[0].driver_fraction(observation.estimates))
-        total_weight = 0.0
-        achieved = 0.0
-        for pipeline in pipelines:
-            weight = _pipeline_weight(pipeline, observation.estimates)
-            fraction = pipeline.driver_fraction(observation.estimates)
-            total_weight += weight
-            achieved += weight * fraction
-        if total_weight <= 0:
-            return 0.0
-        return clamp_progress(achieved / total_weight)
+        return observation.shared(_dne)
 
 
 class DneBoundedEstimator(ProgressEstimator):

@@ -77,7 +77,9 @@ class HybridVarianceEstimator(ProgressEstimator):
         self.cv_threshold = cv_threshold
         self._dne = DneEstimator()
         self._safe = SafeEstimator()
-        self._samples: Deque[Tuple[int, int]] = deque(maxlen=window)
+        #: work per consumed input tuple over each of the last ``window``
+        #: observation-to-observation steps that consumed input
+        self._samples: Deque[float] = deque(maxlen=window)
         self._last: Optional[Tuple[int, int]] = None
 
     def prepare(self, plan) -> None:  # noqa: D102 - documented on base
@@ -90,19 +92,19 @@ class HybridVarianceEstimator(ProgressEstimator):
             consumed_delta = point[0] - self._last[0]
             work_delta = point[1] - self._last[1]
             if consumed_delta > 0:
-                self._samples.append((consumed_delta, work_delta))
+                self._samples.append(work_delta / consumed_delta)
         self._last = point
 
     def _window_cv(self) -> Optional[float]:
         # max(1, ...) keeps the empty-window path unreachable even if the
         # window shrinks: no samples, no variance verdict.
-        if len(self._samples) < max(1, self.window // 2):
+        rates = self._samples
+        if len(rates) < max(1, self.window // 2):
             return None
-        rates = [work / consumed for consumed, work in self._samples]
         mean = sum(rates) / len(rates)
         if mean <= 0:
             return None
-        variance = sum((rate - mean) ** 2 for rate in rates) / len(rates)
+        variance = sum([(rate - mean) ** 2 for rate in rates]) / len(rates)
         return variance ** 0.5 / mean
 
     def estimate(self, observation: Observation) -> float:

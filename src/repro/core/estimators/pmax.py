@@ -13,16 +13,20 @@ from typing import Tuple
 from repro.core.estimators.base import Observation, ProgressEstimator, clamp_progress
 
 
+def _pmax(observation: Observation) -> float:
+    lower = observation.bounds.lower
+    if lower <= 0:
+        return 0.0
+    return clamp_progress(observation.curr / lower)
+
+
 class PmaxEstimator(ProgressEstimator):
     """``Curr/LB`` — a guaranteed upper bound on the true progress."""
 
     name = "pmax"
 
     def estimate(self, observation: Observation) -> float:
-        lower = observation.bounds.lower
-        if lower <= 0:
-            return 0.0
-        return clamp_progress(observation.curr / lower)
+        return observation.shared(_pmax)
 
     def interval(self, observation: Observation) -> Tuple[float, float]:
         """pmax is one-sided: the truth lies in ``[Curr/UB, pmax]``."""

@@ -61,7 +61,7 @@ from repro.core.estimators.feedback import (
 from repro.core.estimators.hybrid import HybridMuEstimator, HybridVarianceEstimator
 from repro.core.estimators.pmax import PmaxEstimator
 from repro.core.estimators.safe import SafeEstimator
-from repro.core.pipelines import current_pipeline
+from repro.core.pipelines import current_state
 from repro.engine.plan import Plan
 from repro.errors import EstimatorConfigError, ProgressError
 
@@ -399,8 +399,8 @@ class RobustEstimator(ProgressEstimator):
         if self.strict:
             require_sound_bounds(observation.curr, observation.bounds)
         low, high = progress_interval(observation.curr, observation.bounds)
-        pipeline = current_pipeline(observation.pipelines)
-        segment = pipeline.index if pipeline is not None else NO_SEGMENT
+        current = current_state(observation.pipeline_states)
+        segment = current.pipeline.index if current is not None else NO_SEGMENT
         values: Dict[str, float] = {}
         for name, candidate in self._pool.items():
             if name in self.degraded:
@@ -411,7 +411,7 @@ class RobustEstimator(ProgressEstimator):
                 self._degrade(name, "%s: %s" % (type(exc).__name__, exc))
                 continue
             values[name] = clamp_progress(min(max(raw, low), high))
-        self._log.append((segment, observation.curr, dict(values)))
+        self._log.append((segment, observation.curr, values))
         if not values:
             # Every candidate degraded (safe included): answer from the
             # sound interval's midpoint, which is total by construction.

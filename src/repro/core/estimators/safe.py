@@ -13,17 +13,21 @@ from typing import Tuple
 from repro.core.estimators.base import Observation, ProgressEstimator, clamp_progress
 
 
+def _safe(observation: Observation) -> float:
+    lower = observation.bounds.lower
+    upper = observation.bounds.upper
+    if lower <= 0 or upper <= 0:
+        return 0.0
+    return clamp_progress(observation.curr / math.sqrt(lower * upper))
+
+
 class SafeEstimator(ProgressEstimator):
     """``Curr/√(LB·UB)`` — worst-case optimal."""
 
     name = "safe"
 
     def estimate(self, observation: Observation) -> float:
-        lower = observation.bounds.lower
-        upper = observation.bounds.upper
-        if lower <= 0 or upper <= 0:
-            return 0.0
-        return clamp_progress(observation.curr / math.sqrt(lower * upper))
+        return observation.shared(_safe)
 
     def interval(self, observation: Observation) -> Tuple[float, float]:
         """The truth lies in ``[Curr/UB, Curr/LB]``; safe is its geometric

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.pipelines import Pipeline
+from repro.core.pipelines import Pipeline, PipelineState
 
 #: keys already warned about through :func:`warn_once` (process-wide)
 _warned_keys: Set[str] = set()
@@ -58,17 +58,23 @@ class PipelineSnapshot:
     driver_fraction: float
 
     @classmethod
+    def of(cls, state: PipelineState) -> "PipelineSnapshot":
+        """The event-stream form of one instant's pipeline state."""
+        pipeline = state.pipeline
+        return cls(
+            pipeline.index,
+            pipeline.driver_labels,
+            state.started,
+            state.finished,
+            state.driver_consumed,
+            state.driver_fraction,
+        )
+
+    @classmethod
     def capture(
         cls, pipeline: Pipeline, estimates: Optional[Dict[int, float]] = None
     ) -> "PipelineSnapshot":
-        return cls(
-            index=pipeline.index,
-            drivers=tuple(driver.label() for driver in pipeline.drivers),
-            started=pipeline.started(),
-            finished=pipeline.finished(),
-            driver_consumed=pipeline.driver_consumed(),
-            driver_fraction=pipeline.driver_fraction(estimates),
-        )
+        return cls.of(pipeline.state(estimates))
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -184,6 +190,10 @@ class ForwardingSink(ProgressEventSink):
             self._send(event)
 
 
+#: ``json.dumps(record, sort_keys=True)`` without building an encoder per line
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+
+
 class JsonlTraceWriter(ProgressEventSink):
     """Streams events as JSON Lines to a path or an open text handle.
 
@@ -203,8 +213,7 @@ class JsonlTraceWriter(ProgressEventSink):
         self.lines_written = 0
 
     def emit(self, event: ProgressEvent) -> None:
-        self._handle.write(json.dumps(event.to_dict(), sort_keys=True))
-        self._handle.write("\n")
+        self._handle.write(_encode_line(event.to_dict()) + "\n")
         self._handle.flush()
         self.lines_written += 1
 

@@ -23,7 +23,7 @@ Decomposition rules for this engine's operators:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.operators.aggregate import HashAggregate
 from repro.engine.operators.base import LeafOperator, Operator
@@ -39,6 +39,25 @@ from repro.engine.operators.topn import TopN
 from repro.engine.plan import Plan
 
 
+class PipelineState(NamedTuple):
+    """One pipeline's driver state at one instant (see :meth:`Pipeline.state`).
+
+    Everything a sample reads off a pipeline — dne's fraction, the robust
+    combination's current segment, the event's
+    :class:`~repro.core.observe.PipelineSnapshot` — comes from one of these,
+    built once per instant by :attr:`Observation.pipeline_states
+    <repro.core.estimators.base.Observation.pipeline_states>`.
+    """
+
+    pipeline: "Pipeline"
+    finished: bool
+    started: bool
+    driver_consumed: int
+    #: expected driver output in total (what was consumed, once finished)
+    driver_total: float
+    driver_fraction: float
+
+
 @dataclass
 class Pipeline:
     """One pipeline: its operators, its driver nodes, and its consumer."""
@@ -48,11 +67,58 @@ class Pipeline:
     drivers: List[Operator] = field(default_factory=list)
     #: the blocking operator that consumes this pipeline's output, if any
     consumer: Optional[Operator] = None
+    #: what :meth:`bind` hoisted out of the sample path
+    _bound: Optional["_BoundPipeline"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def contains(self, operator: Operator) -> bool:
         return any(op is operator for op in self.operators)
 
+    def bind(self) -> "_BoundPipeline":
+        """Hoist what is static for a run out of the sample path.
+
+        :func:`decompose` calls this once the decomposition is final; a
+        hand-assembled pipeline binds itself on first use.  Operators or
+        drivers changed afterwards need a fresh ``bind()``.
+        """
+        bound = self._bound = _BoundPipeline(
+            tuple(_hint_entry(operator) for operator in self.operators),
+            tuple(_hint_entry(driver) for driver in self.drivers),
+            tuple(driver.label() for driver in self.drivers),
+        )
+        return bound
+
+    @property
+    def driver_labels(self) -> Tuple[str, ...]:
+        return (self._bound or self.bind()).driver_labels
+
     # -- runtime state -----------------------------------------------------------
+
+    def state(self, estimates: Optional[Dict[int, float]] = None) -> PipelineState:
+        """This instant's driver state, from one pass over the drivers.
+
+        Un-memoised: estimators and sinks read the per-instant copy on the
+        :class:`~repro.core.estimators.base.Observation` instead.
+        """
+        finished = True
+        consumed = 0
+        for driver in self.drivers:
+            consumed += driver.rows_produced
+            if not driver.finished:
+                finished = False
+        if finished:
+            return PipelineState(
+                self, True, consumed > 0, consumed, float(consumed), 1.0
+            )
+        total = self.driver_total(estimates)
+        if total <= 0:
+            fraction = 1.0 if consumed > 0 else 0.0
+        else:
+            fraction = min(1.0, consumed / total)
+        return PipelineState(
+            self, False, consumed > 0, consumed, total, fraction
+        )
 
     def driver_total(self, estimates: Optional[Dict[int, float]] = None) -> float:
         """Expected number of tuples the drivers will produce in total.
@@ -62,8 +128,9 @@ class Pipeline:
         back to the optimizer estimate for that node.
         """
         total = 0.0
-        for driver in self.drivers:
-            total += _driver_node_total(driver, estimates)
+        for entry in (self._bound or self.bind()).drivers:
+            hint = _entry_hint(entry, estimates)
+            total += hint if hint is not None else 0.0
         return total
 
     def driver_consumed(self) -> int:
@@ -72,12 +139,24 @@ class Pipeline:
 
     def driver_fraction(self, estimates: Optional[Dict[int, float]] = None) -> float:
         """dne's core quantity: fraction of the driver input consumed."""
-        if all(driver.finished for driver in self.drivers):
-            return 1.0
-        total = self.driver_total(estimates)
-        if total <= 0:
-            return 1.0 if self.started() else 0.0
-        return min(1.0, self.driver_consumed() / total)
+        return self.state(estimates).driver_fraction
+
+    def weight(self, estimates: Optional[Dict[int, float]] = None) -> float:
+        """Expected counted getnext calls in this pipeline (dne's weight).
+
+        Finished operators contribute their exact tick counts; unfinished
+        ones their optimizer estimate (falling back to what they produced
+        so far when no estimate is available).  These weights carry no
+        guarantee — they only apportion progress across pipelines, exactly
+        as in [5].
+        """
+        weight = 0.0
+        for entry in (self._bound or self.bind()).operators:
+            hint = _entry_hint(entry, estimates)
+            if hint is None:
+                hint = max(entry.operator.rows_produced, 1.0)
+            weight += hint
+        return weight
 
     def started(self) -> bool:
         return self.driver_consumed() > 0
@@ -93,38 +172,41 @@ class Pipeline:
         )
 
 
-def _driver_node_total(driver: Operator, estimates: Optional[Dict[int, float]]) -> float:
-    hint = runtime_output_hint(driver, estimates)
-    return hint if hint is not None else 0.0
+#: small dispatch codes for :func:`runtime_output_hint`: ``isinstance``
+#: against ABC-backed operator classes is slow, so each operator is
+#: classified once, when its pipeline is bound, never per sample.
+_HINT_OTHER, _HINT_SORT, _HINT_TOPN, _HINT_AGG = range(4)
 
 
-#: type → small dispatch code for :func:`runtime_output_hint`.  The hint
-#: runs several times per progress sample; repeated ``isinstance`` checks
-#: against ABC-backed operator classes dominate its cost, so the class is
-#: classified once and remembered.
-_HINT_LEAF, _HINT_SEEK, _HINT_SORT, _HINT_TOPN, _HINT_AGG, _HINT_OTHER = (
-    range(6)
-)
-_HINT_KINDS: Dict[type, int] = {}
+class _HintEntry(NamedTuple):
+    """What :func:`runtime_output_hint` knows of an operator before it runs."""
+
+    operator: Operator
+    kind: int
+    #: the exact cardinality of a leaf or seek (catalog / index metadata)
+    exact: Optional[float]
+    #: the input's entry, where the hint may defer to it (sort, top-n)
+    child: Optional["_HintEntry"]
 
 
-def _hint_kind(cls: type) -> int:
-    kind = _HINT_KINDS.get(cls)
-    if kind is None:
-        if issubclass(cls, (TableScan, RowSource)):
-            kind = _HINT_LEAF
-        elif issubclass(cls, IndexSeek):
-            kind = _HINT_SEEK
-        elif issubclass(cls, TopN):
-            kind = _HINT_TOPN
-        elif issubclass(cls, Sort):
-            kind = _HINT_SORT
-        elif issubclass(cls, HashAggregate):
-            kind = _HINT_AGG
-        else:
-            kind = _HINT_OTHER
-        _HINT_KINDS[cls] = kind
-    return kind
+class _BoundPipeline(NamedTuple):
+    operators: Tuple[_HintEntry, ...]
+    drivers: Tuple[_HintEntry, ...]
+    driver_labels: Tuple[str, ...]
+
+
+def _hint_entry(operator: Operator) -> _HintEntry:
+    kind, exact, child = _HINT_OTHER, None, None
+    if isinstance(operator, (TableScan, RowSource)):
+        exact = float(operator.base_cardinality())
+    elif isinstance(operator, IndexSeek):
+        exact = float(operator.exact_match_count())
+    elif isinstance(operator, (Sort, TopN)):
+        kind = _HINT_TOPN if isinstance(operator, TopN) else _HINT_SORT
+        child = _hint_entry(operator.child)
+    elif isinstance(operator, HashAggregate):
+        kind = _HINT_AGG
+    return _HintEntry(operator, kind, exact, child)
 
 
 def runtime_output_hint(
@@ -137,23 +219,27 @@ def runtime_output_hint(
     build — execution feedback the estimators are allowed to use); the
     optimizer estimate otherwise.  No guarantee attaches to the last case.
     """
+    return _entry_hint(_hint_entry(operator), estimates)
+
+
+def _entry_hint(
+    entry: _HintEntry, estimates: Optional[Dict[int, float]]
+) -> Optional[float]:
+    operator, kind, exact, child = entry
     if operator.finished:
         return float(operator.rows_produced)
-    kind = _hint_kind(operator.__class__)
-    if kind == _HINT_LEAF:
-        return float(operator.base_cardinality())
-    if kind == _HINT_SEEK:
-        return float(operator.exact_match_count())
-    if kind == _HINT_SORT or kind == _HINT_TOPN:
+    if exact is not None:
+        return exact
+    if child is not None:
         materialized = operator.materialized_count()
         if materialized is not None:
             return float(materialized)
+        child_hint = _entry_hint(child, estimates)
         if kind == _HINT_TOPN:
-            child_hint = runtime_output_hint(operator.child, estimates)
             if child_hint is not None:
                 return min(float(operator.limit), child_hint)
             return float(operator.limit)
-        return runtime_output_hint(operator.child, estimates)
+        return child_hint
     if kind == _HINT_AGG:
         if not operator.group_by:
             return 1.0
@@ -226,6 +312,8 @@ def decompose(plan: Plan) -> List[Pipeline]:
         return pipeline
 
     visit(plan.root)
+    for pipeline in pipelines:
+        pipeline.bind()
     return pipelines
 
 
@@ -256,10 +344,16 @@ def pipeline_of(pipelines: List[Pipeline], operator: Operator) -> Optional[Pipel
 
 def current_pipeline(pipelines: List[Pipeline]) -> Optional[Pipeline]:
     """The earliest pipeline that has started but not finished."""
-    for pipeline in pipelines:
-        if pipeline.started() and not pipeline.finished():
-            return pipeline
-    for pipeline in pipelines:
-        if not pipeline.finished():
-            return pipeline
+    state = current_state([pipeline.state() for pipeline in pipelines])
+    return state.pipeline if state is not None else None
+
+
+def current_state(states: Sequence[PipelineState]) -> Optional[PipelineState]:
+    """:func:`current_pipeline` over one instant's pipeline states."""
+    for state in states:
+        if state.started and not state.finished:
+            return state
+    for state in states:
+        if not state.finished:
+            return state
     return None

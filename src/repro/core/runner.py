@@ -57,6 +57,7 @@ from repro.core.metrics import ProgressTrace, TraceSample
 from repro.core.model import mu as compute_mu
 from repro.core.model import scanned_input_cardinality
 from repro.core.observe import (
+    EstimatorProfile,
     PipelineSnapshot,
     ProgressEvent,
     ProgressEventSink,
@@ -313,8 +314,20 @@ class RunnerProbe:
         self._weighted = weighted
         self._leaf_consumed = leaf_consumed
 
-    def live_sample(self) -> TraceSample:
-        """One on-demand sample at the current instant (not thread-safe)."""
+    def observe(
+        self,
+        estimators: Sequence[ProgressEstimator],
+        profiles: Optional[Sequence[EstimatorProfile]] = None,
+        clock: Callable[[], float] = time.perf_counter,
+    ) -> Tuple[Observation, Dict[str, float]]:
+        """This instant's :class:`Observation` and every estimator's answer.
+
+        The one place a sample is assembled — the runner's cadence observer
+        and :meth:`live_sample` both come through here.  A fresh observation
+        per call: its memoised pipeline state must not outlive the instant.
+        ``profiles`` (one per estimator) receive each call's wall time by
+        ``clock`` when the caller accounts for it.
+        """
         snapshot = self.tracker.snapshot()
         if self._weighted is not None:
             curr = self._weighted.current()
@@ -328,10 +341,21 @@ class RunnerProbe:
             estimates=self.estimates,
             leaf_input_consumed=self._leaf_consumed[0],
         )
-        values = {
-            estimator.name: estimator.estimate(observation)
-            for estimator in self.estimators
-        }
+        values: Dict[str, float] = {}
+        if profiles is None:
+            for estimator in estimators:
+                values[estimator.name] = estimator.estimate(observation)
+        else:
+            for estimator, estimator_profile in zip(estimators, profiles):
+                call_started = clock()
+                values[estimator.name] = estimator.estimate(observation)
+                estimator_profile.record(clock() - call_started)
+        return observation, values
+
+    def live_sample(self) -> TraceSample:
+        """One on-demand sample at the current instant (not thread-safe)."""
+        observation, values = self.observe(self.estimators)
+        curr = observation.curr
         if self.total is None:
             actual: Optional[float] = None
         elif self.total:
@@ -553,26 +577,12 @@ class ProgressRunner:
         def sample(monitor: ExecutionMonitor, final: bool = False) -> None:
             sample_started = clock()
             tick = monitor.total_ticks
-            snapshot = tracker.snapshot()
-            if weighted is not None:
-                curr = weighted.current()
-                snapshot = weighted.weighted_bounds(snapshot)
-            else:
-                curr = tick
-            observation = Observation(
-                curr=curr,
-                bounds=snapshot,
-                pipelines=pipelines,
-                estimates=estimates,
-                leaf_input_consumed=leaf_consumed[0],
+            observation, estimate_values = probe.observe(
+                self.estimators, estimator_profiles, clock
             )
-            estimate_values: Dict[str, float] = {}
-            for estimator in self.estimators:
-                call_started = clock()
-                estimate_values[estimator.name] = estimator.estimate(observation)
-                profile.profile_for(estimator.name).record(
-                    clock() - call_started
-                )
+            curr = observation.curr
+            lower = observation.bounds.lower
+            upper = observation.bounds.upper
             if final:
                 actual: Optional[float] = 1.0
             elif live_total is not None:
@@ -583,8 +593,8 @@ class ProgressRunner:
                 curr=curr,
                 actual=actual,
                 estimates=estimate_values,
-                lower_bound=observation.bounds.lower,
-                upper_bound=observation.bounds.upper,
+                lower_bound=lower,
+                upper_bound=upper,
             )
             # Boundary-forced rounds are pinned against decimation, even
             # when they coincide with a cadence multiple — blocking-operator
@@ -593,25 +603,17 @@ class ProgressRunner:
                 monitor.set_observer_cadence(sample, builder.cadence)
             profile.samples += 1
             if sinks:
-                # Capturing per-pipeline snapshots costs real work per
-                # sample; only do it when someone is listening.  Extras are
+                # Per-pipeline snapshots are real work per sample; only
+                # build them when someone is listening.  Extras are
                 # collected first so a selection change is announced before
                 # the sample that exhibits it.
-                emit_refinements(
-                    curr, estimate_values,
-                    observation.bounds.lower, observation.bounds.upper,
-                )
-                payload = collect_extras(
-                    curr, estimate_values,
-                    observation.bounds.lower, observation.bounds.upper,
-                )
+                emit_refinements(curr, estimate_values, lower, upper)
+                payload = collect_extras(curr, estimate_values, lower, upper)
                 emit(
-                    "sample", curr, actual, estimate_values,
-                    observation.bounds.lower, observation.bounds.upper,
-                    tuple(
-                        PipelineSnapshot.capture(pipeline, estimates)
-                        for pipeline in pipelines
-                    ),
+                    "sample", curr, actual, estimate_values, lower, upper,
+                    tuple(map(
+                        PipelineSnapshot.of, observation.pipeline_states
+                    )),
                     event_total=live_total,
                     payload=payload,
                 )
@@ -622,16 +624,21 @@ class ProgressRunner:
         monitor.add_batch_listener(on_tick)
         tracker.attach(monitor)
         monitor.add_observer(sample, every=builder.cadence)
+        probe_estimators = self.estimators
+        if self.on_probe is not None and self.probe_estimators is not None:
+            probe_estimators = list(self.probe_estimators)
+            for estimator in probe_estimators:
+                estimator.prepare(self.plan)
+        probe = RunnerProbe(
+            self.plan, monitor, tracker, pipelines, estimates,
+            probe_estimators, live_total, weighted, leaf_consumed,
+        )
+        estimator_profiles = [
+            profile.profile_for(estimator.name)
+            for estimator in self.estimators
+        ]
         if self.on_probe is not None:
-            probe_estimators = self.estimators
-            if self.probe_estimators is not None:
-                probe_estimators = list(self.probe_estimators)
-                for estimator in probe_estimators:
-                    estimator.prepare(self.plan)
-            self.on_probe(RunnerProbe(
-                self.plan, monitor, tracker, pipelines, estimates,
-                probe_estimators, live_total, weighted, leaf_consumed,
-            ))
+            self.on_probe(probe)
         emit("run_start", 0.0, 0.0, {}, 0.0, 0.0, event_total=live_total)
         context = ExecutionContext(monitor)
         try:
@@ -661,8 +668,13 @@ class ProgressRunner:
                 sink.close()
             raise
         finally:
+            # Success or abort, the run lets go of the monitor: a monitor
+            # that outlives it (a service's, a probe's) must not keep this
+            # run's closures alive.  The operators dropped their context —
+            # their way to the monitor — when the engine closed them.
             tracker.detach()
             monitor.remove_batch_listener(on_tick)
+            monitor.remove_observer(sample)
         # The run is complete: its own counters are the oracle.  Truth
         # labels, total(Q), and µ all come from these end-of-run quantities
         # under *both* protocols.

@@ -220,6 +220,11 @@ class ExecutionMonitor:
             raise ValueError("observer is not registered")
         self._observers = rebound
 
+    def remove_observer(self, observer: Observer) -> None:
+        self._observers = [
+            entry for entry in self._observers if entry[1] != observer
+        ]
+
     def clear_observers(self) -> None:
         self._observers = []
 
@@ -236,7 +241,9 @@ class ExecutionMonitor:
         self._tick_listeners.append(listener)
 
     def remove_tick_listener(self, listener: TickListener) -> None:
-        self._tick_listeners = [l for l in self._tick_listeners if l is not listener]
+        # Equality, not identity: every ``obj.method`` access makes a new
+        # bound-method object, equal to but never *the* one registered.
+        self._tick_listeners = [l for l in self._tick_listeners if l != listener]
 
     def add_batch_listener(self, listener: BatchListener) -> None:
         """Subscribe as ``listener(operator_id, event, n)``.
@@ -251,7 +258,7 @@ class ExecutionMonitor:
 
     def remove_batch_listener(self, listener: BatchListener) -> None:
         self._batch_listeners = [
-            l for l in self._batch_listeners if l is not listener
+            l for l in self._batch_listeners if l != listener
         ]
 
     # -- pipeline boundaries ------------------------------------------------------

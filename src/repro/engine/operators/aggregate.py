@@ -170,6 +170,10 @@ class _AggregateBase(UnaryOperator):
     def _emit(self, key: Tuple[object, ...], accumulator: _Accumulator) -> Row:
         return key + accumulator.finalize(self.aggregates)
 
+    def _close(self) -> None:
+        self._group_fns = []
+        self._argument_fns = []
+
 
 class HashAggregate(_AggregateBase):
     """Hash-based γ: blocking; groups emitted in first-seen order.
@@ -244,6 +248,7 @@ class HashAggregate(_AggregateBase):
         return next(self._output, None)
 
     def _close(self) -> None:
+        super()._close()
         self._groups = {}
         self._materialized = False
         self._output = None

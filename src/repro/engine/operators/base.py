@@ -112,6 +112,10 @@ class Operator(abc.ABC):
         for child in self.children:
             child.close()
         self.is_open = False
+        # The context reaches the monitor and, through its observers, the
+        # whole instrumentation of the run that just ended: a closed plan
+        # must neither keep that alive nor fail to pickle because of it.
+        self._context = None
 
     def rewind(self) -> None:
         """Restart this subtree from the beginning (used by ⋈NL rescans).

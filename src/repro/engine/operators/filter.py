@@ -35,3 +35,6 @@ class Filter(UnaryOperator):
                 return None
             if self._bound(row) is True:
                 return row
+
+    def _close(self) -> None:
+        self._bound = None

@@ -140,5 +140,6 @@ class HashJoin(BinaryOperator):
             self._emitted_for_probe = 0
 
     def _close(self) -> None:
+        self._build_fn = self._probe_fn = self._residual_fn = None
         self._table = {}
         self._matches = []

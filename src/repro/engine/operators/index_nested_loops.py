@@ -94,3 +94,7 @@ class IndexNestedLoopsJoin(UnaryOperator):
             # NULL keys never match (SQL equality semantics).
             self._matches = [] if key is None else self.index.lookup(key)
             self._match_cursor = 0
+
+    def _close(self) -> None:
+        self._key_fn = self._residual_fn = None
+        self._matches = []

@@ -136,3 +136,7 @@ class MergeJoin(BinaryOperator):
             self._right_group = []
             if self._advance_left() is None:
                 return None
+
+    def _close(self) -> None:
+        self._left_fn = self._right_fn = None
+        self._right_group = []

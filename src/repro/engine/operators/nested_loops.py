@@ -65,3 +65,6 @@ class NestedLoopsJoin(BinaryOperator):
             joined = self._outer_row + inner_row
             if self._bound is None or self._bound(joined) is True:
                 return joined
+
+    def _close(self) -> None:
+        self._bound = None

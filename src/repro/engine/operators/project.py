@@ -93,3 +93,7 @@ class Project(UnaryOperator):
             return None
         assert self._project is not None
         return self._project(row)
+
+    def _close(self) -> None:
+        self._bound = []
+        self._project = None

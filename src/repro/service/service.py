@@ -48,6 +48,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.estimators import ProgressEstimator, standard_toolkit
+from repro.core.metrics import TraceSample
 from repro.core.observe import (
     ForwardingSink,
     ProgressEvent,
@@ -486,8 +487,6 @@ class _HandleSink(ProgressEventSink):
 
     def emit(self, event: ProgressEvent) -> None:
         if event.kind == "sample":
-            from repro.core.metrics import TraceSample
-
             self.handle._publish(TraceSample(
                 curr=event.curr,
                 actual=event.actual,

@@ -1,0 +1,371 @@
+"""One pipeline-state pass per sampled instant.
+
+:class:`Observation` is the single per-instant state: the pipeline walk and
+the parameter-free estimators' answers are computed once and read by every
+estimator of the toolkit and by the event sinks.  That sharing must be
+invisible — every estimate, sealed trace and emitted event stays what the
+per-estimator walks produced:
+
+* each estimator's sealed trace values are the same alone as inside the
+  full seven-estimator toolkit, on every engine;
+* the driver walk runs at most once per pipeline per sample, however large
+  the toolkit;
+* the events' ``pipelines`` payloads and the ordering of
+  ``estimator_selected`` / ``bound_refined`` against samples equal a
+  recording taken before the state was shared (``golden/``);
+* an on-demand probe between two cadence points sees fresh pipeline state
+  (a memo never outlives its instant) and leaves the trace estimators'
+  state alone.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import os
+import pickle
+import re
+import warnings
+from collections import Counter
+
+import pytest
+
+import repro
+from repro.core import MemorySink, ProgressRunner, decompose
+from repro.core.bounds import BoundsSnapshot
+from repro.core.estimators import (
+    DneEstimator,
+    Observation,
+    PmaxEstimator,
+    RobustHistory,
+    SafeEstimator,
+    toolkit_from_names,
+)
+from repro.core.pipelines import Pipeline
+from repro.engine.expressions import col
+from repro.engine.monitor import ExecutionMonitor
+from repro.engine.operators import Sort, SortKey, TableScan
+from repro.engine.operators.base import ExecutionContext
+from repro.engine.plan import Plan
+from repro.options import ENGINES
+from repro.storage import Table, schema_of
+from repro.workloads import build_query, make_example2, make_zipfian_join
+
+SEVEN = ["dne", "pmax", "safe", "hybrid-mu", "hybrid-var", "feedback",
+         "robust"]
+TPCH_NUMBERS = (1, 3, 5, 10, 13, 18, 21)
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                      "sample_events.json")
+
+
+@pytest.fixture(scope="module")
+def adversarial():
+    zipf = make_zipfian_join(n=600, z=2.0, order="random", seed=5)
+    example2 = make_example2(n=600, matches=60, selected_position=17)
+    return [
+        (zipf.catalog, zipf.inl_plan),
+        (zipf.catalog, zipf.hash_plan),
+        (zipf.catalog, zipf.merge_plan),
+        (example2.catalog, example2.inl_plan),
+    ]
+
+
+def plan_makers(tpch_db, adversarial):
+    makers = [
+        (tpch_db.catalog, lambda number=number: build_query(tpch_db, number))
+        for number in TPCH_NUMBERS
+    ]
+    return makers + adversarial
+
+
+# -- (a) toolkit independence -------------------------------------------------------------
+
+
+def warm_history(catalog, make_plan, engine):
+    """One full-toolkit run's worth of learning, so feedback and robust
+    answer from history instead of collapsing onto safe."""
+    # Keys are qualified by the estimators' own ``catalog=``; a history
+    # holding the catalog itself would drag every table through deepcopy.
+    history = RobustHistory()
+    plan = make_plan()
+    toolkit = toolkit_from_names(
+        SEVEN, history=history.totals, robust_history=history,
+        catalog=catalog,
+    )
+    report = ProgressRunner(
+        plan, toolkit, catalog, target_samples=25, engine=engine
+    ).run()
+    toolkit[-1].observe_result(plan, report.total)
+    return history
+
+
+def traced(catalog, make_plan, names, history, engine):
+    history = copy.deepcopy(history)
+    toolkit = toolkit_from_names(
+        names, history=history.totals, robust_history=history,
+        catalog=catalog,
+    )
+    return ProgressRunner(
+        make_plan(), toolkit, catalog, target_samples=25, engine=engine
+    ).run().trace
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_each_estimator_alone_equals_inside_full_toolkit(
+    tpch_db, adversarial, engine
+):
+    for catalog, make_plan in plan_makers(tpch_db, adversarial):
+        for history in (RobustHistory(),
+                        warm_history(catalog, make_plan, engine)):
+            full = traced(catalog, make_plan, SEVEN, history, engine)
+            for name in SEVEN:
+                alone = traced(catalog, make_plan, [name], history, engine)
+                assert [s.curr for s in alone.samples] == [
+                    s.curr for s in full.samples
+                ]
+                assert [s.estimates[name] for s in alone.samples] == [
+                    s.estimates[name] for s in full.samples
+                ], (make_plan().name, name, engine)
+
+
+# -- (b) one walk per pipeline per sample ---------------------------------------------------
+
+
+class _PerSampleCounts(MemorySink):
+    """Closes a counting window at every sample event."""
+
+    def __init__(self):
+        super().__init__()
+        self.window = Counter()
+        self.worst = Counter()
+
+    def emit(self, event):
+        super().emit(event)
+        if event.kind == "sample":
+            for key, count in self.window.items():
+                self.worst[key[0]] = max(self.worst[key[0]], count)
+            self.window.clear()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_driver_walk_runs_at_most_once_per_pipeline_per_sample(
+    tpch_db, monkeypatch, engine
+):
+    sink = _PerSampleCounts()
+    for method in ("driver_total", "state", "weight"):
+        original = getattr(Pipeline, method)
+
+        def counted(self, *args, _name=method, _original=original, **kwargs):
+            sink.window[(_name, self.index)] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Pipeline, method, counted)
+    session = repro.connect(catalog=tpch_db.catalog)
+    for _ in range(2):  # cold, then with history: robust weighs its pool
+        report = session.run(
+            build_query(tpch_db, 10), sinks=[sink], estimators=list(SEVEN),
+            bounds=["paper2005", "degree_seq"], target_samples=30,
+            engine=engine,
+        )
+    assert len(sink.samples()) >= 2 * len(report.trace.samples)
+    assert sink.worst == {"driver_total": 1, "state": 1, "weight": 1}
+
+
+# -- (c) events equal the recording taken before the state was shared ----------------------
+
+
+def record_event_skeleton(database):
+    """What the golden holds: per plan, per pass, every event's kind and
+    ``curr`` with the sample's ``pipelines`` payload or the annotation's
+    payload.  Operator ids are process-global counters, so labels are
+    renumbered by position in the plan."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        session = repro.connect(catalog=database.catalog)
+        recording = {}
+        for number in (3, 4, 7, 10):
+            plan = build_query(database, number)
+            rank = {
+                operator.operator_id: position
+                for position, operator in enumerate(plan.root.walk())
+            }
+
+            def renumber(text):
+                return re.sub(
+                    r"#(\d+)", lambda m: "#%d" % rank[int(m.group(1))], text
+                )
+
+            passes = []
+            for _ in range(2):
+                sink = MemorySink()
+                session.run(
+                    plan, sinks=[sink], estimators=list(SEVEN),
+                    bounds=["paper2005", "degree_seq"], target_samples=12,
+                )
+                events = []
+                for event in sink.events:
+                    entry = [event.kind, event.curr]
+                    if event.kind == "sample":
+                        entry.append([
+                            [snapshot.index,
+                             [renumber(label) for label in snapshot.drivers],
+                             snapshot.started, snapshot.finished,
+                             snapshot.driver_consumed,
+                             repr(snapshot.driver_fraction)]
+                            for snapshot in event.pipelines
+                        ])
+                    elif event.kind == "estimator_selected":
+                        entry.append([event.payload["estimator"],
+                                      event.payload["selected"],
+                                      event.payload["segment"]])
+                    elif event.kind == "bound_refined":
+                        entry.append([rank[event.payload["operator_id"]],
+                                      renumber(event.payload["operator"]),
+                                      event.payload["provider"],
+                                      repr(event.payload["upper_after"])])
+                    events.append(entry)
+                passes.append(events)
+            recording["tpch-q%d" % number] = passes
+    return recording
+
+
+def test_event_payloads_and_ordering_equal_the_golden(tpch_db):
+    with open(GOLDEN) as handle:
+        golden = json.load(handle)
+    recording = json.loads(json.dumps(record_event_skeleton(tpch_db)))
+    assert sorted(recording) == sorted(golden)
+    for name, passes in golden.items():
+        assert recording[name] == passes, name
+    kinds = {entry[0] for passes in golden.values()
+             for events in passes for entry in events}
+    assert {"sample", "estimator_selected", "bound_refined"} <= kinds
+
+
+# -- the memo never outlives its instant ------------------------------------------------------
+
+
+def sort_plan(rows=400):
+    table = Table("t", schema_of("t", "k:int"), [(v % 11,) for v in range(rows)])
+    return Plan(Sort(TableScan(table), [SortKey(col("t.k"))]), "memo-sort")
+
+
+def test_observation_memoises_state_and_answers():
+    plan = sort_plan()
+    pipelines = decompose(plan)
+    context = ExecutionContext(ExecutionMonitor())
+    plan.root.open(context)
+    for _ in range(5):
+        plan.root.get_next()
+    observation = Observation(
+        curr=405, bounds=BoundsSnapshot(405, 800, 800, {}),
+        pipelines=pipelines,
+    )
+    states = observation.pipeline_states
+    assert observation.pipeline_states is states
+    assert [state.finished for state in states] == [True, False]
+    assert states[1].driver_consumed == 5
+    assert states[1].driver_fraction == 5 / 400
+    first = DneEstimator().estimate(observation)
+    # The answer belongs to the observation, not to the instance asking.
+    plan.root.get_next()
+    assert DneEstimator().estimate(observation) == first
+    fresh = Observation(
+        curr=406, bounds=BoundsSnapshot(406, 800, 800, {}),
+        pipelines=pipelines,
+    )
+    assert DneEstimator().estimate(fresh) > first
+    assert PmaxEstimator().estimate(fresh) == 406 / 800
+    assert SafeEstimator().estimate(fresh) == 406 / 800
+    plan.root.close()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_probe_between_cadence_points_is_fresh_and_leaves_the_trace_alone(
+    tpch_db, engine
+):
+    def run(probing):
+        probes = []
+        box = []
+
+        def factory():
+            monitor = ExecutionMonitor()
+            if probing:
+                # every 7 ticks: almost always between two cadence points
+                monitor.add_observer(
+                    lambda m: probes.append((m.total_ticks,
+                                             box[0].live_sample())),
+                    every=7,
+                )
+            return monitor
+
+        history = RobustHistory(catalog=tpch_db.catalog)
+        report = ProgressRunner(
+            build_query(tpch_db, 3),
+            toolkit_from_names(SEVEN, history=history.totals,
+                               robust_history=history,
+                               catalog=tpch_db.catalog),
+            tpch_db.catalog, target_samples=20, engine=engine,
+            monitor_factory=factory, on_probe=box.append,
+            probe_estimators=toolkit_from_names(["dne", "pmax", "hybrid-var"]),
+        ).run()
+        return report, probes
+
+    quiet, _ = run(probing=False)
+    report, probes = run(probing=True)
+    # hybrid-var's window, feedback and robust's log saw only the cadence.
+    assert report.trace.samples == quiet.trace.samples
+    cadence = {sample.curr for sample in report.trace.samples}
+    between = [(tick, live) for tick, live in probes if tick not in cadence]
+    assert len(between) > len(probes) // 2
+    for tick, live in between:
+        assert live.curr == tick and live.actual is None
+    # Fresh state at every instant: dne keeps moving between probes that
+    # share one cadence interval (a carried-over memo would repeat itself).
+    dne = [live.estimates["dne"] for _, live in probes]
+    assert len(set(dne)) > 2 * len(report.trace.samples)
+    assert all(a != b for a, b in zip(dne, dne[1:7]))
+
+
+# -- a finished run lets go of the plan -----------------------------------------------------
+
+
+class _Boom(Exception):
+    pass
+
+
+class _FailsLate(SafeEstimator):
+    name = "fails-late"
+
+    def estimate(self, observation):
+        if observation.curr > 150:
+            raise _Boom()
+        return super().estimate(observation)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("abort", [False, True])
+def test_run_releases_observers_listeners_and_contexts(engine, abort):
+    monitors = []
+
+    def factory():
+        monitors.append(ExecutionMonitor())
+        return monitors[-1]
+
+    plan = sort_plan()
+    runner = ProgressRunner(
+        plan, [_FailsLate()] if abort else [SafeEstimator()],
+        target_samples=10, engine=engine, monitor_factory=factory,
+    )
+    if abort:
+        with pytest.raises(_Boom):
+            runner.run()
+    else:
+        runner.run()
+    (monitor,) = monitors
+    assert monitor.ticks_until_next_observer() is None
+    assert not monitor._batch_listeners and not monitor._tick_listeners
+    assert all(op._context is None for op in plan.root.walk())
+    clone = pickle.loads(pickle.dumps(plan))
+    assert ProgressRunner(
+        clone, [SafeEstimator()], target_samples=10, engine=engine
+    ).run().total == 800

@@ -390,6 +390,23 @@ class TestFacade:
             handle = session.submit(build_query(db, 6), name="via-session")
             assert handle.result(timeout=120).trace.samples
 
+    @pytest.mark.parametrize("number", [3, 10, 21])
+    def test_plan_that_ran_in_process_still_submits(self, db, number):
+        """Regression: operators kept ``_context`` → monitor → the
+        runner's ``sample`` closure (and the closures ``open`` bound), so a
+        plan that had run in-process raised ``AdmissionError: Can't pickle
+        local object 'ProgressRunner.run.<locals>.sample'`` on submit."""
+        import repro
+
+        plan = build_query(db, number)
+        with repro.connect(
+            catalog=db.catalog, backend="process", max_workers=1
+        ) as session:
+            solo = session.run(plan)
+            report = session.submit(plan).result(timeout=120)
+        assert report.trace.samples == solo.trace.samples
+        assert report.total == solo.total
+
     def test_shutdown_is_idempotent_and_final(self, db):
         service = process_service(db, max_workers=1)
         service.shutdown()

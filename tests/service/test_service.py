@@ -103,7 +103,12 @@ class TestStress:
             stop_polling = threading.Event()
 
             def poll():
-                while not stop_polling.is_set():
+                # One full round always follows the stop request, so a
+                # query that started and finished between two rounds is
+                # still seen (its final sample stays published).
+                stopping = False
+                while not stopping:
+                    stopping = stop_polling.is_set()
                     for number, handle in handles.items():
                         live = handle.sample()
                         if live is not None:
