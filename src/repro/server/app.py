@@ -25,7 +25,16 @@ upgrade, which hands the socket to the event stream: frames are the
 query's buffered-and-live :class:`~repro.server.bridge.EventStream`, so a
 client connecting at any point sees the complete ordered sequence —
 ``queued``, every cadence ``sample`` (estimates live, ``actual`` null
-mid-run), then ``end`` carrying the sealed, truth-labeled trace.
+mid-run), then ``end`` carrying the sealed, truth-labeled trace.  The
+socket is written in bursts — everything queued since the last write,
+replay backlog included, in one ``write`` and one ``drain``.
+
+Every stream the front door creates holds the service's first-paint count
+(:class:`~repro.service.monitor.FirstPaintPending`) raised until its first
+``sample`` frame is on the wire or the stream closes; worker threads give
+up the GIL at tick-batch boundaries meanwhile, which is what makes
+time-to-first-estimate a few loop iterations instead of a few switch
+intervals.  ``GET /metrics`` reports the count as ``first_paint_pending``.
 
 Everything runs on the standard library; ``uvloop``/``websockets`` are
 picked up through :mod:`repro.server.compat` when installed.
@@ -40,7 +49,7 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from repro.server import compat, wsproto
-from repro.server.bridge import EventStream, StreamSink
+from repro.server.bridge import EventStream, StreamSink, Subscription
 from repro.server.config import ServerConfig
 from repro.server.metrics import ServerMetrics
 from repro.server.scheduler import FairScheduler, TenantThrottled
@@ -52,6 +61,14 @@ _REASONS = {
     413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error",
 }
+
+
+class _RequestError(Exception):
+    """A request the client got wrong: answered with its 4xx status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ReproServer:
@@ -181,12 +198,31 @@ class ReproServer:
         """
         if self._loop is None:
             raise RuntimeError("server is not running")
-        event_stream = EventStream(self._loop) if stream else None
-        return self.scheduler.submit(
+        if not stream:
+            return self.scheduler.submit(
+                tenant, query, name=name, deadline=deadline,
+                target_samples=target_samples,
+            )
+        return self._submit_streamed(
             tenant, query, name=name, deadline=deadline,
-            target_samples=target_samples, stream=event_stream,
-            sinks=(StreamSink(event_stream),) if event_stream else (),
+            target_samples=target_samples,
         )
+
+    def _submit_streamed(self, tenant: str, query, **admission):
+        """Admit a query whose frames someone will watch.
+
+        The stream holds the first-paint count from here on; a refused
+        admission closes it again, so the count never leaks.
+        """
+        event_stream = EventStream(self._loop, self.service.first_paint)
+        try:
+            return self.scheduler.submit(
+                tenant, query, stream=event_stream,
+                sinks=(StreamSink(event_stream),), **admission,
+            )
+        except BaseException:
+            event_stream.close()
+            raise
 
     # -- connection handling -------------------------------------------------------
 
@@ -204,6 +240,9 @@ class ReproServer:
             )
         except asyncio.IncompleteReadError:
             pass
+        except _RequestError as exc:
+            with contextlib.suppress(Exception):
+                self._respond(writer, exc.status, {"error": str(exc)})
         except Exception as exc:
             with contextlib.suppress(Exception):
                 self._respond(writer, 500, {"error": str(exc)})
@@ -221,7 +260,7 @@ class ReproServer:
         try:
             method, path, _version = line.decode("latin-1").split()
         except ValueError:
-            raise ValueError("malformed request line") from None
+            raise _RequestError(400, "malformed request line") from None
         headers: Dict[str, str] = {}
         while True:
             header = await reader.readline()
@@ -229,10 +268,14 @@ class ReproServer:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _RequestError(
+                400, "Content-Length must be a non-negative integer")
+        length = int(declared)
         if length > self.config.max_body_bytes:
-            raise ValueError("request body exceeds %d bytes"
-                             % self.config.max_body_bytes)
+            raise _RequestError(413, "request body exceeds %d bytes"
+                                % self.config.max_body_bytes)
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, headers, body
 
@@ -249,6 +292,7 @@ class ReproServer:
         if path == "/metrics" and method == "GET":
             self._respond(writer, 200, self.metrics.snapshot(
                 queue_depths=self.scheduler.queue_depths(),
+                first_paint_pending=self.service.first_paint.count,
             ))
             return False
         if path == "/queries" and method == "POST":
@@ -287,6 +331,9 @@ class ReproServer:
         except (ValueError, UnicodeDecodeError):
             self._respond(writer, 400, {"error": "body must be JSON"})
             return
+        if not isinstance(payload, dict):
+            self._respond(writer, 400, {"error": "body must be a JSON object"})
+            return
         sql = payload.get("sql")
         if not isinstance(sql, str) or not sql.strip():
             self._respond(writer, 400, {
@@ -294,16 +341,13 @@ class ReproServer:
             })
             return
         tenant = str(payload.get("tenant") or "default")
-        stream = EventStream(asyncio.get_running_loop())
         try:
-            scheduled = self.scheduler.submit(
+            scheduled = self._submit_streamed(
                 tenant,
                 sql,
                 name=payload.get("name"),
                 deadline=payload.get("deadline"),
                 target_samples=payload.get("target_samples"),
-                stream=stream,
-                sinks=(StreamSink(stream),),
             )
         except TenantThrottled as exc:
             self._respond(writer, 429, {
@@ -363,9 +407,9 @@ class ReproServer:
             "Sec-WebSocket-Accept: %s\r\n\r\n" % wsproto.accept_key(key)
         ).encode("latin-1"))
         await writer.drain()
-        queue = scheduled.stream.subscribe()
+        subscription = scheduled.stream.subscribe()
         self.metrics.record_ws_open()
-        sender = asyncio.ensure_future(self._ws_send(writer, queue))
+        sender = asyncio.ensure_future(self._ws_send(writer, subscription))
         receiver = asyncio.ensure_future(self._ws_recv(reader, writer))
         try:
             done, pending = await asyncio.wait(
@@ -376,23 +420,21 @@ class ReproServer:
                 with contextlib.suppress(asyncio.CancelledError, Exception):
                     await task
         finally:
-            scheduled.stream.unsubscribe(queue)
+            scheduled.stream.unsubscribe(subscription)
             self.metrics.record_ws_close()
             with contextlib.suppress(Exception):
                 writer.close()
         return True
 
     async def _ws_send(self, writer: asyncio.StreamWriter,
-                       queue: "asyncio.Queue") -> None:
-        while True:
-            frame = await queue.get()
-            if frame is None:
-                writer.write(wsproto.encode_close(1000, "stream complete"))
-                await writer.drain()
-                return
-            writer.write(wsproto.encode_text(
-                json.dumps(frame, sort_keys=True),
-            ))
+                       subscription: Subscription) -> None:
+        """One ``write`` and one ``drain`` per burst, close frame included."""
+        ended = False
+        while not ended:
+            frames, ended = await subscription.next_burst()
+            if ended:
+                frames.append(wsproto.encode_close(1000, "stream complete"))
+            writer.write(b"".join(frames))
             await writer.drain()
 
     async def _ws_recv(self, reader: asyncio.StreamReader,

@@ -3,49 +3,110 @@
 Queries execute on worker threads (or in worker processes whose shepherd
 threads relay events); WebSocket subscribers live on the asyncio event
 loop.  :class:`EventStream` is the rendezvous: worker-side ``publish`` is
-plain thread-safe Python, and each loop-side subscriber gets an
-``asyncio.Queue`` fed via ``loop.call_soon_threadsafe`` — the only safe
-way to wake a coroutine from a foreign thread.
+plain thread-safe Python that encodes the frame once and appends the
+bytes; each loop-side :class:`Subscription` is a cursor into that one
+buffer, woken via ``loop.call_soon_threadsafe`` — the only safe way to
+wake a coroutine from a foreign thread — at most once per *burst*: a
+subscriber is woken only when it is parked with nothing to read, and then
+takes everything published since in one piece, so the worker pays one
+self-pipe write per burst, not one per frame per subscriber.
 
 Streams buffer everything they publish, so a subscriber that connects
 mid-run (or after completion) replays the full frame sequence first and
-then follows live — every subscriber sees the same frames in the same
+then follows live — every subscriber sees the same bytes in the same
 order, which is what lets the load benchmark assert streamed traces
 bit-identical to solo runs.
+
+A stream built with the service's
+:class:`~repro.service.monitor.FirstPaintPending` holds that count raised
+from construction until its first ``sample`` frame has been written to a
+subscriber or the stream closes, whichever comes first — exactly one
+lower per stream, on every exit.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
+import json
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.observe import ProgressEvent, ProgressEventSink
+from repro.server import wsproto
+from repro.service.monitor import FirstPaintPending
 
-#: queue sentinel marking the end of a stream
-_EOS = None
+
+class Subscription:
+    """One subscriber's cursor into an :class:`EventStream` (loop side)."""
+
+    def __init__(self, stream: "EventStream") -> None:
+        self._stream = stream
+        self._cursor = 0
+        #: True while parked with nothing to read; guarded by the stream's
+        #: lock, cleared by the publisher that sends the one wake-up
+        self._parked = False
+        self._wakeup = asyncio.Event()
+
+    async def next_burst(self) -> Tuple[List[bytes], bool]:
+        """Everything published since the last call, in order.
+
+        Returns ``(frames, ended)``: the encoded frames (the whole backlog
+        on the first call) and whether the stream has closed, in which case
+        nothing follows them.  Parks until there is something to report.
+        Coming back for more tells the stream that the previous burst has
+        been written to the peer — which is what lowers the first-paint
+        count once that burst carried the first ``sample`` frame.
+        """
+        stream = self._stream
+        stream._painted_through(self._cursor)
+        while True:
+            with stream._lock:
+                frames = stream._encoded[self._cursor:]
+                ended = stream._closed
+                if not frames and not ended:
+                    self._parked = True
+                    self._wakeup.clear()
+            if frames or ended:
+                self._cursor += len(frames)
+                return frames, ended
+            await self._wakeup.wait()
 
 
 class EventStream:
     """One query's ordered frame sequence, fan-out to asyncio subscribers."""
 
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+    def __init__(self, loop: asyncio.AbstractEventLoop,
+                 first_paint: Optional[FirstPaintPending] = None) -> None:
         self._loop = loop
         self._lock = threading.Lock()
-        self._frames: List[Dict[str, object]] = []
-        self._subscribers: List[asyncio.Queue] = []
+        self._encoded: List[bytes] = []
+        #: index of the first ``sample`` frame, once one was published
+        self._first_sample: Optional[int] = None
+        self._subscribers: List[Subscription] = []
         self._closed = False
+        #: held raised until the first paint or the close; then None
+        self._first_paint = first_paint
+        if first_paint is not None:
+            first_paint.raise_()
 
     # -- worker side (any thread) -------------------------------------------------
 
     def publish(self, frame: Dict[str, object]) -> None:
-        """Append a frame and wake every subscriber.  No-op once closed."""
+        """Append a frame and wake parked subscribers.  No-op once closed.
+
+        The frame becomes its WebSocket text frame here, once; replay and
+        every subscriber reuse those bytes.
+        """
+        encoded = wsproto.encode_text(json.dumps(frame, sort_keys=True))
         with self._lock:
             if self._closed:
                 return
-            self._frames.append(frame)
-            targets = list(self._subscribers)
-        self._wake(targets, frame)
+            if self._first_sample is None and frame.get("event") == "sample":
+                self._first_sample = len(self._encoded)
+            self._encoded.append(encoded)
+            parked = self._unpark()
+        self._wake(parked)
 
     def close(self) -> None:
         """Seal the stream; subscribers drain buffered frames then finish."""
@@ -53,49 +114,68 @@ class EventStream:
             if self._closed:
                 return
             self._closed = True
-            targets = list(self._subscribers)
-        self._wake(targets, _EOS)
+            parked = self._unpark()
+            first_paint, self._first_paint = self._first_paint, None
+        if first_paint is not None:
+            first_paint.lower()
+        self._wake(parked)
 
-    def _wake(self, targets: List[asyncio.Queue], item) -> None:
-        for queue in targets:
+    def _unpark(self) -> List[Subscription]:
+        parked = [sub for sub in self._subscribers if sub._parked]
+        for subscription in parked:
+            subscription._parked = False
+        return parked
+
+    def _wake(self, parked: List[Subscription]) -> None:
+        for subscription in parked:
             try:
-                self._loop.call_soon_threadsafe(queue.put_nowait, item)
+                self._loop.call_soon_threadsafe(subscription._wakeup.set)
             except RuntimeError:
                 # Loop already closed (server shutting down): subscribers
                 # are gone, frames stay buffered for post-hoc inspection.
                 pass
 
+    def _painted_through(self, cursor: int) -> None:
+        if self._first_paint is None:  # already lowered: stays None
+            return
+        with self._lock:
+            first = self._first_sample
+            if first is None or cursor <= first:
+                return
+            first_paint, self._first_paint = self._first_paint, None
+        if first_paint is not None:
+            first_paint.lower()
+
     # -- loop side ------------------------------------------------------------------
 
-    def subscribe(self) -> "asyncio.Queue":
+    def subscribe(self) -> Subscription:
         """Register a subscriber (call on the loop thread).
 
-        The returned queue first replays every frame published so far, then
-        receives live frames, then ``None`` when the stream closes.
+        Its first burst replays every frame published so far; later bursts
+        follow live, and the last one reports the stream closed.
         """
-        queue: asyncio.Queue = asyncio.Queue()
+        subscription = Subscription(self)
         with self._lock:
-            for frame in self._frames:
-                queue.put_nowait(frame)
-            if self._closed:
-                queue.put_nowait(_EOS)
-            else:
-                self._subscribers.append(queue)
-        return queue
+            self._subscribers.append(subscription)
+        return subscription
 
-    def unsubscribe(self, queue: "asyncio.Queue") -> None:
+    def unsubscribe(self, subscription: Subscription) -> None:
         with self._lock:
             try:
-                self._subscribers.remove(queue)
+                self._subscribers.remove(subscription)
             except ValueError:
                 pass
 
     # -- inspection -------------------------------------------------------------------
 
     def frames(self) -> List[Dict[str, object]]:
-        """A copy of everything published so far (tests, post-hoc checks)."""
+        """Everything published so far, decoded (tests, post-hoc checks)."""
         with self._lock:
-            return list(self._frames)
+            encoded = list(self._encoded)
+        return [
+            json.loads(wsproto.read_frame(io.BytesIO(data).read)[1])
+            for data in encoded
+        ]
 
     @property
     def closed(self) -> bool:

@@ -16,7 +16,7 @@ import http.client
 import json
 import os
 import socket
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.server import wsproto
 
@@ -100,12 +100,17 @@ class ServerClient:
     # -- WebSocket -------------------------------------------------------------------
 
     def stream_events(self, query_id: str) -> List[Dict[str, object]]:
-        """Subscribe to a query's event stream; block until it ends.
+        """Every frame of a query's event stream; blocks until it ends."""
+        return list(self.iter_events(query_id))
 
-        Returns every JSON frame in order: ``queued``, the ``sample``
-        cadence, then the terminal ``end`` frame with the sealed trace.
-        Safe to call at any point in the query's life — the stream replays
-        buffered frames first, so a late subscriber still sees everything.
+    def iter_events(self, query_id: str) -> Iterator[Dict[str, object]]:
+        """Subscribe to a query's event stream; yield frames as they arrive.
+
+        Yields every JSON frame in order: ``queued``, the ``sample``
+        cadence while the query runs, then the terminal ``end`` frame with
+        the sealed trace.  Safe to call at any point in the query's life —
+        the stream replays buffered frames first, so a late subscriber
+        still sees everything.  Abandoning the generator closes the socket.
         """
         path = "/queries/%s/events" % query_id
         sock = socket.create_connection(
@@ -136,19 +141,18 @@ class ServerClient:
                         return take
                     return take + read_socket(count - len(take))
                 return read_socket(count)
-            frames: List[Dict[str, object]] = []
             while True:
                 opcode, payload, _fin = wsproto.read_frame(read_exact)
                 if opcode == wsproto.OP_CLOSE:
                     sock.sendall(wsproto.encode_close(mask=True))
-                    return frames
+                    return
                 if opcode == wsproto.OP_PING:
                     sock.sendall(wsproto.encode_frame(
                         payload, wsproto.OP_PONG, mask=True,
                     ))
                     continue
                 if opcode == wsproto.OP_TEXT:
-                    frames.append(json.loads(payload.decode("utf-8")))
+                    yield json.loads(payload.decode("utf-8"))
         finally:
             sock.close()
 

@@ -172,6 +172,7 @@ class ServerMetrics:
 
     def snapshot(
         self, queue_depths: Optional[Dict[str, int]] = None,
+        first_paint_pending: int = 0,
     ) -> Dict[str, object]:
         now = self._clock()
         with self._lock:
@@ -194,6 +195,10 @@ class ServerMetrics:
                 "ticks_per_second": total_ticks / elapsed,
                 "latency": self.latency.quantiles(),
                 "queue_depths": dict(queue_depths or {}),
+                # streams still owed a first estimate: worker threads give
+                # way at every tick batch while this is non-zero, so a
+                # value that stays up with no query arriving is a leak
+                "first_paint_pending": first_paint_pending,
                 "tenants": {
                     name: tenant.to_dict(now)
                     for name, tenant in sorted(self.tenants.items())

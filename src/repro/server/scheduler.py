@@ -39,6 +39,7 @@ from repro.errors import AdmissionError, QueryCancelled, ServiceError
 from repro.server.bridge import EventStream, terminal_frame
 from repro.server.metrics import ServerMetrics
 from repro.service.handle import QueryHandle
+from repro.service.service import RETAINED_FINISHED
 
 
 class TenantThrottled(AdmissionError):
@@ -82,7 +83,8 @@ class ScheduledQuery:
 
     def __init__(self, query_id: str, tenant: str, name: str, query,
                  *, deadline: Optional[float], target_samples: Optional[int],
-                 stream: Optional[EventStream], sinks: tuple) -> None:
+                 stream: Optional[EventStream], sinks: tuple,
+                 created_at: float) -> None:
         self.query_id = query_id
         self.tenant = tenant
         self.name = name
@@ -94,7 +96,8 @@ class ScheduledQuery:
         #: per-query service sinks (StreamSink and friends)
         self.sinks = sinks
         self.handle: Optional[QueryHandle] = None
-        self.created_at = time.monotonic()
+        #: admission instant, on the scheduler's clock (as finished_at is)
+        self.created_at = created_at
         self.finished_at: Optional[float] = None
         self.pre_dispatch_error: Optional[BaseException] = None
         self._lock = threading.Lock()
@@ -182,6 +185,8 @@ class FairScheduler:
         #: round-robin ring of tenant names (stable admission order)
         self._ring: List[str] = []
         self._queries: Dict[str, ScheduledQuery] = {}
+        #: ids of finished queries, oldest first (see RETAINED_FINISHED)
+        self._finished: Deque[str] = deque()
         self._ids = itertools.count(1)
         #: own counter — _emit runs both with and without self._lock held
         self._seq = itertools.count()
@@ -237,6 +242,7 @@ class FairScheduler:
                 query_id, tenant, name or query_id, query,
                 deadline=deadline, target_samples=target_samples,
                 stream=stream, sinks=tuple(sinks),
+                created_at=self._clock(),
             )
             state.pending.append(scheduled)
             self._queries[query_id] = scheduled
@@ -276,7 +282,7 @@ class FairScheduler:
             else:
                 cancelled_queued = False
         if cancelled_queued:
-            self._finish_stream(scheduled)
+            self._finish(scheduled)
             return True
         if scheduled.handle is not None:
             return scheduled.handle.cancel()
@@ -366,7 +372,7 @@ class FairScheduler:
                 state.inflight = max(0, state.inflight - 1)
                 self._work.notify()
             self.metrics.record_completed(tenant, "failed")
-            self._finish_stream(scheduled)
+            self._finish(scheduled)
             return
         scheduled._dispatched = True
         scheduled.handle = handle
@@ -395,14 +401,19 @@ class FairScheduler:
             scheduled.tenant, handle.state.value,
             ticks=ticks, latency_seconds=now - scheduled.created_at,
         )
-        self._finish_stream(scheduled)
+        self._finish(scheduled)
 
-    def _finish_stream(self, scheduled: ScheduledQuery) -> None:
+    def _finish(self, scheduled: ScheduledQuery) -> None:
+        """Every terminal path ends here: seal the stream, then let the
+        oldest finished query beyond ``RETAINED_FINISHED`` be forgotten."""
         stream = scheduled.stream
-        if stream is None:
-            return
-        stream.publish(terminal_frame(scheduled))
-        stream.close()
+        if stream is not None:
+            stream.publish(terminal_frame(scheduled))
+            stream.close()
+        with self._lock:
+            self._finished.append(scheduled.query_id)
+            if len(self._finished) > RETAINED_FINISHED:
+                del self._queries[self._finished.popleft()]
 
     # -- observability ------------------------------------------------------------
 
@@ -469,7 +480,7 @@ class FairScheduler:
             self._work.notify_all()
         for scheduled in dropped:
             self.metrics.record_cancelled_queued(scheduled.tenant)
-            self._finish_stream(scheduled)
+            self._finish(scheduled)
         self._dispatcher.join(timeout=10.0)
         for sink in self.sinks:
             sink.close()

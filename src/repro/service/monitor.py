@@ -19,16 +19,49 @@ run under one re-entrant lock.  A monitor thread that takes the same lock
 can therefore snapshot the tracker and run estimators mid-flight without
 racing the executor.  The lock is re-entrant because a boundary ``finish``
 forces an observer round from inside ``record_finish``.
+
+The control check is also where a CPU-bound worker thread gives way to a
+waiting client.  Under the GIL every hand-off to another thread (event
+loop, dispatcher, client) waits out CPython's 5 ms switch interval behind
+a worker that never blocks; a query's first estimate needs about fifteen
+such hand-offs to reach its client.  :class:`FirstPaintPending` counts the
+streams whose first estimate is still owed; while it is non-zero — a few
+milliseconds per query — each control check releases the GIL, so a
+hand-off costs a fraction of a millisecond.  At zero the check costs one
+attribute read and steady-state batching is untouched.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.engine.monitor import ExecutionMonitor
 from repro.service.handle import QueryHandle, cancelled_error, timeout_error
+
+
+class FirstPaintPending:
+    """How many accepted streams still wait for their first estimate.
+
+    Owned by the :class:`~repro.service.service.QueryService`.  The front
+    door raises it when it accepts a query with a watcher and lowers it —
+    exactly once per raise — when that stream's first ``sample`` frame has
+    been written or the stream closes.  Worker monitors only read
+    :attr:`count`, so the hot path takes no lock.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self._lock = threading.Lock()
+
+    def raise_(self) -> None:
+        with self._lock:
+            self.count += 1
+
+    def lower(self) -> None:
+        with self._lock:
+            self.count -= 1
 
 
 class ServiceExecutionMonitor(ExecutionMonitor):
@@ -49,13 +82,21 @@ class ServiceExecutionMonitor(ExecutionMonitor):
         self,
         handle: QueryHandle,
         clock: Callable[[], float] = time.monotonic,
+        first_paint: Optional[FirstPaintPending] = None,
     ) -> None:
         super().__init__()
         self.handle = handle
         self.clock = clock
+        #: worker processes and bare monitors get a private, ever-zero count
+        self.first_paint = first_paint or FirstPaintPending()
         self.lock = threading.RLock()
 
     def _check_control(self) -> None:
+        if self.first_paint.count:
+            # Some client is waiting for its first estimate: let the event
+            # loop, dispatcher or client thread run now instead of at the
+            # end of this thread's switch interval.
+            time.sleep(0)
         handle = self.handle
         if handle.cancel_requested:
             raise cancelled_error(handle)

@@ -45,7 +45,8 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from repro.core.estimators import ProgressEstimator, standard_toolkit
 from repro.core.metrics import TraceSample
@@ -60,7 +61,7 @@ from repro.engine.plan import Plan
 from repro.errors import AdmissionError, QueryCancelled, QueryTimeout
 from repro.options import ExecutionOptions
 from repro.service.handle import QueryHandle, QueryState, cancelled_error
-from repro.service.monitor import ServiceExecutionMonitor
+from repro.service.monitor import FirstPaintPending, ServiceExecutionMonitor
 from repro.service.procpool import (
     CatalogSpec,
     ProcessPool,
@@ -70,6 +71,11 @@ from repro.service.resilient import ResilientEstimator
 from repro.storage.catalog import Catalog
 
 _STOP = object()
+
+#: finished queries a long-lived service (and the server's scheduler in
+#: front of it) still remembers; older ones are forgotten, with their
+#: buffered frames, sealed trace and plan
+RETAINED_FINISHED = 256
 
 Query = Union[Plan, str]
 
@@ -133,7 +139,11 @@ class QueryService:
         self._next_id = 1
         self._seq = 0
         self._started_at = clock()
-        self._handles: List[QueryHandle] = []
+        self._handles: Dict[int, QueryHandle] = {}
+        #: ids of finished queries, oldest first (see RETAINED_FINISHED)
+        self._finished: Deque[int] = deque()
+        #: streams still owed a first estimate; every monitor reads it
+        self.first_paint = FirstPaintPending()
         self._active_plan_ids: set = set()
         self._stats: Dict[str, int] = {
             "submitted": 0, "rejected": 0,
@@ -226,7 +236,7 @@ class QueryService:
             handle._sinks = tuple(sinks)
             handle._wire = wire
             self._active_plan_ids.add(id(plan))
-            self._handles.append(handle)
+            self._handles[query_id] = handle
             self._stats["submitted"] += 1
         try:
             self._queue.put(handle, block=block, timeout=timeout)
@@ -235,7 +245,7 @@ class QueryService:
                 self._stats["submitted"] -= 1
                 self._stats["rejected"] += 1
                 self._active_plan_ids.discard(id(plan))
-                self._handles.remove(handle)
+                del self._handles[query_id]
             raise AdmissionError(
                 "admission queue is full (%d pending); retry later or "
                 "submit with block=True" % (self._queue.maxsize,)
@@ -300,6 +310,9 @@ class QueryService:
             self._stats[handle.state.value] = (
                 self._stats.get(handle.state.value, 0) + 1
             )
+            self._finished.append(handle.query_id)
+            if len(self._finished) > RETAINED_FINISHED:
+                del self._handles[self._finished.popleft()]
         self._emit("query_end", handle)
 
     def _execute(self, handle: QueryHandle) -> None:
@@ -344,7 +357,7 @@ class QueryService:
                 protocol=self.protocol,
                 bounds=self.bounds,
                 monitor_factory=lambda: ServiceExecutionMonitor(
-                    handle, self._clock
+                    handle, self._clock, self.first_paint
                 ),
                 on_probe=on_probe,
                 probe_estimators=probe_toolkit,
@@ -411,9 +424,10 @@ class QueryService:
     # -- inspection & lifecycle ----------------------------------------------------
 
     def handles(self) -> List[QueryHandle]:
-        """Every handle admitted so far, in submission order."""
+        """Unfinished handles plus the most recent ``RETAINED_FINISHED``
+        finished ones, in submission order."""
         with self._lock:
-            return list(self._handles)
+            return list(self._handles.values())
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

@@ -7,6 +7,8 @@ table so the backlog is observable.
 
 from __future__ import annotations
 
+import json
+import socket
 import time
 
 import pytest
@@ -18,6 +20,7 @@ from repro.server import (
     ServerClientError,
     ServerConfig,
     TenantQuota,
+    wsproto,
 )
 from repro.stats import StatisticsManager
 from repro.storage import Table, schema_of
@@ -54,6 +57,22 @@ def client(server):
 BIG_SQL = "SELECT g, COUNT(*), SUM(x) FROM big GROUP BY g"
 
 
+def raw_request(server, request: bytes):
+    """Send bytes no HTTP library would; returns (status, JSON body)."""
+    with socket.create_connection(
+        (server.config.host, server.port), timeout=10.0,
+    ) as sock:
+        sock.sendall(request)
+        response = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 class TestHealthAndRouting:
     def test_healthz(self, client):
         record = client.healthz()
@@ -74,6 +93,52 @@ class TestHealthAndRouting:
         assert status == 404
         status, _payload = client.request("DELETE", "/queries/q-999999")
         assert status == 404
+
+
+class TestClientErrorsAre4xx:
+    """What the client got wrong is a 4xx; 500 is for handler faults."""
+
+    def test_malformed_request_line(self, server):
+        status, payload = raw_request(server, b"GARBAGE\r\n\r\n")
+        assert status == 400
+        assert "request line" in payload["error"]
+
+    @pytest.mark.parametrize("declared", [b"banana", b"-5", b"1.5", b"+3"])
+    def test_bad_content_length(self, server, declared):
+        status, payload = raw_request(
+            server,
+            b"POST /queries HTTP/1.1\r\nContent-Length: " + declared
+            + b"\r\n\r\n{}",
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_oversize_body_is_413(self, server):
+        declared = server.config.max_body_bytes + 1
+        status, payload = raw_request(
+            server,
+            b"POST /queries HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % declared,
+        )
+        assert status == 413
+        assert str(server.config.max_body_bytes) in payload["error"]
+
+    @pytest.mark.parametrize("body", [[], "sql", 7])
+    def test_json_body_must_be_an_object(self, client, body):
+        status, payload = client.request("POST", "/queries", body)
+        assert status == 400
+        assert "error" in payload
+
+    def test_handler_faults_stay_500(self, server, monkeypatch):
+        def broken():
+            raise RuntimeError("registry on fire")
+
+        monkeypatch.setattr(server.scheduler, "queue_depths", broken)
+        status, payload = raw_request(
+            server, b"GET /metrics HTTP/1.1\r\n\r\n",
+        )
+        assert status == 500
+        assert "registry on fire" in payload["error"]
 
 
 class TestAdmission:
@@ -148,6 +213,28 @@ class TestAdmission:
         assert status == 400
         assert "WebSocket" in payload["error"]
         client.stream_events(record["id"])
+
+
+class TestLiveIteration:
+    def test_first_sample_is_yielded_while_the_query_runs(self, client):
+        record = client.submit(BIG_SQL, tenant="t-live",
+                               target_samples=200)
+        events = client.iter_events(record["id"])
+        assert next(events)["event"] == "queued"
+        first = next(events)
+        assert first["event"] == "sample"
+        assert first["actual"] is None
+        # Live means live: the estimate is in hand, the query is not done.
+        assert client.status(record["id"])["state"] == "running"
+        rest = list(events)
+        assert rest[-1]["event"] == "end"
+        assert rest[-1]["state"] == "done"
+
+    def test_stream_events_is_the_collected_iterator(self, client):
+        record = client.submit("SELECT COUNT(*) FROM nation",
+                               tenant="t-live", target_samples=5)
+        frames = client.stream_events(record["id"])
+        assert frames == list(client.iter_events(record["id"]))  # replay
 
 
 class TestCancel:
@@ -243,3 +330,45 @@ class TestMetrics:
         assert after["opened"] >= before["opened"] + 1
         assert after["closed"] >= before["closed"] + 1
         assert after["open"] >= 0
+
+
+class TestRetention:
+    def test_finished_queries_beyond_the_cap_are_forgotten(self, db):
+        from repro.service.service import RETAINED_FINISHED
+
+        config = ServerConfig(
+            options=ExecutionOptions(backend="thread", max_workers=2),
+            default_quota=TenantQuota(max_pending=400, max_inflight=4),
+        )
+        instance = ReproServer(db.catalog, config=config)
+        with instance.running():
+            client = ServerClient(instance.config.host, instance.port)
+            submitted = [
+                instance.submit_local(
+                    "bulk", "SELECT COUNT(*) FROM region",
+                    target_samples=2,
+                )
+                for _ in range(300)
+            ]
+            assert instance.scheduler.wait_all(timeout=120.0)
+            assert instance.service.wait_all(timeout=120.0)
+            # wait_all returns at the terminal transition; the bookkeeping
+            # of the last few completions may still be a beat behind.
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if (len(instance.scheduler.queries()) <= RETAINED_FINISHED
+                        and len(instance.service.handles())
+                        <= RETAINED_FINISHED):
+                    break
+                time.sleep(0.01)
+            assert len(instance.scheduler.queries()) <= RETAINED_FINISHED
+            assert len(instance.service.handles()) <= RETAINED_FINISHED
+            # Forgotten means gone: 404 on status and on the stream.
+            oldest, newest = submitted[0].query_id, submitted[-1].query_id
+            status, _payload = client.request("GET", "/queries/" + oldest)
+            assert status == 404
+            with pytest.raises(wsproto.WebSocketError, match="404"):
+                client.stream_events(oldest)
+            assert client.status(newest)["state"] == "done"
+            assert client.stream_events(newest)[-1]["state"] == "done"
+            assert client.metrics()["first_paint_pending"] == 0

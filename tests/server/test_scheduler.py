@@ -261,6 +261,50 @@ class TestLifecycle:
         finally:
             scheduler.shutdown()
 
+    def test_latency_is_measured_on_the_injected_clock(self):
+        now = [100.0]
+        service = FakeService()
+        metrics = ServerMetrics()
+        scheduler = FairScheduler(
+            service, metrics=metrics, clock=lambda: now[0],
+        )
+        try:
+            scheduled = scheduler.submit("t", "q", name="timed")
+            assert scheduled.created_at == 100.0
+            assert wait_for(lambda: "timed" in service.handles)
+            now[0] = 102.5
+            service.handles["timed"].complete()
+            assert scheduled.finished_at == 102.5
+            latency = metrics.snapshot()["latency"]
+            assert latency["count"] == 1
+            assert latency["p50_seconds"] == 2.5
+        finally:
+            scheduler.shutdown()
+
+    def test_finished_queries_beyond_the_cap_are_forgotten(self):
+        from repro.service.service import RETAINED_FINISHED
+
+        service = FakeService()
+        scheduler = FairScheduler(service, default_quota=TenantQuota(
+            max_pending=8, max_inflight=2,
+        ))
+        try:
+            parked = scheduler.submit("t", "q", name="parked")
+            assert wait_for(lambda: "parked" in service.handles)
+            for index in range(RETAINED_FINISHED + 44):
+                name = "short-%d" % index
+                scheduler.submit("t", "q", name=name)
+                assert wait_for(lambda: name in service.handles)
+                service.handles[name].complete()
+            known = scheduler.queries()
+            assert len(known) == RETAINED_FINISHED + 1  # + the in-flight one
+            assert parked in known
+            assert scheduler.get("q-2") is None  # the oldest finished
+            assert scheduler.get(known[-1].query_id) is known[-1]
+            assert not scheduler.cancel("q-2")
+        finally:
+            scheduler.shutdown()
+
     def test_cancel_unknown_id(self):
         scheduler = FairScheduler(FakeService())
         try:
