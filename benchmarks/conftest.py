@@ -5,6 +5,11 @@ rendered artifact under ``benchmarks/results/`` and asserts the paper's
 qualitative shape.  Run with::
 
     pytest benchmarks/ --benchmark-only
+
+``--benchmark-only`` deselects the two quality gates (they take no
+``benchmark`` fixture); run those by file name, as CI does::
+
+    pytest benchmarks/test_robust_sweep.py benchmarks/test_bounds_tightness.py
 """
 
 import pytest

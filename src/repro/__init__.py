@@ -16,7 +16,7 @@ The stable public surface is the :mod:`repro.api` facade, re-exported here:
     report = session.run("SELECT g, COUNT(*) FROM t GROUP BY g")
     handle = session.submit(plan, deadline=5.0)
 
-See ``docs/api.md`` for the full surface and the deprecation policy.
+See ``docs/api.md`` for the full surface and the stability policy.
 """
 
 __version__ = "1.1.0"

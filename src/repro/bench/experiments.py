@@ -225,9 +225,16 @@ def ablation_lower_bound(n: int = 4000) -> Dict:
     report_x = run_with_estimators(twins.plan_x(), toolkit(), twins.catalog_x)
     report_y = run_with_estimators(twins.plan_y(), toolkit(), twins.catalog_y)
 
+    # The adaptive cadence retains different instants for different totals:
+    # compare at the last instant before the offending tuple that *both*
+    # traces sampled, where the prefixes are still identical.
+    decision = max(
+        {s.curr for s in report_x.trace.samples}
+        & {s.curr for s in report_y.trace.samples if s.curr <= twins.position}
+    )
+
     def at_decision(report: ProgressReport) -> Dict[str, float]:
-        target = twins.position
-        sample = min(report.trace.samples, key=lambda s: abs(s.curr - target))
+        sample = next(s for s in report.trace.samples if s.curr == decision)
         return dict(sample.estimates, actual=sample.curr / report.total)
 
     x = at_decision(report_x)

@@ -60,7 +60,6 @@ from repro.options import (
     BACKENDS,
     BOUND_PROVIDERS,
     ENGINES,
-    PROTOCOLS,
     ExecutionOptions,
 )
 from repro.sql import plan_query
@@ -157,7 +156,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print()
     report = run_with_estimators(
         plan, _toolkit_for(args), db.catalog, engine=args.engine,
-        protocol=args.protocol, bounds=_bounds_for(args),
+        bounds=_bounds_for(args),
     )
     _print_progress_table(report)
     return 0
@@ -170,7 +169,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
     print()
     report = run_with_estimators(
         plan, _toolkit_for(args), db.catalog, engine=args.engine,
-        protocol=args.protocol, bounds=_bounds_for(args),
+        bounds=_bounds_for(args),
     )
     _print_progress_table(report)
     if args.rows:
@@ -201,7 +200,6 @@ def cmd_progress(args: argparse.Namespace) -> int:
         target_samples=args.samples,
         sinks=sinks,
         engine=args.engine,
-        protocol=args.protocol,
         bounds=_bounds_for(args),
     )
     report = runner.run()
@@ -244,7 +242,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     total = len(numbers) * args.repeat
     options = ExecutionOptions(
         engine=args.engine,
-        protocol=args.protocol,
         bounds=_bounds_for(args),
         backend=args.backend,
         start_method=args.start_method,
@@ -302,8 +299,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     line.append("%s:%s" % (record["query"],
                                            record["state"]))
                 else:
-                    # Single-pass protocol: no truth label while the query
-                    # runs — show the first estimator's answer.
+                    # No truth label while the query runs — show the
+                    # first estimator's answer.
                     value = progress["actual"]
                     if value is None:
                         value = next(
@@ -411,14 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
                        % (",".join(defaults.bounds),
                           ", ".join(BOUND_PROVIDERS)))
 
-    def add_protocol_option(p):
-        p.add_argument("--protocol", choices=PROTOCOLS, default=None,
-                       help="evaluation protocol: single_pass executes once "
-                            "and labels truth at completion, two_pass runs "
-                            "the legacy oracle pre-run for eager live labels "
-                            "(default: $REPRO_PROTOCOL or %s)"
-                       % (defaults.protocol,))
-
     def add_estimators_option(p):
         p.add_argument("--estimators", default=None, metavar="NAME,NAME,...",
                        help="comma-separated estimator names to sample "
@@ -428,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo = subparsers.add_parser("demo", help="monitor a TPC-H query")
     add_db_options(demo)
     add_engine_option(demo)
-    add_protocol_option(demo)
     add_bounds_option(demo)
     add_estimators_option(demo)
     demo.add_argument("--query", type=int, default=1, choices=range(1, 23),
@@ -438,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     sql = subparsers.add_parser("sql", help="run SQL with progress monitoring")
     add_db_options(sql)
     add_engine_option(sql)
-    add_protocol_option(sql)
     add_bounds_option(sql)
     add_estimators_option(sql)
     sql.add_argument("query", help="SQL text against the TPC-H schema")
@@ -451,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_db_options(progress)
     add_engine_option(progress)
-    add_protocol_option(progress)
     add_bounds_option(progress)
     add_estimators_option(progress)
     progress.add_argument("sql", nargs="?", default=None,
@@ -469,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_db_options(serve)
     add_engine_option(serve)
-    add_protocol_option(serve)
     add_bounds_option(serve)
     serve.add_argument("--queries", default="1,3,6,10,12,14,19,6",
                        help="comma-separated TPC-H query numbers")

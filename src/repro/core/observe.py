@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.pipelines import Pipeline, PipelineState
+from repro.core.pipelines import PipelineState
 
 #: keys already warned about through :func:`warn_once` (process-wide)
 _warned_keys: Set[str] = set()
@@ -36,8 +36,8 @@ def warn_once(key: str, message: str, category: type = RuntimeWarning) -> None:
     """Emit ``message`` as a warning the first time ``key`` is seen.
 
     The observability layer's channel for "you are holding it wrong"
-    diagnostics that would be noise if repeated per run — e.g. a per-tick
-    listener attached while an engine records coalesced tick batches.
+    diagnostics that would be noise if repeated per run — e.g. an overlay
+    bound provider downgraded for want of degree statistics.
     Process-wide: a key warns once per interpreter, not once per monitor.
     """
     if key in _warned_keys:
@@ -70,12 +70,6 @@ class PipelineSnapshot:
             state.driver_fraction,
         )
 
-    @classmethod
-    def capture(
-        cls, pipeline: Pipeline, estimates: Optional[Dict[int, float]] = None
-    ) -> "PipelineSnapshot":
-        return cls.of(pipeline.state(estimates))
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "index": self.index,
@@ -99,10 +93,9 @@ class ProgressEvent:
     bound provider tightens an operator's upper bound (payload: operator,
     provider, upper bound before/after).
 
-    ``total`` and ``actual`` are ``None`` on live events under the default
-    single-pass protocol: truth is unknown until the run finishes, so only
-    ``run_end`` (and the sealed trace) carry labels.  Under ``two_pass``
-    the oracle total labels every event eagerly, as before.
+    ``total`` and ``actual`` are ``None`` on live events: truth is unknown
+    until the run finishes, so only ``run_end`` (and the sealed trace) carry
+    labels.
     """
 
     seq: int

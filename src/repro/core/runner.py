@@ -25,13 +25,6 @@ outgrows ~2× ``target_samples``, decimating already-taken samples down to
 the multiples of the new cadence.  Samples forced by pipeline-boundary
 transitions and the terminal sample are pinned and never decimated.
 
-``protocol="two_pass"`` (env ``$REPRO_PROTOCOL``) keeps the legacy
-behaviour reachable: an oracle pre-run measures ``total(Q)`` first, so live
-events and probes carry eager truth labels.  Both protocols share the same
-sampling policy and seal traces from the same end-of-run counters, so their
-sealed traces are bit-identical — the differential suite in
-``tests/core/test_protocols.py`` holds them to that.
-
 The instrumented run is wired for efficiency and observability: the
 :class:`~repro.core.bounds.BoundsTracker` is attached to the monitor's event
 stream (so each sample re-derives bounds only for subtrees that changed),
@@ -44,10 +37,7 @@ pipeline-boundary hook, every estimator call is wall-time profiled into a
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -65,117 +55,14 @@ from repro.core.observe import (
     emit_to_all,
 )
 from repro.core.pipelines import Pipeline, decompose
-from repro.engine.executor import (
-    _engine_choice,
-    measure_total_work,
-    pipeline_boundary_operators,
-)
+from repro.engine.executor import pipeline_boundary_operators
 from repro.engine.monitor import EVENT_TICK, ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext
 from repro.engine.plan import Plan
 from repro.errors import ProgressError
-from repro.options import PROTOCOLS, ExecutionOptions
+from repro.options import ExecutionOptions
 from repro.stats.estimate import CardinalityEstimator
 from repro.storage.catalog import Catalog
-
-
-def _protocol_choice(protocol: Optional[str]) -> str:
-    """Internal resolution: explicit value → ``$REPRO_PROTOCOL`` → single_pass."""
-    return ExecutionOptions(protocol=protocol).resolve().protocol
-
-
-def default_protocol() -> str:
-    """Deprecated: the default protocol now resolves through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call.
-    """
-    warnings.warn(
-        "default_protocol() is deprecated; use "
-        "repro.api.ExecutionOptions().resolve().protocol instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _protocol_choice(None)
-
-
-def resolve_protocol(protocol: Optional[str] = None) -> str:
-    """Deprecated: ``protocol=`` keywords now resolve through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call and delegates to the same
-    resolution path, so behaviour is unchanged.
-    """
-    warnings.warn(
-        "resolve_protocol() is deprecated; use "
-        "repro.api.ExecutionOptions(protocol=...).resolve().protocol instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _protocol_choice(protocol)
-
-
-#: oracle ``total(Q)`` per plan object, for the two_pass compat path —
-#: measuring it runs the whole query, so tracing N estimators (or N runs)
-#: over one plan should pay that price once.  Keyed weakly: a collected plan
-#: drops its entry.  Totals do not depend on the engine or on scan order (a
-#: reshuffling RandomOrderScan changes row order, never row counts), so one
-#: entry serves every run.
-_TOTAL_WORK_CACHE: "weakref.WeakKeyDictionary[Plan, int]" = (
-    weakref.WeakKeyDictionary()
-)
-#: serializes cache access — service workers consult it concurrently
-_TOTAL_WORK_LOCK = threading.Lock()
-
-
-def _cached_total_work(
-    plan: Plan,
-    engine: Optional[str] = None,
-    *,
-    monitor_factory: Optional[Callable[[], ExecutionMonitor]] = None,
-) -> int:
-    """``measure_total_work`` with a per-plan-object memo.
-
-    ``monitor_factory`` supplies the private oracle monitor (the service
-    passes one that checks cancellation/deadlines on every record).  The
-    measurement itself runs outside the lock — concurrent first callers may
-    both measure, but the result is deterministic so last-write-wins is
-    harmless, and a query-length critical section would serialize the
-    service's workers.
-    """
-    with _TOTAL_WORK_LOCK:
-        try:
-            return _TOTAL_WORK_CACHE[plan]
-        except (KeyError, TypeError):
-            pass
-    monitor = monitor_factory() if monitor_factory is not None else None
-    total = measure_total_work(plan, engine=engine, monitor=monitor)
-    with _TOTAL_WORK_LOCK:
-        try:
-            _TOTAL_WORK_CACHE[plan] = total
-        except TypeError:
-            pass
-    return total
-
-
-def __getattr__(name: str):
-    # Deprecation shim: implicit oracle runs are gone with the single-pass
-    # protocol, but the helper stays importable for one release.
-    if name == "cached_total_work":
-        warnings.warn(
-            "cached_total_work is deprecated: the default single-pass "
-            "protocol labels truth from the instrumented run itself, so "
-            "implicit oracle runs are no longer part of evaluation. Call "
-            "measure_total_work() for an explicit oracle measurement, or "
-            "opt into protocol='two_pass' (env REPRO_PROTOCOL) for the "
-            "legacy behaviour.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _cached_total_work
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class TraceBuilder:
@@ -283,13 +170,11 @@ class RunnerProbe:
     Handed to the ``on_probe`` hook just before execution begins.  A probe
     can assemble a :class:`TraceSample` *on demand* — outside the runner's
     cadence — from the incremental bounds tracker and a toolkit of
-    estimators.  Under the single-pass protocol ``total`` is None (truth is
-    unknown mid-run) and live samples carry ``actual=None``; under
-    ``two_pass`` the oracle total labels them eagerly.  The probe performs
-    no locking itself: it touches the same tracker memo the executor's
-    cadence observer mutates, so cross-thread callers must hold whatever
-    lock serializes the monitor (the query service scopes both paths under
-    its monitor's lock).
+    estimators.  Truth is unknown mid-run, so live samples carry
+    ``actual=None``.  The probe performs no locking itself: it touches the
+    same tracker memo the executor's cadence observer mutates, so
+    cross-thread callers must hold whatever lock serializes the monitor
+    (the query service scopes both paths under its monitor's lock).
     """
 
     def __init__(
@@ -300,7 +185,6 @@ class RunnerProbe:
         pipelines: List[Pipeline],
         estimates,
         estimators: Sequence[ProgressEstimator],
-        total: Optional[float],
         weighted,
         leaf_consumed: List[int],
     ) -> None:
@@ -310,7 +194,6 @@ class RunnerProbe:
         self.pipelines = pipelines
         self.estimates = estimates
         self.estimators = list(estimators)
-        self.total = total
         self._weighted = weighted
         self._leaf_consumed = leaf_consumed
 
@@ -355,16 +238,9 @@ class RunnerProbe:
     def live_sample(self) -> TraceSample:
         """One on-demand sample at the current instant (not thread-safe)."""
         observation, values = self.observe(self.estimators)
-        curr = observation.curr
-        if self.total is None:
-            actual: Optional[float] = None
-        elif self.total:
-            actual = min(curr / self.total, 1.0)
-        else:
-            actual = 1.0
         return TraceSample(
-            curr=curr,
-            actual=actual,
+            curr=observation.curr,
+            actual=None,
             estimates=values,
             lower_bound=observation.bounds.lower,
             upper_bound=observation.bounds.upper,
@@ -393,7 +269,6 @@ class ProgressRunner:
         monitor_factory: Optional[Callable[[], ExecutionMonitor]] = None,
         on_probe: Optional[Callable[["RunnerProbe"], None]] = None,
         probe_estimators: Optional[Sequence[ProgressEstimator]] = None,
-        protocol: Optional[str] = None,
         bounds: Optional[Sequence[str]] = None,
     ) -> None:
         if not estimators:
@@ -408,13 +283,12 @@ class ProgressRunner:
         self.work_model = work_model
         self.sinks = list(sinks)
         self.clock = clock
-        self.engine = _engine_choice(engine)
-        self.protocol = _protocol_choice(protocol)
-        #: bound-provider stack for the runtime bounds tracker; None and
-        #: $REPRO_BOUNDS resolution both happen in options.py
-        self.bounds = ExecutionOptions(bounds=bounds).resolve().bounds
-        #: builds every monitor this runner uses (instrumented, plus the
-        #: oracle pass under two_pass); the service injects one whose
+        # None and $REPRO_ENGINE / $REPRO_BOUNDS both resolve in options.py
+        options = ExecutionOptions(engine=engine, bounds=bounds).resolve()
+        self.engine = options.engine
+        #: bound-provider stack for the runtime bounds tracker
+        self.bounds = options.bounds
+        #: builds the run's monitor; the service injects one whose
         #: record/record_batch check cancellation and deadlines under a lock
         self.monitor_factory = monitor_factory or ExecutionMonitor
         #: called with a :class:`RunnerProbe` right before execution starts
@@ -431,21 +305,6 @@ class ProgressRunner:
 
             weighted = WeightedWork(self.plan, self.work_model)
 
-        # Truth known *during* the run only under two_pass, where an oracle
-        # pre-run measures it; it labels live events and probes eagerly.
-        # The sealed trace never depends on it — both protocols label at
-        # seal time from the run's own final counters, which is what keeps
-        # their traces bit-identical.
-        live_total: Optional[float] = None
-        if self.protocol == "two_pass":
-            oracle_ticks = _cached_total_work(
-                self.plan, engine=self.engine,
-                monitor_factory=self.monitor_factory,
-            )
-            live_total = float(oracle_ticks)
-            if weighted is not None:
-                live_total = weighted.total()
-
         estimates = (
             CardinalityEstimator(self.catalog).estimate_plan(self.plan)
             if self.catalog is not None
@@ -459,10 +318,10 @@ class ProgressRunner:
         for estimator in self.estimators:
             estimator.prepare(self.plan)
 
-        # Both protocols share one oracle-free sampling policy: the initial
-        # cadence comes from the static lower bound on total(Q) (the
-        # scanned input cardinality — µ's denominator, a catalog quantity)
-        # and adapts geometrically as the run outgrows it.
+        # The sampling policy is oracle-free: the initial cadence comes
+        # from the static lower bound on total(Q) (the scanned input
+        # cardinality — µ's denominator, a catalog quantity) and adapts
+        # geometrically as the run outgrows it.
         builder = TraceBuilder(
             self.target_samples,
             initial_cadence=scanned_input_cardinality(self.plan)
@@ -583,12 +442,9 @@ class ProgressRunner:
             curr = observation.curr
             lower = observation.bounds.lower
             upper = observation.bounds.upper
-            if final:
-                actual: Optional[float] = 1.0
-            elif live_total is not None:
-                actual = min(curr / live_total, 1.0) if live_total else 1.0
-            else:
-                actual = None
+            # Truth is unknown until the run completes; seal() labels the
+            # retained samples from the final counter.
+            actual = 1.0 if final else None
             raw = TraceSample(
                 curr=curr,
                 actual=actual,
@@ -614,7 +470,6 @@ class ProgressRunner:
                     tuple(map(
                         PipelineSnapshot.of, observation.pipeline_states
                     )),
-                    event_total=live_total,
                     payload=payload,
                 )
             profile.sample_seconds += clock() - sample_started
@@ -631,7 +486,7 @@ class ProgressRunner:
                 estimator.prepare(self.plan)
         probe = RunnerProbe(
             self.plan, monitor, tracker, pipelines, estimates,
-            probe_estimators, live_total, weighted, leaf_consumed,
+            probe_estimators, weighted, leaf_consumed,
         )
         estimator_profiles = [
             profile.profile_for(estimator.name)
@@ -639,7 +494,7 @@ class ProgressRunner:
         ]
         if self.on_probe is not None:
             self.on_probe(probe)
-        emit("run_start", 0.0, 0.0, {}, 0.0, 0.0, event_total=live_total)
+        emit("run_start", 0.0, 0.0, {}, 0.0, 0.0)
         context = ExecutionContext(monitor)
         try:
             if self.engine == "fused":
@@ -676,8 +531,7 @@ class ProgressRunner:
             monitor.remove_batch_listener(on_tick)
             monitor.remove_observer(sample)
         # The run is complete: its own counters are the oracle.  Truth
-        # labels, total(Q), and µ all come from these end-of-run quantities
-        # under *both* protocols.
+        # labels, total(Q), and µ all come from these end-of-run quantities.
         final_ticks = monitor.total_ticks
         total: float = (
             weighted.current() if weighted is not None else float(final_ticks)
@@ -705,11 +559,10 @@ def run_with_estimators(
     target_samples: int = 200,
     sinks: Sequence[ProgressEventSink] = (),
     engine: Optional[str] = None,
-    protocol: Optional[str] = None,
     bounds: Optional[Sequence[str]] = None,
 ) -> ProgressReport:
     """One-call convenience wrapper around :class:`ProgressRunner`."""
     return ProgressRunner(
         plan, estimators, catalog, target_samples, sinks=sinks, engine=engine,
-        protocol=protocol, bounds=bounds,
+        bounds=bounds,
     ).run()

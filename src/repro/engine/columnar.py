@@ -1,6 +1,6 @@
 """The columnar engine: batch execution with tick-exact replay.
 
-The third engine behind :func:`repro.engine.executor.resolve_engine`.  Where
+The third engine behind :func:`repro.engine.executor.execute`.  Where
 the interpreted engine pulls one row per ``get_next`` and the fused engine
 compiles operator chains into generators, this engine materializes each
 pipeline's data flow as whole columns (NumPy arrays when

@@ -21,14 +21,11 @@ firing instants, event streams — see ``tests/engine/test_compiled_engine``):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext
 from repro.engine.plan import Plan
-from repro.errors import ExecutionError
 from repro.options import ENGINES, ExecutionOptions
 from repro.storage.table import Row
 
@@ -36,55 +33,6 @@ from repro.storage.table import Row
 def _engine_choice(engine: Optional[str]) -> str:
     """Internal resolution: explicit value → ``$REPRO_ENGINE`` → fused."""
     return ExecutionOptions(engine=engine).resolve().engine
-
-
-def default_engine() -> str:
-    """Deprecated: the default engine now resolves through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call.
-    """
-    warnings.warn(
-        "default_engine() is deprecated; use "
-        "repro.api.ExecutionOptions().resolve().engine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _engine_choice(None)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Deprecated: ``engine=`` keywords now resolve through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call and delegates to the same
-    resolution path, so behaviour (explicit value → ``$REPRO_ENGINE`` →
-    ``"fused"``, unknown names raising :class:`ExecutionError`) is
-    unchanged.
-    """
-    warnings.warn(
-        "resolve_engine() is deprecated; use "
-        "repro.api.ExecutionOptions(engine=...).resolve().engine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _engine_choice(engine)
-
-
-def __getattr__(name: str):
-    # Deprecated module attribute, kept as a shim: the old import-time
-    # constant could silently disagree with a later $REPRO_ENGINE change.
-    if name == "DEFAULT_ENGINE":
-        warnings.warn(
-            "repro.engine.executor.DEFAULT_ENGINE is deprecated; use "
-            "repro.api.ExecutionOptions().resolve().engine instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _engine_choice(None)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def pipeline_boundary_operators(plan: Plan) -> Set[int]:
@@ -144,34 +92,23 @@ def execute(
     return ExecutionResult(rows, monitor.total_ticks, per_operator)
 
 
-def measure_total_work(
-    plan: Plan,
-    engine: Optional[str] = None,
-    *,
-    monitor: Optional[ExecutionMonitor] = None,
-) -> int:
+def measure_total_work(plan: Plan, engine: Optional[str] = None) -> int:
     """``total(Q)``: the exact number of counted getnext calls for ``plan``.
 
     Runs the plan once on a private monitor.  This is the oracle quantity a
     progress estimator is *not* allowed to precompute (it would require
     running the query, §2.4); it exists for evaluation only.
 
-    This survives as the explicit standalone oracle API: the default
-    single-pass evaluation protocol never calls it (truth is labeled from
-    the instrumented run's own final tick count), and the legacy
-    ``protocol="two_pass"`` escape hatch routes through it for its oracle
-    pre-run.  Call it directly when you want ``total(Q)`` without an
-    instrumented run.
+    This is the explicit standalone oracle: an instrumented run never calls
+    it (truth is labeled from the run's own final tick count).  Call it
+    directly when you want ``total(Q)`` without an instrumented run.
 
     Pipeline boundaries are marked exactly as :func:`execute` marks them, so
     an observer attached to the private monitor (none by default) would see
-    the same boundary-forced rounds on either entry point.  ``monitor``
-    substitutes the private monitor — the query service passes one whose
-    ``record`` checks cancellation and deadlines, so even the oracle phase
-    of an instrumented run stays responsive.
+    the same boundary-forced rounds on either entry point.
     """
     engine = _engine_choice(engine)
-    context = ExecutionContext(monitor or ExecutionMonitor())
+    context = ExecutionContext()
     context.monitor.mark_pipeline_boundaries(pipeline_boundary_operators(plan))
     if engine == "fused":
         from repro.engine.compiled import run_fused

@@ -1,20 +1,11 @@
 """`ExecutionOptions`: the single resolution path for every execution knob.
 
-Historically each knob grew its own resolver idiom — ``resolve_engine`` in
-:mod:`repro.engine.executor`, ``resolve_protocol`` in
-:mod:`repro.core.runner`, ``resolve_backend``/``resolve_start_method`` in
-:mod:`repro.service.procpool` — each reading its own ``REPRO_*`` environment
-variable at its own call site.  Three parallel idioms meant three places for
-a new entry point (the network server being the fourth) to copy, and three
-places for their semantics to drift.
-
-:class:`ExecutionOptions` collapses them: one frozen dataclass carrying every
-knob, one :meth:`ExecutionOptions.resolve` method that fills unset fields
-from the environment and validates the result.  **This module is the only
-place in the package that reads a ``REPRO_*`` environment variable.**  The
-facade (``repro.connect``), the query service, the CLI and the network
-server all consume it; the old per-knob resolvers survive only as
-:class:`DeprecationWarning` shims delegating here.
+One frozen dataclass carries every knob, and one
+:meth:`ExecutionOptions.resolve` method fills unset fields from the
+environment and validates the result.  **This module is the only place in
+the package that reads a ``REPRO_*`` environment variable.**  The facade
+(``repro.connect``), the runner, the query service, the CLI and the network
+server all consume it; there is no other resolver.
 
 The module sits at the very bottom of the import graph (stdlib +
 :mod:`repro.errors` only) so that the engine, runner and service layers can
@@ -39,11 +30,6 @@ from repro.errors import (
 #: identical, so the choice is purely a throughput knob
 ENGINES = ("fused", "interpreted", "columnar")
 
-#: the evaluation protocols (see ``docs/api.md``): ``single_pass`` executes
-#: once and labels truth at completion, ``two_pass`` keeps the legacy
-#: oracle pre-run for eager live labels
-PROTOCOLS = ("single_pass", "two_pass")
-
 #: the query-service execution backends: GIL-shared worker threads, or
 #: worker processes for real multi-core parallelism
 BACKENDS = ("thread", "process")
@@ -58,7 +44,6 @@ DEFAULT_BOUNDS = ("paper2005",)
 
 _FALLBACKS = {
     "engine": "fused",
-    "protocol": "single_pass",
     "backend": "thread",
 }
 
@@ -106,7 +91,6 @@ class ExecutionOptions:
     field                     environment variable     fallback
     ========================  =======================  ==================
     ``engine``                ``REPRO_ENGINE``         ``"fused"``
-    ``protocol``              ``REPRO_PROTOCOL``       ``"single_pass"``
     ``backend``               ``REPRO_BACKEND``        ``"thread"``
     ``start_method``          ``REPRO_START_METHOD``   ``fork``/``spawn``
     ``bounds``                ``REPRO_BOUNDS``         ``("paper2005",)``
@@ -121,7 +105,6 @@ class ExecutionOptions:
     """
 
     engine: Optional[str] = None
-    protocol: Optional[str] = None
     backend: Optional[str] = None
     start_method: Optional[str] = None
     bounds: Optional[Union[Tuple[str, ...], Sequence[str]]] = None
@@ -163,15 +146,6 @@ class ExecutionOptions:
         if engine not in ENGINES:
             raise ExecutionError(
                 "unknown engine %r (expected one of %s)" % (engine, ENGINES)
-            )
-        protocol = (
-            self.protocol or self._env("REPRO_PROTOCOL")
-            or _FALLBACKS["protocol"]
-        )
-        if protocol not in PROTOCOLS:
-            raise ProgressError(
-                "unknown protocol %r (expected one of %s)"
-                % (protocol, list(PROTOCOLS))
             )
         backend = (
             self.backend or self._env("REPRO_BACKEND") or _FALLBACKS["backend"]
@@ -223,7 +197,6 @@ class ExecutionOptions:
             raise ServiceError("queue_depth must be >= 1")
         return ExecutionOptions(
             engine=engine,
-            protocol=protocol,
             backend=backend,
             start_method=start_method,
             bounds=bounds,

@@ -2,7 +2,7 @@
 
 :class:`ServerConfig` carries the bind address, the per-tenant quotas and —
 crucially — a single :class:`~repro.options.ExecutionOptions` for every
-execution knob, so the server resolves engine/protocol/backend/pool sizing
+execution knob, so the server resolves engine/backend/pool sizing
 through exactly the same path as ``repro.connect``.  No ``REPRO_*``
 environment variable is read here; that is :meth:`ExecutionOptions.resolve`'s
 job, at construction time.

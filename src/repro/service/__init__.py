@@ -9,26 +9,17 @@ Public surface:
 * :class:`ResilientEstimator` — safe-fallback estimator degradation;
 * :data:`BACKENDS` / :class:`CatalogSpec` — the execution-backend surface
   (``backend="thread"`` or ``"process"``, see
-  :mod:`repro.service.procpool`).  The old per-knob resolvers
-  (:func:`resolve_backend` / :func:`resolve_start_method` and their
-  ``default_*`` twins) remain importable as :class:`DeprecationWarning`
-  shims; new code resolves through
+  :mod:`repro.service.procpool`), resolved through
   :class:`repro.api.ExecutionOptions`.
 
 Typical use goes through the facade (:func:`repro.api.connect` →
 ``Session.submit``); this package is the engine room.
 """
 
+from repro.options import BACKENDS
 from repro.service.handle import QueryHandle, QueryState
 from repro.service.monitor import ServiceExecutionMonitor
-from repro.service.procpool import (
-    BACKENDS,
-    CatalogSpec,
-    default_backend,
-    default_start_method,
-    resolve_backend,
-    resolve_start_method,
-)
+from repro.service.procpool import CatalogSpec
 from repro.service.resilient import ResilientEstimator
 from repro.service.service import QueryService
 
@@ -40,8 +31,4 @@ __all__ = [
     "QueryState",
     "ResilientEstimator",
     "ServiceExecutionMonitor",
-    "default_backend",
-    "default_start_method",
-    "resolve_backend",
-    "resolve_start_method",
 ]

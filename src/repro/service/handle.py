@@ -15,9 +15,9 @@ on an event that fires at that transition.  Progress is exposed two ways:
   the executor so the incremental bounds tracker and the estimator toolkit
   are never raced (see ``repro.service.monitor``).
 
-Under the default single-pass protocol truth is labeled at completion, so
-samples observed *while the query runs* carry ``actual=None`` (estimator
-answers and bounds are live; the true-progress label does not exist yet).
+Truth is labeled at completion, so samples observed *while the query runs*
+carry ``actual=None`` (estimator answers and bounds are live; the
+true-progress label does not exist yet).
 Once the handle is DONE, :meth:`progress` answers the sealed trace's fully
 labeled final sample.
 """

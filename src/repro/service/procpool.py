@@ -6,9 +6,7 @@ serializes every tick, so eight in-flight queries share one core.  This
 module supplies ``backend="process"``: a pool of long-lived worker
 *processes*, each running the exact single-pass instrumented execution the
 thread backend runs (one monitored pass per query, truth labeled at seal
-time — no oracle pre-run crosses the wire, roughly halving per-query worker
-time versus the legacy two-pass protocol), with every observable behaving
-identically at the parent:
+time), with every observable behaving identically at the parent:
 
 * **catalog** — workers forked from the parent inherit the catalog for
   free; under ``spawn``/``forkserver`` (where nothing is inherited) the
@@ -63,92 +61,9 @@ from repro.errors import (
     QueryTimeout,
     ServiceError,
 )
-from repro.options import BACKENDS, ExecutionOptions
 from repro.service.handle import QueryHandle, QueryState
 from repro.service.monitor import ServiceExecutionMonitor
 from repro.service.resilient import ResilientEstimator
-
-# -- backend / start-method resolution -------------------------------------------
-
-
-def _backend_choice(backend: Optional[str]) -> str:
-    """Internal resolution: explicit value → ``$REPRO_BACKEND`` → thread."""
-    return ExecutionOptions(backend=backend).resolve().backend
-
-
-def _start_method_choice(method: Optional[str]) -> str:
-    """Internal resolution: explicit → ``$REPRO_START_METHOD`` → fork/spawn."""
-    return ExecutionOptions(start_method=method).resolve().start_method
-
-
-def default_backend() -> str:
-    """Deprecated: the default backend now resolves through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call.
-    """
-    warnings.warn(
-        "default_backend() is deprecated; use "
-        "repro.api.ExecutionOptions().resolve().backend instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _backend_choice(None)
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Deprecated: ``backend=`` keywords now resolve through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call and delegates to the same
-    resolution path, so behaviour (explicit value → ``$REPRO_BACKEND`` →
-    ``"thread"``, unknown names raising :class:`ServiceError`) is
-    unchanged.
-    """
-    warnings.warn(
-        "resolve_backend() is deprecated; use "
-        "repro.api.ExecutionOptions(backend=...).resolve().backend instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _backend_choice(backend)
-
-
-def default_start_method() -> str:
-    """Deprecated: the default start method now resolves through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call.  Fork remains the fast path
-    where available: workers inherit the catalog without serialization.
-    """
-    warnings.warn(
-        "default_start_method() is deprecated; use "
-        "repro.api.ExecutionOptions().resolve().start_method instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _start_method_choice(None)
-
-
-def resolve_start_method(method: Optional[str] = None) -> str:
-    """Deprecated: ``start_method=`` keywords now resolve through
-    :class:`repro.api.ExecutionOptions`.
-
-    Kept as a shim per the documented stability policy; emits one
-    :class:`DeprecationWarning` per call with unchanged behaviour.
-    """
-    warnings.warn(
-        "resolve_start_method() is deprecated; use "
-        "repro.api.ExecutionOptions(start_method=...).resolve()"
-        ".start_method instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _start_method_choice(method)
-
 
 @contextmanager
 def _fork_guard(start_method: str):
@@ -256,7 +171,6 @@ class _ExecuteRequest:
     deadline_seconds: Optional[float]
     target_samples: int
     engine: str
-    protocol: str
     bounds: Tuple[str, ...]
 
 
@@ -369,9 +283,8 @@ class _ProbeServer:
     :meth:`maybe_serve` on every control check, notices the counter moved,
     takes a lock-scoped :meth:`~repro.core.runner.RunnerProbe.live_sample`
     and ships it back tagged with the counter value.  Before the probe
-    attaches — runner setup, or the two_pass protocol's oracle pre-run —
-    it answers ``None`` immediately so the parent's ``sample()`` never
-    blocks on a phase that cannot sample."""
+    attaches (runner setup) it answers ``None`` immediately so the parent's
+    ``sample()`` never blocks on a phase that cannot sample."""
 
     def __init__(self, conn, query_id: int, flag) -> None:
         self.conn = conn
@@ -391,10 +304,6 @@ class _ProbeServer:
         if probe is None:
             self._served = request
             self.conn.send(("probe", self.query_id, request, None))
-            return
-        if probe.monitor is not monitor:
-            # The oracle monitor outlives on_probe only transiently; let
-            # the instrumented monitor answer.
             return
         with monitor.lock:
             sample = probe.live_sample()
@@ -460,7 +369,6 @@ def _serve_request(conn, catalog, toolkit_factory, cancel_flag, probe_flag,
                 kinds=("sample",),
             ),),
             engine=request.engine,
-            protocol=request.protocol,
             bounds=request.bounds,
             monitor_factory=lambda: _WorkerMonitor(shim, probe_server),
             on_probe=probe_server.attach,
@@ -643,7 +551,6 @@ class _WorkerSlot:
                 deadline_seconds=handle.deadline_seconds,
                 target_samples=handle._target_samples,
                 engine=service.engine,
-                protocol=service.protocol,
                 bounds=service.bounds,
             )
             try:
@@ -731,16 +638,11 @@ class ProcessPool:
     ``_begin`` / ``_record_degraded`` / ``_finalize`` / ``_finish`` — while
     the query itself executes in the worker process."""
 
-    def __init__(
-        self,
-        service,
-        max_workers: int,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, service, max_workers: int) -> None:
         from repro.service.service import _STOP
 
         self.service = service
-        self.start_method = _start_method_choice(start_method)
+        self.start_method = service.options.start_method
         self.ctx = multiprocessing.get_context(self.start_method)
         self.stop_sentinel = _STOP
         self._catalog_payload = None

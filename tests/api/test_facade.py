@@ -1,9 +1,9 @@
-"""The stable ``repro.api`` facade and its compatibility shims.
+"""The stable ``repro.api`` facade.
 
 Two contracts are pinned here: the README quickstart runs **verbatim**
-through the facade, and retired spellings (``DEFAULT_ENGINE``) keep
-working behind a :class:`DeprecationWarning` while the facade itself stays
-warning-free.
+through the facade, and the facade's paths stay free of
+:class:`DeprecationWarning` (the package has no shims of its own, so one
+would be the interpreter's: fork-in-threads, asyncio).
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine.executor import (
-    ENGINES,
-    default_engine,
-    resolve_engine,
-)
 from repro.options import ExecutionOptions
 from repro.engine.plan import Plan
 from repro.errors import ReproError
@@ -45,8 +40,8 @@ class TestReadmeQuickstart:
         text = README.read_text()
         section = text.split("## Quickstart", 1)[1]
         code = section.split("```python", 1)[1].split("```", 1)[0]
-        # The quickstart is the facade's showcase: it must not touch any
-        # deprecated spelling.
+        # The quickstart is the facade's showcase: it must not trip any
+        # deprecation.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             exec(compile(code, str(README), "exec"), {})
@@ -143,43 +138,7 @@ class TestEngineResolution:
 
 
 class TestDeprecationShims:
-    def test_executor_default_engine_warns(self):
-        import repro.engine.executor as executor
-
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            value = executor.DEFAULT_ENGINE
-        assert value in ENGINES
-        assert value == ExecutionOptions().resolve().engine
-
-    def test_engine_package_default_engine_warns(self):
-        import repro.engine as engine
-
-        with pytest.warns(DeprecationWarning):
-            value = engine.DEFAULT_ENGINE
-        assert value in ENGINES
-
-    def test_resolve_engine_shim_warns_and_delegates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "interpreted")
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            assert resolve_engine("fused") == "fused"
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            assert resolve_engine(None) == "interpreted"
-
-    def test_resolve_engine_shim_still_rejects_unknown(self):
-        from repro.errors import ExecutionError
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ExecutionError):
-                resolve_engine("bogus")
-
-    def test_default_engine_shim_warns_once_per_call(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            default_engine()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
+    """There are none left; what this guards is the interpreter's own."""
 
     def test_facade_paths_are_warning_free(self):
         with warnings.catch_warnings():

@@ -81,6 +81,32 @@ class TestExportedSurface:
             assert getattr(repro, name) is not None
 
 
+class TestNoCompatibilityLayer:
+    def test_only_fork_guard_mentions_deprecation_warning(self):
+        # No shim survives: the one DeprecationWarning the package handles
+        # is the interpreter's fork-in-threads warning, in _fork_guard.
+        import inspect
+
+        from repro.service import procpool
+
+        src = REPO / "src" / "repro"
+        mentions = {}
+        for path in sorted(src.rglob("*.py")):
+            count = path.read_text().count("DeprecationWarning")
+            if count:
+                mentions[str(path.relative_to(src))] = count
+        guard = inspect.getsource(procpool._fork_guard)
+        assert mentions == {
+            "service/procpool.py": guard.count("DeprecationWarning")
+        }
+
+    def test_connect_has_no_protocol_keyword(self):
+        import repro
+
+        with pytest.raises(TypeError):
+            repro.connect(protocol="two_pass")
+
+
 class TestServerStaysOnTheFacadeSide:
     def test_server_imports_no_engine_internals(self):
         server_dir = REPO / "src" / "repro" / "server"

@@ -1,9 +1,8 @@
 """Soundness differential suite for the bound-provider stack.
 
 The §5.1 invariant ``Curr ≤ LB ≤ total(Q) ≤ UB`` must hold at every
-sampled instant for **every** provider combination, on every engine, under
-both evaluation protocols — an unsound overlay cap would silently poison
-pmax and safe everywhere.  This suite runs the full matrix over TPC-H and
+sampled instant for **every** provider combination, on every engine — an
+unsound overlay cap would silently poison pmax and safe everywhere.  This suite runs the full matrix over TPC-H and
 the adversarial zipfian joins (including the ``linear=False`` variants
 where ``degree_seq`` actually bites), and re-checks incremental-vs-
 reference tracker bit-identity with overlays active.
@@ -17,7 +16,7 @@ from repro.core.runner import run_with_estimators
 from repro.engine.executor import execute
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators import ExecutionContext
-from repro.options import ENGINES, PROTOCOLS
+from repro.options import ENGINES
 from repro.workloads import build_query, generate_tpch
 from repro.workloads.adversarial import make_zipfian_join
 
@@ -47,7 +46,7 @@ def adversarial_plans(zipf):
     ]
 
 
-def assert_sound_run(plan, catalog, engine, protocol, bounds):
+def assert_sound_run(plan, catalog, engine, bounds):
     sink = MemorySink()
     report = run_with_estimators(
         plan,
@@ -55,7 +54,6 @@ def assert_sound_run(plan, catalog, engine, protocol, bounds):
         catalog,
         sinks=[sink],
         engine=engine,
-        protocol=protocol,
         bounds=bounds,
     )
     total = report.total
@@ -70,41 +68,25 @@ def assert_sound_run(plan, catalog, engine, protocol, bounds):
 
 class TestSoundnessMatrix:
     @pytest.mark.parametrize("bounds", STACKS, ids=lambda s: "+".join(s))
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_adversarial_plans(self, zipf, engine, protocol, bounds):
+    def test_adversarial_plans(self, zipf, engine, bounds):
         for plan_factory in (
             lambda: zipf.hash_plan(linear=False),
             lambda: zipf.merge_plan(linear=False),
             lambda: zipf.inl_plan(linear=False),
         ):
-            assert_sound_run(
-                plan_factory(), zipf.catalog, engine, protocol, bounds
-            )
+            assert_sound_run(plan_factory(), zipf.catalog, engine, bounds)
 
     @pytest.mark.parametrize("bounds", STACKS, ids=lambda s: "+".join(s))
     @pytest.mark.parametrize("engine", ENGINES)
     def test_tpch_plans(self, tpch, engine, bounds):
-        # Representative query shapes: aggregation pipeline (1), multi-join
-        # (5), group-by join (10), nested-loops-heavy (17).
-        for number in (1, 5, 10, 17):
+        # Representative query shapes: aggregation pipeline (1), three-way
+        # join (3), multi-join (5), group-by join (10), nested-loops-heavy
+        # (17).
+        for number in (1, 3, 5, 10, 17):
             assert_sound_run(
-                build_query(tpch, number),
-                tpch.catalog,
-                engine,
-                "single_pass",
-                bounds,
+                build_query(tpch, number), tpch.catalog, engine, bounds
             )
-
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_tpch_both_protocols_stacked(self, tpch, protocol):
-        assert_sound_run(
-            build_query(tpch, 3),
-            tpch.catalog,
-            "fused",
-            protocol,
-            ("paper2005", "degree_seq"),
-        )
 
 
 def run_comparing_with_bounds(plan, catalog, bounds, engine, every=17):

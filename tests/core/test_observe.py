@@ -61,7 +61,7 @@ class TestEventStream:
         assert len(samples) == len(report.trace.samples)
         for event, sample in zip(samples, report.trace.samples):
             assert event.curr == sample.curr
-            # Single-pass protocol: truth is deferred, so live events are
+            # Truth is deferred to completion, so live events are
             # unlabeled; the sealed trace sample at the same instant is not.
             assert event.actual is None
             assert event.total is None
@@ -71,15 +71,6 @@ class TestEventStream:
             assert event.upper_bound == sample.upper_bound
             assert event.pipelines  # single scan → one pipeline snapshot
             assert event.pipelines[0].drivers
-
-    def test_two_pass_events_carry_eager_labels(self):
-        sink = MemorySink()
-        report = self.run_with_sink(sink, protocol="two_pass")
-        samples = sink.samples()
-        assert len(samples) == len(report.trace.samples)
-        for event, sample in zip(samples, report.trace.samples):
-            assert event.total == report.total
-            assert event.actual == pytest.approx(sample.actual)
 
     def test_gauges_progress_monotonically(self):
         sink = MemorySink()

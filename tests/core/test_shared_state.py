@@ -363,7 +363,7 @@ def test_run_releases_observers_listeners_and_contexts(engine, abort):
         runner.run()
     (monitor,) = monitors
     assert monitor.ticks_until_next_observer() is None
-    assert not monitor._batch_listeners and not monitor._tick_listeners
+    assert not monitor._batch_listeners
     assert all(op._context is None for op in plan.root.walk())
     clone = pickle.loads(pickle.dumps(plan))
     assert ProgressRunner(

@@ -3,9 +3,6 @@ pipeline-boundary forced sampling."""
 
 import warnings
 
-import pytest
-
-from repro.core import observe
 from repro.engine.executor import execute, pipeline_boundary_operators
 from repro.engine.expressions import col
 from repro.engine.monitor import (
@@ -34,7 +31,9 @@ def make_table(name="t", n=5):
 def collect_events(plan_root, monitor=None):
     monitor = monitor or ExecutionMonitor()
     events = []
-    monitor.add_tick_listener(lambda op, kind: events.append((op, kind)))
+    # The interpreter records row at a time (n == 1 per tick), so the
+    # listener channel yields the per-event sequence.
+    monitor.add_batch_listener(lambda op, kind, n: events.append((op, kind)))
     for _ in plan_root.iterate(ExecutionContext(monitor)):
         pass
     return events
@@ -53,7 +52,7 @@ class TestEventStream:
         scan = TableScan(make_table())
         monitor = ExecutionMonitor()
         events = []
-        monitor.add_tick_listener(lambda op, kind: events.append((op, kind)))
+        monitor.add_batch_listener(lambda op, kind, n: events.append((op, kind)))
         context = ExecutionContext(monitor)
         scan.open(context)
         while scan.get_next() is not None:
@@ -77,7 +76,7 @@ class TestEventStream:
     def test_reset_emits_reset_event(self):
         monitor = ExecutionMonitor()
         events = []
-        monitor.add_tick_listener(lambda op, kind: events.append((op, kind)))
+        monitor.add_batch_listener(lambda op, kind, n: events.append((op, kind)))
         monitor.register(1, "x")
         monitor.record(1)
         monitor.reset()
@@ -87,11 +86,11 @@ class TestEventStream:
     def test_remove_tick_listener(self):
         monitor = ExecutionMonitor()
         events = []
-        listener = lambda op, kind: events.append((op, kind))
-        monitor.add_tick_listener(listener)
+        listener = lambda op, kind, n: events.append((op, kind))
+        monitor.add_batch_listener(listener)
         monitor.register(1, "x")
         monitor.record(1)
-        monitor.remove_tick_listener(listener)
+        monitor.remove_batch_listener(listener)
         monitor.record(1)
         assert len(events) == 1
 
@@ -99,18 +98,11 @@ class TestEventStream:
 class TestBatchChannel:
     def test_record_batch_coalesces_ticks_for_batch_listeners(self):
         monitor = ExecutionMonitor()
-        batched, per_tick = [], []
+        batched = []
         monitor.add_batch_listener(lambda op, kind, n: batched.append((op, kind, n)))
-        monitor.add_tick_listener(lambda op, kind: per_tick.append((op, kind)))
         monitor.register(7, "x")
-        # The tick listener forces the degraded per-tick loop, which is
-        # exactly what this test verifies — expect its one-time warning.
-        observe._warned_keys.discard("per-tick-listener-batch-fanout")
-        with pytest.warns(RuntimeWarning):
-            monitor.record_batch(7, 5)
+        monitor.record_batch(7, 5)
         assert batched == [(7, EVENT_TICK, 5)]
-        # The per-tick channel still sees every individual tick.
-        assert per_tick == [(7, EVENT_TICK)] * 5
         assert monitor.count_for(7) == 5
         assert monitor.total_ticks == 5
 
@@ -220,39 +212,9 @@ class TestBatchChannel:
 
 
 class TestPerTickFanoutWarning:
-    """A per-tick listener forces record_batch into an n-call Python loop;
-    the first coalesced batch that hits it warns once per process."""
-
-    KEY = "per-tick-listener-batch-fanout"
-
-    def test_record_batch_with_tick_listener_warns_once(self):
-        observe._warned_keys.discard(self.KEY)
-        monitor = ExecutionMonitor()
-        monitor.add_tick_listener(lambda op, kind: None)
-        monitor.register(1, "x")
-        with pytest.warns(RuntimeWarning, match="per-tick listener"):
-            monitor.record_batch(1, 2)
-        # Once per process: later batches (same or fresh monitor) are silent.
-        other = ExecutionMonitor()
-        other.add_tick_listener(lambda op, kind: None)
-        other.register(1, "x")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            monitor.record_batch(1, 2)
-            other.record_batch(1, 2)
-
-    def test_single_tick_batches_do_not_warn(self):
-        # n == 1 is exactly one listener call — no fan-out, no warning.
-        observe._warned_keys.discard(self.KEY)
-        monitor = ExecutionMonitor()
-        monitor.add_tick_listener(lambda op, kind: None)
-        monitor.register(1, "x")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            monitor.record_batch(1, 1)
+    """The per-tick fan-out and its warning are gone: batches are silent."""
 
     def test_batches_without_tick_listeners_do_not_warn(self):
-        observe._warned_keys.discard(self.KEY)
         monitor = ExecutionMonitor()
         monitor.register(1, "x")
         with warnings.catch_warnings():

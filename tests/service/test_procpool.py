@@ -34,8 +34,6 @@ from repro.service import (
     CatalogSpec,
     QueryService,
     QueryState,
-    resolve_backend,
-    resolve_start_method,
 )
 from repro.service.procpool import decode_query, encode_query
 from repro.sql import plan_query
@@ -127,19 +125,6 @@ class TestResolution:
     def test_start_method_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         assert ExecutionOptions().resolve().start_method == "spawn"
-
-    def test_legacy_resolvers_warn_and_delegate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            assert resolve_backend(None) == "thread"
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            assert resolve_backend("process") == "process"
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            assert resolve_start_method(None) == "spawn"
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ServiceError):
-                resolve_start_method("teleport")
 
 
 class TestCatalogSpec:
