@@ -111,6 +111,10 @@ class ProgressEstimator(abc.ABC):
         each sample event's payload (and emits an ``estimator_selected``
         event when the selection changes).  ``None`` — the default — means
         "nothing to report" and costs nothing.
+
+        Sinks encode a payload once per *object*: returning the same dict
+        again says "unchanged", so a returned dict must never be mutated
+        afterwards — build a new one when the report changes.
         """
         return None
 

@@ -338,6 +338,8 @@ class RobustEstimator(ProgressEstimator):
         self._last_selected: Optional[str] = None
         self._last_weights: Dict[str, float] = {}
         self._last_segment: int = NO_SEGMENT
+        #: what :meth:`event_extras` last built, until the selection moves
+        self._extras: Optional[Dict[str, object]] = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -356,6 +358,7 @@ class RobustEstimator(ProgressEstimator):
         self._last_selected = None
         self._last_weights = {}
         self._last_segment = NO_SEGMENT
+        self._extras = None
         for name, candidate in self._pool.items():
             try:
                 candidate.prepare(plan)
@@ -438,16 +441,21 @@ class RobustEstimator(ProgressEstimator):
     # -- introspection -----------------------------------------------------------
 
     def event_extras(self) -> Optional[Dict[str, object]]:
+        """The same dict (treat it as read-only) for as long as selected,
+        segment, weights and degraded stand: sinks key their encoded
+        payload on its identity."""
         if self._last_selected is None:
             return None
-        extras: Dict[str, object] = {
-            "selected": self._last_selected,
-            "segment": self._last_segment,
-            "weights": dict(self._last_weights),
-            "mode": self.mode,
-        }
-        if self.degraded:
-            extras["degraded"] = dict(self.degraded)
+        extras = self._extras
+        if extras is None:
+            extras = self._extras = {
+                "selected": self._last_selected,
+                "segment": self._last_segment,
+                "weights": dict(self._last_weights),
+                "mode": self.mode,
+            }
+            if self.degraded:
+                extras["degraded"] = dict(self.degraded)
         return extras
 
     @property
@@ -463,6 +471,7 @@ class RobustEstimator(ProgressEstimator):
     def _degrade(self, name: str, reason: str) -> None:
         self.degraded[name] = reason
         self._weight_cache = {}
+        self._extras = None
         if self.on_degrade is not None:
             self.on_degrade(name, reason)
 
@@ -471,6 +480,11 @@ class RobustEstimator(ProgressEstimator):
         weights: Dict[str, float],
     ) -> None:
         changed = selected != self._last_selected
+        # _weights_for answers from its cache: the same dict while the
+        # (segment, phase) cell and the candidate set stand.
+        if (changed or segment != self._last_segment
+                or weights is not self._last_weights):
+            self._extras = None
         self._last_selected = selected
         self._last_weights = weights
         self._last_segment = segment

@@ -31,6 +31,13 @@ from repro.core.pipelines import PipelineState
 #: keys already warned about through :func:`warn_once` (process-wide)
 _warned_keys: Set[str] = set()
 
+#: ``json.dumps(record, sort_keys=True)`` without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+#: a sink's table of encoded fragments for :meth:`ProgressEvent.to_json`:
+#: pipeline position or ``"payload"`` → (the object last encoded, its text)
+Fragments = Dict[object, Tuple[object, str]]
+
 
 def warn_once(key: str, message: str, category: type = RuntimeWarning) -> None:
     """Emit ``message`` as a warning the first time ``key`` is seen.
@@ -138,6 +145,66 @@ class ProgressEvent:
             record["payload"] = self.payload
         return record
 
+    def to_json(
+        self,
+        fragments: Optional[Fragments] = None,
+        event: Optional[str] = None,
+    ) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, byte for byte.
+
+        The one encoding of an event — the JSONL line, the WebSocket
+        frame; the format is a contract (docs/observability.md).
+        ``event`` adds the ``"event"`` marker key stream frames carry.
+
+        ``fragments`` is the caller's to keep between the events of a run
+        (one dict per sink): the text of each pipeline snapshot and of the
+        payload is reused while the *same object* comes by again — the
+        runner hands out the same :class:`PipelineSnapshot` until the
+        pipeline's state changes, and the same payload while no estimator
+        reports new extras — so a sample pays for what moved.  The scalar
+        keys, which sort before ``payload`` and after ``pipelines``, go
+        through the C encoder in one piece.
+        """
+        if fragments is None:
+            fragments = {}
+        scalars: Dict[str, object] = {
+            "actual": self.actual,
+            "curr": self.curr,
+            "elapsed_seconds": self.elapsed_seconds,
+            "estimates": self.estimates,
+            "eta_interval_seconds": self.eta_interval_seconds,
+            "eta_seconds": self.eta_seconds,
+            "kind": self.kind,
+            "lower_bound": self.lower_bound,
+            "plan": self.plan,
+            "seq": self.seq,
+            "ticks_per_second": self.ticks_per_second,
+            "total": self.total,
+            "upper_bound": self.upper_bound,
+        }
+        if event is not None:
+            scalars["event"] = event
+        text = _encode(scalars)
+        pieces = []
+        for position, snapshot in enumerate(self.pipelines):
+            kept = fragments.get(position)
+            if kept is None or kept[0] is not snapshot:
+                kept = fragments[position] = (
+                    snapshot, _encode(snapshot.to_dict())
+                )
+            pieces.append(kept[1])
+        middle = ', "pipelines": [%s]' % ", ".join(pieces)
+        payload = self.payload
+        if payload is not None:
+            kept = fragments.get("payload")
+            if kept is None or kept[0] is not payload:
+                kept = fragments["payload"] = (payload, _encode(payload))
+            middle = ', "payload": %s%s' % (kept[1], middle)
+        # The last ``, "plan": `` is the top-level key: only scalars follow
+        # it, and a quote inside a string value is written escaped.
+        cut = text.rindex(', "plan": ')
+        return "".join((text[:cut], middle, text[cut:]))
+
 
 class ProgressEventSink:
     """Receives :class:`ProgressEvent`\\ s as a run produces them."""
@@ -183,10 +250,6 @@ class ForwardingSink(ProgressEventSink):
             self._send(event)
 
 
-#: ``json.dumps(record, sort_keys=True)`` without building an encoder per line
-_encode_line = json.JSONEncoder(sort_keys=True).encode
-
-
 class JsonlTraceWriter(ProgressEventSink):
     """Streams events as JSON Lines to a path or an open text handle.
 
@@ -204,9 +267,10 @@ class JsonlTraceWriter(ProgressEventSink):
             self._handle = open(target, "w")
             self._owns_handle = True
         self.lines_written = 0
+        self._fragments: Fragments = {}
 
     def emit(self, event: ProgressEvent) -> None:
-        self._handle.write(_encode_line(event.to_dict()) + "\n")
+        self._handle.write(event.to_json(self._fragments) + "\n")
         self._handle.flush()
         self.lines_written += 1
 

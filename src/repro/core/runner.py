@@ -54,7 +54,7 @@ from repro.core.observe import (
     RunProfile,
     emit_to_all,
 )
-from repro.core.pipelines import Pipeline, decompose
+from repro.core.pipelines import Pipeline, PipelineState, decompose
 from repro.engine.executor import pipeline_boundary_operators
 from repro.engine.monitor import EVENT_TICK, ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext
@@ -364,7 +364,10 @@ class ProgressRunner:
                     max(0.0, lower - curr) / rate,
                     max(0.0, upper - curr) / rate,
                 )
-            emit_to_all(sinks, ProgressEvent(
+            # Field order as declared; populating __dict__ directly skips
+            # the frozen dataclass's fifteen object.__setattr__ calls.
+            event = ProgressEvent.__new__(ProgressEvent)
+            event.__dict__.update(
                 seq=seq[0],
                 kind=kind,
                 plan=self.plan.name,
@@ -380,12 +383,18 @@ class ProgressRunner:
                 eta_seconds=eta,
                 eta_interval_seconds=interval,
                 payload=payload,
-            ))
+            )
+            emit_to_all(sinks, event)
             seq[0] += 1
 
         # Last reported "selected" candidate per combining estimator, so
         # selection *changes* (not every sample) become events.
         last_selected: Dict[str, object] = {}
+        last_payload: List[Optional[Dict[str, object]]] = [None]
+        kept_states: List[Optional[PipelineState]] = [None] * len(pipelines)
+        kept_snapshots: List[Optional[PipelineSnapshot]] = (
+            [None] * len(pipelines)
+        )
         # Overlay refinements are re-applied on every snapshot; announce
         # each (operator, provider) pair once per run.
         announced_refinements: set = set()
@@ -431,7 +440,31 @@ class ProgressRunner:
                         estimate_values, lower, upper,
                         payload={"estimator": estimator.name, **detail},
                     )
-            return {"estimators": extras} if extras else None
+            # The same payload object for as long as every estimator hands
+            # back the same extras: sinks key the encoded text on it.
+            previous = last_payload[0]
+            if previous is not None:
+                kept = previous["estimators"]
+                if len(kept) == len(extras) and all(
+                    kept.get(name) is detail
+                    for name, detail in extras.items()
+                ):
+                    return previous
+            payload = last_payload[0] = (
+                {"estimators": extras} if extras else None
+            )
+            return payload
+
+        def snapshots_of(
+            states: Sequence[PipelineState],
+        ) -> Tuple[PipelineSnapshot, ...]:
+            """One snapshot per *distinct* state: sinks see the same object
+            until the pipeline's state tuple changes."""
+            for position, state in enumerate(states):
+                if state != kept_states[position]:
+                    kept_states[position] = state
+                    kept_snapshots[position] = PipelineSnapshot.of(state)
+            return tuple(kept_snapshots)
 
         def sample(monitor: ExecutionMonitor, final: bool = False) -> None:
             sample_started = clock()
@@ -467,9 +500,7 @@ class ProgressRunner:
                 payload = collect_extras(curr, estimate_values, lower, upper)
                 emit(
                     "sample", curr, actual, estimate_values, lower, upper,
-                    tuple(map(
-                        PipelineSnapshot.of, observation.pipeline_states
-                    )),
+                    snapshots_of(observation.pipeline_states),
                     payload=payload,
                 )
             profile.sample_seconds += clock() - sample_started

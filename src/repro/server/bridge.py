@@ -32,7 +32,7 @@ import json
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.observe import ProgressEvent, ProgressEventSink
+from repro.core.observe import Fragments, ProgressEvent, ProgressEventSink
 from repro.server import wsproto
 from repro.service.monitor import FirstPaintPending
 
@@ -92,17 +92,19 @@ class EventStream:
 
     # -- worker side (any thread) -------------------------------------------------
 
-    def publish(self, frame: Dict[str, object]) -> None:
-        """Append a frame and wake parked subscribers.  No-op once closed.
+    def publish(self, text: str, is_sample: bool = False) -> None:
+        """Append a frame (JSON text) and wake parked subscribers.  No-op
+        once closed.
 
-        The frame becomes its WebSocket text frame here, once; replay and
-        every subscriber reuse those bytes.
+        The text becomes its WebSocket text frame here, once; replay and
+        every subscriber reuse those bytes.  ``is_sample`` marks the frames
+        whose writing counts as the first paint.
         """
-        encoded = wsproto.encode_text(json.dumps(frame, sort_keys=True))
+        encoded = wsproto.encode_text(text)
         with self._lock:
             if self._closed:
                 return
-            if self._first_sample is None and frame.get("event") == "sample":
+            if self._first_sample is None and is_sample:
                 self._first_sample = len(self._encoded)
             self._encoded.append(encoded)
             parked = self._unpark()
@@ -187,19 +189,18 @@ class StreamSink(ProgressEventSink):
 
     Attached through ``QueryService.submit(..., sinks=(StreamSink(s),))``,
     so it receives exactly the sample stream both backends publish.  Frames
-    are ``ProgressEvent.to_dict()`` plus an ``"event": "sample"`` marker —
-    already JSON-ready, and floats survive the JSON round trip exactly.
+    are the event's own JSON text (:meth:`ProgressEvent.to_json`) with an
+    ``"event": "sample"`` marker; floats survive the JSON round trip exactly.
     """
 
     def __init__(self, stream: EventStream) -> None:
         self.stream = stream
+        self._fragments: Fragments = {}
 
     def emit(self, event: ProgressEvent) -> None:
         if event.kind != "sample":
             return
-        frame: Dict[str, object] = {"event": "sample"}
-        frame.update(event.to_dict())
-        self.stream.publish(frame)
+        self.stream.publish(event.to_json(self._fragments, "sample"), True)
 
 
 def sample_to_dict(sample) -> Dict[str, object]:

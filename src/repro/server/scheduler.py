@@ -28,6 +28,7 @@ up counts, queue depths and latencies for ``GET /metrics``.
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
 from collections import deque
@@ -250,12 +251,12 @@ class FairScheduler:
             # Publish "queued" before waking the dispatcher so the frame
             # provably precedes any sample a fast worker could emit.
             if stream is not None:
-                stream.publish({
+                stream.publish(json.dumps({
                     "event": "queued",
                     "id": scheduled.query_id,
                     "query": scheduled.name,
                     "tenant": tenant,
-                })
+                }, sort_keys=True))
             self._work.notify()
         return scheduled
 
@@ -408,7 +409,9 @@ class FairScheduler:
         oldest finished query beyond ``RETAINED_FINISHED`` be forgotten."""
         stream = scheduled.stream
         if stream is not None:
-            stream.publish(terminal_frame(scheduled))
+            stream.publish(
+                json.dumps(terminal_frame(scheduled), sort_keys=True)
+            )
             stream.close()
         with self._lock:
             self._finished.append(scheduled.query_id)

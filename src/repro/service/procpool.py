@@ -175,29 +175,38 @@ class _ExecuteRequest:
 
 
 class _CatalogRelativePickler(pickle.Pickler):
-    """Pickles plans *relative to* a catalog: tables travel by name.
+    """Pickles plans *relative to* a catalog: tables and indexes travel by
+    their catalog key.
 
-    Scan operators embed their :class:`~repro.storage.table.Table`, so a
-    naive plan pickle ships every referenced table's rows on every submit
-    — megabytes per query, and the dominant cost of the process backend.
+    Scan operators embed their :class:`~repro.storage.table.Table` and
+    index joins and seeks their index, so a naive plan pickle ships every
+    referenced table's rows (and every index's buckets) on every submit —
+    megabytes per query, and the dominant cost of the process backend.
     The worker already holds an identical catalog (inherited under fork,
-    re-opened from the :class:`CatalogSpec` under spawn), so any table that
-    *is* a catalog table (by identity) crosses as its name and is re-bound
-    worker-side.  Tables outside the catalog — or any payload pickled with
-    no catalog at all — still embed in full.
+    re-opened from the :class:`CatalogSpec` under spawn), so any table or
+    index that *is* the catalog's (by identity) crosses as its key — a
+    table's name, ``(kind, table, column)`` for an index — and is re-bound
+    worker-side.  Objects outside the catalog — or any payload pickled
+    with no catalog at all — still embed in full.
     """
 
     def __init__(self, buffer, catalog) -> None:
         super().__init__(buffer, pickle.HIGHEST_PROTOCOL)
-        self._table_names = {}
-        if catalog is not None:
-            self._table_names = {
-                id(catalog.table(name)): name
-                for name in catalog.table_names()
-            }
+        self._keys = {}
+        if catalog is None:
+            return
+        for name in catalog.table_names():
+            self._keys[id(catalog.table(name))] = name
+            for column in catalog.indexed_columns(name):
+                for kind, index in (
+                    ("hash", catalog.hash_index(name, column)),
+                    ("sorted", catalog.sorted_index(name, column)),
+                ):
+                    if index is not None:
+                        self._keys[id(index)] = (kind, name, column)
 
     def persistent_id(self, obj):
-        return self._table_names.get(id(obj))
+        return self._keys.get(id(obj))
 
 
 class _CatalogRelativeUnpickler(pickle.Unpickler):
@@ -206,12 +215,25 @@ class _CatalogRelativeUnpickler(pickle.Unpickler):
         self._catalog = catalog
 
     def persistent_load(self, pid):
-        if self._catalog is None:
+        catalog = self._catalog
+        if catalog is None:
             raise pickle.UnpicklingError(
-                "payload references catalog table %r but the worker has no "
+                "payload references catalog object %r but the worker has no "
                 "catalog" % (pid,)
             )
-        return self._catalog.table(pid)
+        if isinstance(pid, str):
+            return catalog.table(pid)
+        kind, table, column = pid
+        index = (
+            catalog.hash_index(table, column) if kind == "hash"
+            else catalog.sorted_index(table, column)
+        )
+        if index is None:
+            raise pickle.UnpicklingError(
+                "payload references %s index on %s.%s but the worker's "
+                "catalog has none" % pid
+            )
+        return index
 
 
 def encode_query(plan, estimators, catalog=None) -> bytes:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
 
@@ -70,6 +70,10 @@ class Column:
         return isinstance(value, self.type.python_types)
 
 
+#: marks a bare name several columns share in :attr:`Schema._positions`
+_AMBIGUOUS = -1
+
+
 class Schema:
     """An ordered collection of columns, optionally qualified by a name.
 
@@ -88,12 +92,27 @@ class Schema:
             raise SchemaError("qualifiers must align with columns")
         self._columns: Tuple[Column, ...] = tuple(columns)
         self._qualifiers: Tuple[Optional[str], ...] = tuple(qualifiers)
+        #: (qualifier or None, bare name) → position, or _AMBIGUOUS where a
+        #: bare name matches several columns; what :meth:`index_of` reads
+        self._positions: Dict[Tuple[Optional[str], str], int] = {}
         seen = set()
-        for qualifier, column in zip(self._qualifiers, self._columns):
+        for position, (qualifier, column) in enumerate(
+            zip(self._qualifiers, self._columns)
+        ):
             key = (qualifier, column.name)
             if key in seen:
                 raise SchemaError("duplicate column %s" % (format_name(qualifier, column.name),))
             seen.add(key)
+            if qualifier is not None:
+                self._positions[key] = position
+            bare = (None, column.name)
+            self._positions[bare] = (
+                _AMBIGUOUS if bare in self._positions else position
+            )
+
+    def __reduce__(self):
+        # Rebuilt from its two tuples: the lookup map stays off the wire.
+        return (Schema, (self._columns, self._qualifiers))
 
     # -- construction helpers -------------------------------------------------
 
@@ -161,28 +180,23 @@ class Schema:
 
         Raises :class:`SchemaError` if the name is missing or ambiguous.
         """
-        qualifier, bare = split_name(name)
-        matches = [
-            i
-            for i, (q, column) in enumerate(zip(self._qualifiers, self._columns))
-            if column.name == bare and (qualifier is None or qualifier == q)
-        ]
-        if not matches:
+        position = self._positions.get(split_name(name))
+        if position is None:
             raise SchemaError(
                 "no column %r in schema %s" % (name, list(self.qualified_names()))
             )
-        if len(matches) > 1:
+        if position == _AMBIGUOUS:
             raise SchemaError(
                 "ambiguous column %r in schema %s" % (name, list(self.qualified_names()))
             )
-        return matches[0]
+        return position
 
     def has_column(self, name: str) -> bool:
+        """Whether ``name`` resolves to exactly one column."""
         try:
-            self.index_of(name)
-        except SchemaError:
+            return self._positions.get(split_name(name), _AMBIGUOUS) >= 0
+        except SchemaError:  # malformed name
             return False
-        return True
 
     # -- validation -----------------------------------------------------------
 

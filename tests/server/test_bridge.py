@@ -19,6 +19,8 @@ import time
 
 import pytest
 
+from repro.core import MemorySink, ProgressRunner
+from repro.core.estimators import toolkit_from_names
 from repro.errors import QueryCancelled, QueryTimeout
 from repro.options import ExecutionOptions
 from repro.server import (
@@ -27,6 +29,7 @@ from repro.server import (
     ServerClient,
     ServerClientError,
     ServerConfig,
+    StreamSink,
     TenantQuota,
     wsproto,
 )
@@ -36,7 +39,7 @@ from repro.service.handle import QueryHandle
 from repro.service.monitor import FirstPaintPending
 from repro.stats import StatisticsManager
 from repro.storage import Table, schema_of
-from repro.workloads import generate_tpch
+from repro.workloads import build_query, generate_tpch
 
 
 class CountingLoop:
@@ -53,6 +56,12 @@ class CountingLoop:
 
 def frame(index: int, event: str = "sample") -> dict:
     return {"event": event, "seq": index}
+
+
+def publish(stream, frame: dict) -> None:
+    stream.publish(
+        json.dumps(frame, sort_keys=True), frame["event"] == "sample"
+    )
 
 
 def decode(encoded) -> list:
@@ -81,15 +90,15 @@ class TestEventStream:
     def test_late_subscriber_replays_in_order_then_follows_live(self):
         async def scenario():
             stream = EventStream(asyncio.get_running_loop())
-            stream.publish(frame(0, "queued"))
-            stream.publish(frame(1))
+            publish(stream, frame(0, "queued"))
+            publish(stream, frame(1))
             subscription = stream.subscribe()
             replay, ended = await subscription.next_burst()
             assert decode(replay) == [frame(0, "queued"), frame(1)]
             assert not ended
             publisher = threading.Thread(target=lambda: (
-                stream.publish(frame(2)),
-                stream.publish(frame(3, "end")),
+                publish(stream, frame(2)),
+                publish(stream, frame(3, "end")),
                 stream.close(),
             ))
             publisher.start()
@@ -104,7 +113,7 @@ class TestEventStream:
         async def scenario():
             stream = EventStream(asyncio.get_running_loop())
             for index in range(5):
-                stream.publish(frame(index))
+                publish(stream, frame(index))
             stream.close()
             frames, ended = await stream.subscribe().next_burst()
             assert decode(frames) == [frame(index) for index in range(5)]
@@ -115,9 +124,9 @@ class TestEventStream:
     def test_every_subscriber_gets_the_same_bytes(self):
         async def scenario():
             stream = EventStream(asyncio.get_running_loop())
-            stream.publish(frame(0))
+            publish(stream, frame(0))
             first, second = stream.subscribe(), stream.subscribe()
-            stream.publish(frame(1))
+            publish(stream, frame(1))
             stream.close()
             one, _ = await first.next_burst()
             two, _ = await second.next_burst()
@@ -132,9 +141,9 @@ class TestEventStream:
     def test_publish_after_close_is_a_no_op(self):
         async def scenario():
             stream = EventStream(asyncio.get_running_loop())
-            stream.publish(frame(0))
+            publish(stream, frame(0))
             stream.close()
-            stream.publish(frame(1))
+            publish(stream, frame(1))
             stream.close()
             assert stream.closed
             assert stream.frames() == [frame(0)]
@@ -147,7 +156,7 @@ class TestEventStream:
             subscription = stream.subscribe()
             stream.unsubscribe(subscription)
             stream.unsubscribe(subscription)
-            stream.publish(frame(0))  # nobody to wake, nothing raised
+            publish(stream, frame(0))  # nobody to wake, nothing raised
             assert stream.frames() == [frame(0)]
 
         run(scenario())
@@ -166,7 +175,7 @@ class TestEventStream:
         loop.close()
         # The parked subscriber is still registered: both calls wake it
         # through call_soon_threadsafe on the closed loop.
-        stream.publish(frame(0))
+        publish(stream, frame(0))
         stream.close()
         assert stream.frames() == [frame(0)]
 
@@ -182,7 +191,7 @@ class TestEventStream:
             # Published from the loop thread, so the reader cannot run in
             # between: the whole burst is queued before it wakes.
             for index in range(burst):
-                stream.publish(frame(index))
+                publish(stream, frame(index))
             stream.close()
             received = await reader
             assert received == [frame(index) for index in range(burst)]
@@ -198,7 +207,7 @@ class TestEventStream:
             stream = EventStream(counting)
             reader = asyncio.ensure_future(drain(stream.subscribe()))
             publisher = threading.Thread(target=lambda: (
-                [stream.publish(frame(index)) for index in range(burst)],
+                [publish(stream, frame(index)) for index in range(burst)],
                 stream.close(),
             ))
             publisher.start()
@@ -213,19 +222,60 @@ class TestEventStream:
         run(scenario())
 
 
+class TestStreamSink:
+    def test_frames_are_the_marked_to_dict_byte_for_byte(self):
+        """What the sink publishes is what ``{"event": "sample"}`` +
+        ``to_dict()`` through ``json.dumps(sort_keys=True)`` gave before
+        the events had an encoder of their own — first paint included."""
+        db = generate_tpch(scale=0.0005, skew=2.0, seed=42)
+        recorded = MemorySink()
+
+        async def scenario():
+            pending = FirstPaintPending()
+            stream = EventStream(asyncio.get_running_loop(), pending)
+            await asyncio.get_running_loop().run_in_executor(
+                None,
+                lambda: ProgressRunner(
+                    build_query(db, 3),
+                    toolkit_from_names(["dne", "safe", "robust"]),
+                    db.catalog, target_samples=30,
+                    sinks=[recorded, StreamSink(stream)],
+                ).run(),
+            )
+            subscription = stream.subscribe()
+            frames, _ = await subscription.next_burst()
+            assert pending.count == 1
+            publish(stream, frame(0, "end"))
+            await subscription.next_burst()  # back for more: samples written
+            assert pending.count == 0  # so they counted as the first paint
+            stream.close()
+            return frames
+
+        frames = run(scenario())
+        samples = recorded.samples()
+        assert len(samples) > 30 and len(frames) == len(samples)
+        assert any(event.payload for event in samples)
+        for encoded, event in zip(frames, samples):
+            marked = {"event": "sample"}
+            marked.update(event.to_dict())
+            assert encoded == wsproto.encode_text(
+                json.dumps(marked, sort_keys=True)
+            )
+
+
 class TestFirstPaintOnAStream:
     def test_held_until_the_first_sample_is_written(self):
         async def scenario():
             pending = FirstPaintPending()
             stream = EventStream(asyncio.get_running_loop(), pending)
             assert pending.count == 1
-            stream.publish(frame(0, "queued"))
+            publish(stream, frame(0, "queued"))
             subscription = stream.subscribe()
             await subscription.next_burst()
-            stream.publish(frame(1))
+            publish(stream, frame(1))
             await subscription.next_burst()  # "queued" written: no paint
             assert pending.count == 1  # the sample: handed out, not written
-            stream.publish(frame(2))
+            publish(stream, frame(2))
             await subscription.next_burst()  # back for more: it is written
             assert pending.count == 0
             stream.close()
@@ -239,7 +289,7 @@ class TestFirstPaintOnAStream:
         async def scenario():
             pending = FirstPaintPending()
             stream = EventStream(asyncio.get_running_loop(), pending)
-            stream.publish(frame(0))
+            publish(stream, frame(0))
             assert pending.count == 1
             stream.close()
             stream.close()
@@ -251,16 +301,16 @@ class TestFirstPaintOnAStream:
         async def scenario():
             pending = FirstPaintPending()
             stream = EventStream(asyncio.get_running_loop(), pending)
-            stream.publish(frame(0, "queued"))
+            publish(stream, frame(0, "queued"))
             subscription = stream.subscribe()
             await subscription.next_burst()
             stream.unsubscribe(subscription)
-            stream.publish(frame(1))
+            publish(stream, frame(1))
             assert pending.count == 1  # still owed to whoever comes next
             late = stream.subscribe()
             await late.next_burst()
             assert pending.count == 1
-            stream.publish(frame(2))
+            publish(stream, frame(2))
             await late.next_burst()
             assert pending.count == 0
 

@@ -44,6 +44,10 @@ from repro.workloads.tpch import build_query
 
 BIG_ROWS = 60000
 BIG_SQL = "SELECT g, COUNT(*), SUM(x) FROM big GROUP BY g"
+INDEX_JOIN_SQL = (
+    "SELECT COUNT(*) FROM orders JOIN lineitem ON o_orderkey = l_orderkey "
+    "WHERE o_orderstatus = 'F'"
+)
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -335,6 +339,41 @@ class TestDegradationAndCrash:
         assert len(lean) < len(fat) / 10
         plan, _ = decode_query(lean, db.catalog)
         assert plan.name == build_query(db, 6).name
+
+    def test_wire_interns_catalog_indexes_by_key(self, db):
+        # An index join embeds its HashIndex: shipped whole, the payload is
+        # the index's buckets and the worker probes a detached copy.
+        def index_join_plan():
+            return plan_query(INDEX_JOIN_SQL, db.catalog, name="index-join")
+
+        (join,) = [op for op in index_join_plan().root.walk()
+                   if op.name == "IndexNestedLoopsJoin"]
+        catalog_index = db.catalog.hash_index("lineitem", "l_orderkey")
+        assert join.index is catalog_index
+        blob = encode_query(index_join_plan(), None, db.catalog)
+        assert len(blob) < 64 * 1024
+        plan, _ = decode_query(blob, db.catalog)
+        (join,) = [op for op in plan.root.walk()
+                   if op.name == "IndexNestedLoopsJoin"]
+        assert join.index is catalog_index
+        # An index that is not the catalog's own still embeds.
+        stray = index_join_plan()
+        (join,) = [op for op in stray.root.walk()
+                   if op.name == "IndexNestedLoopsJoin"]
+        join.index = pickle.loads(pickle.dumps(catalog_index))
+        assert len(encode_query(stray, None, db.catalog)) > 64 * 1024
+        solo = ProgressRunner(
+            index_join_plan(), standard_toolkit(), db.catalog,
+            target_samples=40,
+        ).run().trace.samples
+        service = process_service(db)
+        try:
+            report = service.submit(
+                index_join_plan(), name="index-join"
+            ).result(timeout=120)
+        finally:
+            service.shutdown()
+        assert report.trace.samples == solo
 
 
 class TestStartMethods:

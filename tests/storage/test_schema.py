@@ -1,5 +1,7 @@
 """Schema construction, name resolution and row validation."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SchemaError
@@ -115,6 +117,34 @@ class TestSchema:
         assert schema.has_column("a")
         assert schema.has_column("t.a")
         assert not schema.has_column("b")
+
+    def test_resolution_map_keeps_the_scan_rules(self):
+        # unqualified first, qualified second, either order: a bare name
+        # matches both, a qualified one only its own column
+        for schema in (Schema(columns("a", "a", "b"), [None, "r", "r"]),
+                       Schema(columns("b", "a", "a"), ["r", "r", None])):
+            with pytest.raises(SchemaError, match="ambiguous column 'a'"):
+                schema.index_of("a")
+            assert not schema.has_column("a")
+            assert schema.column_at(schema.index_of("r.a")).name == "a"
+            assert schema.qualifiers[schema.index_of("r.a")] == "r"
+            assert schema.index_of("b") == schema.index_of("r.b")
+            with pytest.raises(SchemaError, match="no column 'l.a'"):
+                schema.index_of("l.a")
+        schema = schema_of("t", "a:int")
+        for malformed in (".a", "t."):
+            assert not schema.has_column(malformed)
+            with pytest.raises(SchemaError, match="malformed"):
+                schema.index_of(malformed)
+
+    def test_pickle_rebuilds_the_resolution_map(self):
+        schema = schema_of("l", "a:int").concat(schema_of("r", "a:int", "b:str"))
+        clone = pickle.loads(pickle.dumps(schema))
+        assert clone == schema
+        assert clone.index_of("r.a") == 1 and clone.index_of("b") == 2
+        with pytest.raises(SchemaError):
+            clone.index_of("a")
+        assert b"_positions" not in pickle.dumps(schema)
 
 
 class TestNameHelpers:
