@@ -234,11 +234,13 @@ class ForwardingSink(ProgressEventSink):
 
     This is the bridge that moves a run's event stream across an execution
     boundary: the multiprocess query service attaches one inside each
-    worker with ``send=pipe.send`` so cadence samples, life-cycle events
-    and the final trace frame stream back to the parent as they happen.
-    ``kinds`` optionally restricts which event kinds cross (``None``
-    forwards everything); serialization is the transport's business —
-    events are plain frozen dataclasses and pickle cleanly.
+    worker with ``kinds=("sample",)`` and the pipe's one writer as
+    ``send``, so cadence samples — and only those; life-cycle events and
+    the sealed trace ride in the worker's final report — reach the parent
+    in display-rate batches.  ``kinds`` optionally restricts which event
+    kinds cross (``None`` forwards everything); serialization is the
+    transport's business — events are plain frozen dataclasses and pickle
+    cleanly.
     """
 
     def __init__(self, send, kinds: Optional[Sequence[str]] = None) -> None:

@@ -5,8 +5,7 @@ An asyncio network tier over the :mod:`repro.api` facade: HTTP admission
 streaming live :class:`~repro.core.observe.ProgressEvent` samples (truth
 back-filled at completion, per the single-pass protocol), per-tenant
 admission quotas with deficit-round-robin fair dispatch, and a
-``/metrics`` endpoint.  Pure standard library; ``uvloop``/``websockets``
-are optional accelerators picked up via :mod:`repro.server.compat`.
+``/metrics`` endpoint.  Pure standard library.
 
 The server consumes the facade surface only — ``ExecutionOptions``,
 ``QueryService``, progress sinks — never engine internals, which is what

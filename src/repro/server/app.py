@@ -17,7 +17,7 @@ DELETE    ``/queries/{id}``           cooperative cancel
 GET       ``/queries/{id}/events``    WebSocket: queued / sample* / end
 GET       ``/metrics``                queue depths, per-tenant ticks/s,
                                       p50/p99 latency
-GET       ``/healthz``                liveness + loop flavor
+GET       ``/healthz``                liveness
 ========  ==========================  =======================================
 
 Connections are one-request (``Connection: close``) except the WebSocket
@@ -36,8 +36,7 @@ up the GIL at tick-batch boundaries meanwhile, which is what makes
 time-to-first-estimate a few loop iterations instead of a few switch
 intervals.  ``GET /metrics`` reports the count as ``first_paint_pending``.
 
-Everything runs on the standard library; ``uvloop``/``websockets`` are
-picked up through :mod:`repro.server.compat` when installed.
+Everything runs on the standard library.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import json
 import threading
 from typing import Dict, Optional, Tuple
 
-from repro.server import compat, wsproto
+from repro.server import wsproto
 from repro.server.bridge import EventStream, StreamSink, Subscription
 from repro.server.config import ServerConfig
 from repro.server.metrics import ServerMetrics
@@ -59,8 +58,12 @@ _REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
     413: "Payload Too Large", 429: "Too Many Requests",
-    500: "Internal Server Error",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
 }
+
+#: header lines one request may carry; each line is already capped by the
+#: ``StreamReader``'s 64 KiB limit
+_MAX_HEADER_LINES = 100
 
 
 class _RequestError(Exception):
@@ -129,7 +132,7 @@ class ReproServer:
         ready = threading.Event()
 
         def main() -> None:
-            loop = compat.new_event_loop()
+            loop = asyncio.new_event_loop()
             asyncio.set_event_loop(loop)
             try:
                 loop.run_until_complete(self.start())
@@ -254,7 +257,7 @@ class ReproServer:
     async def _read_request(
         self, reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await reader.readline()
+        line = await self._read_line(reader)
         if not line.strip():
             return None
         try:
@@ -262,12 +265,15 @@ class ReproServer:
         except ValueError:
             raise _RequestError(400, "malformed request line") from None
         headers: Dict[str, str] = {}
-        while True:
-            header = await reader.readline()
+        for _ in range(_MAX_HEADER_LINES + 1):
+            header = await self._read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _RequestError(431, "more than %d header lines"
+                                % _MAX_HEADER_LINES)
         declared = headers.get("content-length", "0") or "0"
         if not (declared.isascii() and declared.isdigit()):
             raise _RequestError(
@@ -279,15 +285,21 @@ class ReproServer:
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, headers, body
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # longer than the reader's line limit
+            raise _RequestError(
+                431, "request line or header line too long") from None
+
     async def _route(self, method: str, path: str,
                      headers: Dict[str, str], body: bytes,
                      reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> bool:
         """Dispatch one request; True when the socket was handed to a WS."""
         if path == "/healthz" and method == "GET":
-            self._respond(writer, 200, {
-                "ok": True, "loop": compat.event_loop_flavor(),
-            })
+            self._respond(writer, 200, {"ok": True})
             return False
         if path == "/metrics" and method == "GET":
             self._respond(writer, 200, self.metrics.snapshot(

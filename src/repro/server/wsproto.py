@@ -1,11 +1,9 @@
 """Minimal RFC 6455 WebSocket framing over the standard library.
 
-The network tier must run on a bare Python install (CI's stdlib-only matrix
-leg), so the server cannot assume ``websockets`` is importable.  This module
-is the fallback — and the reference implementation the optional dependency
-is tested against: the handshake accept key, frame encode/decode for both
-directions (servers send unmasked, clients mask), and the control opcodes
-the event stream needs (close, ping/pong).
+The network tier runs on a bare Python install, and this module is its
+whole WebSocket layer: the handshake accept key, frame encode/decode for
+both directions (servers send unmasked, clients mask), and the control
+opcodes the event stream needs (close, ping/pong).
 
 Framing is transport-agnostic: :func:`encode_frame` returns bytes, and
 :func:`read_frame` pulls from any ``read_exact(n) -> bytes`` callable, so

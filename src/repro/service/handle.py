@@ -245,9 +245,18 @@ class QueryHandle:
             with lock:
                 self._probe = None
 
-    def _publish(self, sample: TraceSample) -> None:
-        self._latest = sample
-        self._samples_published += 1
+    def _publish(self, event, count: int = 1) -> None:
+        """``event`` is the newest of ``count`` cadence samples (the
+        process backend delivers them in display-rate batches): only it
+        is built into what :meth:`progress` answers."""
+        self._latest = TraceSample(
+            curr=event.curr,
+            actual=event.actual,
+            estimates=event.estimates,
+            lower_bound=event.lower_bound,
+            upper_bound=event.upper_bound,
+        )
+        self._samples_published += count
 
     def _mark_running(self) -> bool:
         with self._state_lock:

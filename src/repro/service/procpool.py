@@ -14,10 +14,10 @@ time), with every observable behaving identically at the parent:
   (a pickled catalog by default, or a named factory for big databases);
 * **wire protocol** — the parent ships one :class:`_ExecuteRequest` per
   query (pickled plan + per-query toolkit, with catalog tables interned by
-  name so table rows never cross per-submit) down a duplex pipe; the worker
-  streams back ``event`` (cadence samples via
-  :class:`~repro.core.observe.ForwardingSink`), ``degraded``, ``probe``
-  and a final ``done`` message carrying the pickled
+  name so table rows never cross per-submit) down a duplex pipe; the
+  worker answers through one writer (:class:`_Wire`) with ``events``
+  (cadence samples, batched at display rate), ``degraded``, ``probe`` and
+  a final ``done`` message carrying the pickled
   :class:`~repro.core.runner.ProgressReport` — so completed traces are
   bit-identical to solo runs (floats pickle exactly);
 * **control** — cancellation and the probe request counter travel the
@@ -298,6 +298,59 @@ class _WorkerQueryHandle:
         return self._cancel_flag.value != 0
 
 
+#: One refresh of a 60 Hz progress display.  Cadence samples a worker
+#: produces faster than a display can show them cross the pipe together,
+#: one message per refresh.  A fact about displays, not a tuning knob:
+#: throughput is flat from 15 Hz to 240 Hz (DESIGN.md §2).
+DISPLAY_INTERVAL = 1.0 / 60.0
+
+
+class _Wire:
+    """The one writer on a worker's pipe while it runs one query.
+
+    Every message to the parent goes through here.  Cadence samples are
+    held in :attr:`pending` and cross as one ``("events", id, [event, …])``
+    message: at once for the query's first sample (first paint waits for
+    nothing), afterwards when a display interval has passed since the last
+    flush — looked at when a sample arrives and, through :meth:`poll`, at
+    every control check, so a phase that produces no samples cannot strand
+    one.  :meth:`send` flushes before it writes, so a ``degraded``,
+    ``probe`` or ``done`` message never overtakes a sample emitted before
+    it.  One pickle per batch also means objects the events share (a
+    :class:`~repro.core.observe.PipelineSnapshot` reused while its
+    pipeline is idle) arrive shared.
+    """
+
+    def __init__(self, conn, query_id: int, clock=time.monotonic) -> None:
+        self.conn = conn
+        self.query_id = query_id
+        self.clock = clock
+        self.pending: list = []
+        #: when samples last crossed; None until the first one has
+        self.flushed_at: Optional[float] = None
+
+    def sample(self, event) -> None:
+        self.pending.append(event)
+        self.poll()
+
+    def poll(self) -> None:
+        if self.pending and (
+            self.flushed_at is None
+            or self.clock() - self.flushed_at >= DISPLAY_INTERVAL
+        ):
+            self.flush()
+
+    def flush(self) -> None:
+        if self.pending:
+            events, self.pending = self.pending, []
+            self.flushed_at = self.clock()
+            self.conn.send(("events", self.query_id, events))
+
+    def send(self, kind: str, *fields) -> None:
+        self.flush()
+        self.conn.send((kind, self.query_id) + fields)
+
+
 class _ProbeServer:
     """Answers the parent's on-demand sample requests at tick boundaries.
 
@@ -308,9 +361,8 @@ class _ProbeServer:
     attaches (runner setup) it answers ``None`` immediately so the parent's
     ``sample()`` never blocks on a phase that cannot sample."""
 
-    def __init__(self, conn, query_id: int, flag) -> None:
-        self.conn = conn
-        self.query_id = query_id
+    def __init__(self, wire: _Wire, flag) -> None:
+        self.wire = wire
         self.flag = flag
         self.probe = None
         self._served = flag.value
@@ -323,25 +375,26 @@ class _ProbeServer:
         if request == self._served:
             return
         probe = self.probe
-        if probe is None:
-            self._served = request
-            self.conn.send(("probe", self.query_id, request, None))
-            return
-        with monitor.lock:
-            sample = probe.live_sample()
+        sample = None
+        if probe is not None:
+            with monitor.lock:
+                sample = probe.live_sample()
         self._served = request
-        self.conn.send(("probe", self.query_id, request, sample))
+        self.wire.send("probe", request, sample)
 
 
 class _WorkerMonitor(ServiceExecutionMonitor):
-    """The service monitor plus probe serving, for in-worker execution."""
+    """The service monitor plus probe serving and the wire's display-rate
+    flush, for in-worker execution."""
 
     def __init__(self, shim: _WorkerQueryHandle, probe_server: _ProbeServer) -> None:
         super().__init__(shim, time.monotonic)
         self._probe_server = probe_server
+        self._wire = probe_server.wire
 
     def _check_control(self) -> None:
         self._probe_server.maybe_serve(self)
+        self._wire.poll()
         super()._check_control()
 
 
@@ -356,24 +409,24 @@ def _worker_main(conn, catalog_payload, toolkit_factory, cancel_flag, probe_flag
         if request is None:
             return
         _serve_request(
-            conn, catalog, toolkit_factory, cancel_flag, probe_flag, request
+            _Wire(conn, request.query_id),
+            catalog, toolkit_factory, cancel_flag, probe_flag, request,
         )
 
 
-def _serve_request(conn, catalog, toolkit_factory, cancel_flag, probe_flag,
-                   request: _ExecuteRequest) -> None:
-    query_id = request.query_id
+def _serve_request(wire: _Wire, catalog, toolkit_factory, cancel_flag,
+                   probe_flag, request: _ExecuteRequest) -> None:
     state, report_blob, error = "failed", None, None
     try:
         plan, estimators = decode_query(request.payload, catalog)
         shim = _WorkerQueryHandle(
             request.name, cancel_flag, request.deadline_seconds
         )
-        probe_server = _ProbeServer(conn, query_id, probe_flag)
+        probe_server = _ProbeServer(wire, probe_flag)
 
         def on_degrade(estimator_name: str, reason: str) -> None:
             shim.degraded[estimator_name] = reason
-            conn.send(("degraded", query_id, estimator_name, reason))
+            wire.send("degraded", estimator_name, reason)
 
         toolkit = estimators if estimators is not None else toolkit_factory()
         probe_toolkit = toolkit_factory() if estimators is None else None
@@ -386,10 +439,7 @@ def _serve_request(conn, catalog, toolkit_factory, cancel_flag, probe_flag,
             # Only cadence samples cross the pipe live: they feed
             # handle.progress().  Everything else the parent needs rides
             # in the final report.
-            sinks=(ForwardingSink(
-                lambda event: conn.send(("event", query_id, event)),
-                kinds=("sample",),
-            ),),
+            sinks=(ForwardingSink(wire.sample, kinds=("sample",)),),
             engine=request.engine,
             bounds=request.bounds,
             monitor_factory=lambda: _WorkerMonitor(shim, probe_server),
@@ -413,10 +463,10 @@ def _serve_request(conn, catalog, toolkit_factory, cancel_flag, probe_flag,
     except Exception as exc:
         state, error = "failed", exc
     try:
-        conn.send((
-            "done", query_id, state, report_blob,
+        wire.send(
+            "done", state, report_blob,
             _encode_error(error) if error is not None else None,
-        ))
+        )
     except Exception:
         # A broken pipe means the parent is gone; nothing left to report to.
         pass
@@ -522,22 +572,14 @@ class _WorkerSlot:
             process.join(timeout=5.0)
 
     def stop_process(self) -> None:
-        process, conn = self.process, self.conn
-        self.process = self.conn = None
-        if process is None:
-            return
-        try:
-            conn.send(None)
-        except (OSError, ValueError, BrokenPipeError):
-            pass
-        process.join(timeout=5.0)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=5.0)
-        try:
-            conn.close()
-        except OSError:
-            pass
+        """Ask the worker to leave; terminate it if it will not."""
+        if self.process is not None:
+            try:
+                self.conn.send(None)
+            except (OSError, ValueError, BrokenPipeError):
+                pass
+            self.process.join(timeout=5.0)
+        self.discard_process()
 
     # -- the shepherd -----------------------------------------------------------
 
@@ -606,20 +648,15 @@ class _WorkerSlot:
                 self.restart_process()
                 return
             kind = message[0]
-            if kind == "event":
-                event = message[2]
-                if event.kind == "sample":
-                    handle._publish(TraceSample(
-                        curr=event.curr,
-                        actual=event.actual,
-                        estimates=event.estimates,
-                        lower_bound=event.lower_bound,
-                        upper_bound=event.upper_bound,
-                    ))
-                    # Mirror the thread backend: per-query sinks get the
-                    # cadence-sample stream, identical on either backend.
-                    if handle._sinks:
-                        emit_to_all(handle._sinks, event)
+            if kind == "events":
+                events = message[2]
+                handle._publish(events[-1], count=len(events))
+                # Mirror the thread backend: per-query sinks get every
+                # cadence sample, in order, identical on either backend.
+                sinks = handle._sinks
+                if sinks:
+                    for event in events:
+                        emit_to_all(sinks, event)
             elif kind == "degraded":
                 service._record_degraded(handle, message[2], message[3])
             elif kind == "probe":

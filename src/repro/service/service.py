@@ -48,7 +48,6 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from repro.core.estimators import ProgressEstimator, standard_toolkit
-from repro.core.metrics import TraceSample
 from repro.core.observe import (
     ForwardingSink,
     ProgressEvent,
@@ -495,10 +494,4 @@ class _HandleSink(ProgressEventSink):
 
     def emit(self, event: ProgressEvent) -> None:
         if event.kind == "sample":
-            self.handle._publish(TraceSample(
-                curr=event.curr,
-                actual=event.actual,
-                estimates=event.estimates,
-                lower_bound=event.lower_bound,
-                upper_bound=event.upper_bound,
-            ))
+            self.handle._publish(event)

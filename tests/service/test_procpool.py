@@ -13,6 +13,7 @@ fork/spawn tests below keep both paths exercised even in a plain local run.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -35,7 +36,17 @@ from repro.service import (
     QueryService,
     QueryState,
 )
-from repro.service.procpool import decode_query, encode_query
+from repro.service.procpool import (
+    DISPLAY_INTERVAL,
+    _ExecuteRequest,
+    _ProbeServer,
+    _serve_request,
+    _Wire,
+    _WorkerMonitor,
+    _WorkerQueryHandle,
+    decode_query,
+    encode_query,
+)
 from repro.sql import plan_query
 from repro.stats import StatisticsManager
 from repro.storage import Table, schema_of
@@ -96,6 +107,27 @@ class _SuicideEstimator(SafeEstimator):
 
     def estimate(self, observation):
         os._exit(42)
+
+
+class _FailsLater(SafeEstimator):
+    """Healthy until its ``at``-th estimate, so cadence samples are out —
+    some still in the worker's buffer — when it raises or, with ``fatal``,
+    takes its whole worker process down."""
+
+    name = "fails-later"
+
+    def __init__(self, at, fatal=False):
+        super().__init__()
+        self.remaining = at
+        self.fatal = fatal
+
+    def estimate(self, observation):
+        self.remaining -= 1
+        if self.remaining == 0:
+            if self.fatal:
+                os._exit(42)
+            raise RuntimeError("boom, later")
+        return super().estimate(observation)
 
 
 class TestResolution:
@@ -291,23 +323,37 @@ class TestDegradationAndCrash:
 
     @needs_fork
     def test_worker_crash_fails_only_its_query(self, db):
+        self.crash_fails_only_its_query(db, _SuicideEstimator())
+
+    @needs_fork
+    def test_worker_crash_with_samples_buffered(self, db):
+        self.crash_fails_only_its_query(db, _FailsLater(at=5, fatal=True))
+
+    def crash_fails_only_its_query(self, db, killer):
         service = QueryService(
             db.catalog, backend="process", start_method="fork",
             max_workers=1, target_samples=40,
         )
         try:
+            sink = MemorySink()
             doomed = service.submit(
                 build_query(db, 6), name="doomed",
-                estimators=[_SuicideEstimator()],
+                estimators=[killer], sinks=[sink],
             )
             assert doomed.wait(60)
             assert doomed.state is QueryState.FAILED
             assert isinstance(doomed.error, ServiceError)
             assert "died" in str(doomed.error)
+            delivered = len(sink.events)
+            published = doomed.samples_published
+            assert delivered == published <= 4
             # The slot respawned its worker: the next query is unaffected.
             after = service.submit(build_query(db, 6), name="after")
             assert after.result(timeout=120).trace.samples
             assert service.stats()["failed"] == 1
+            # Nothing reached the dead query after it was finalized.
+            assert len(sink.events) == delivered
+            assert doomed.samples_published == published
         finally:
             service.shutdown()
 
@@ -374,6 +420,223 @@ class TestDegradationAndCrash:
         finally:
             service.shutdown()
         assert report.trace.samples == solo
+
+
+class _RecordingConn:
+    """The worker's end of the pipe, kept as a list."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+
+class _FakeClock:
+    """Stands still unless told otherwise; ``on_call[n]`` runs at the
+    n-th reading."""
+
+    def __init__(self, on_call=None):
+        self.now = 0.0
+        self.calls = 0
+        self.on_call = on_call or {}
+
+    def __call__(self):
+        self.calls += 1
+        self.on_call.get(self.calls, lambda: None)()
+        return self.now
+
+
+def serve_in_this_process(db, plan, clock, estimators=None, probe_flag=None):
+    """One query through the worker's code path, its pipe a list."""
+    conn = _RecordingConn()
+    options = ExecutionOptions().resolve()
+    if probe_flag is None:  # (a zero-valued ctypes flag is falsy)
+        probe_flag = multiprocessing.RawValue("q", 0)
+    _serve_request(
+        _Wire(conn, 7, clock=clock),
+        db.catalog,
+        standard_toolkit,
+        multiprocessing.RawValue("b", 0),
+        probe_flag,
+        _ExecuteRequest(
+            query_id=7, name=plan.name,
+            payload=encode_query(plan, estimators, db.catalog),
+            deadline_seconds=None, target_samples=40,
+            engine=options.engine, bounds=options.bounds,
+        ),
+    )
+    return conn.sent
+
+
+def untimed(event):
+    """An event without its wall-clock fields."""
+    return dataclasses.replace(
+        event, elapsed_seconds=0.0, ticks_per_second=None,
+        eta_seconds=None, eta_interval_seconds=(None, None),
+    )
+
+
+def shared_snapshots(events):
+    """How many (event, pipeline) slots hold the very object the event
+    before held in that slot."""
+    return sum(
+        1
+        for before, after in zip(events, events[1:])
+        for old, new in zip(before.pipelines, after.pipelines)
+        if old is new
+    )
+
+
+class TestBatchedPipe:
+    """One writer, display-rate batches, nothing lost or reordered."""
+
+    #: the benchmark's ``service_process`` statement classes
+    PLANS = (1, 10, 3, 6, 14)
+
+    def test_sinks_see_what_the_thread_backend_delivers(self, db):
+        # The same plan objects on both backends (one after the other):
+        # operator ids are part of an event's pipeline labels.
+        plans = [build_query(db, number) for number in self.PLANS]
+        delivered = {}
+        for backend in BACKENDS:
+            service = QueryService(
+                db.catalog, backend=backend, max_workers=2,
+                target_samples=40,
+            )
+            try:
+                runs = []
+                for plan in plans:
+                    sink = MemorySink()
+                    runs.append((sink, service.submit(plan, sinks=[sink])))
+                for sink, handle in runs:
+                    handle.result(timeout=120)
+                    # every sample, plus the sealed trace's labeled last
+                    assert handle.samples_published == len(sink.events) + 1
+                delivered[backend] = [
+                    [untimed(event) for event in sink.events]
+                    for sink, _handle in runs
+                ]
+            finally:
+                service.shutdown()
+        assert all(delivered["thread"])
+        assert delivered["process"] == delivered["thread"]
+
+    def test_first_sample_crosses_alone_and_at_once(self):
+        conn = _RecordingConn()
+        wire = _Wire(conn, 7, clock=_FakeClock())
+        wire.sample("first")
+        # On the pipe before the worker can produce a second one.
+        assert conn.sent == [("events", 7, ["first"])]
+        wire.sample("second")
+        assert len(conn.sent) == 1 and wire.pending == ["second"]
+
+    def test_a_stopped_clock_holds_the_rest_until_done(self, db):
+        sent = serve_in_this_process(db, build_query(db, 6), _FakeClock())
+        assert [message[0] for message in sent] == [
+            "events", "events", "done",
+        ]
+        assert all(message[1] == 7 for message in sent)
+        first, rest = sent[0][2], sent[1][2]
+        assert len(first) == 1 and len(rest) > 1
+        seqs = [event.seq for event in first + rest]
+        assert seqs == sorted(seqs)
+        assert sent[2][2] == "done"
+        # The report's trace may have been decimated; never extended.
+        report = pickle.loads(sent[2][3])
+        assert len(report.trace.samples) <= len(seqs)
+
+    def test_degraded_never_overtakes_an_earlier_sample(self, db):
+        sent = serve_in_this_process(
+            db, build_query(db, 6), _FakeClock(),
+            estimators=[_FailsLater(at=3)],
+        )
+        kinds = [message[0] for message in sent]
+        assert kinds == ["events", "events", "degraded", "events", "done"]
+        # Two samples were emitted before the third estimate blew up: the
+        # first crossed alone, the second was flushed ahead of the report.
+        assert [len(message[2]) for message in sent[:2]] == [1, 1]
+        assert sent[2][2:] == ("fails-later", "RuntimeError: boom, later")
+
+    def test_probe_reply_never_overtakes_an_earlier_sample(self, db):
+        probe_flag = multiprocessing.RawValue("q", 0)
+
+        def ask():
+            probe_flag.value = 1
+
+        # The clock is read once to stamp the first flush, then only
+        # while samples are buffered: by the fifth reading some are.
+        sent = serve_in_this_process(
+            db, big_plan(db, "probed"), _FakeClock(on_call={5: ask}),
+            probe_flag=probe_flag,
+        )
+        kinds = [message[0] for message in sent]
+        assert kinds == ["events", "events", "probe", "events", "done"]
+        assert len(sent[1][2]) > 1
+        _, _, request, sample = sent[2]
+        assert request == 1
+        assert sent[1][2][-1].curr <= sample.curr <= sent[3][2][0].curr
+
+    def test_probe_before_attach_answers_none_through_the_wire(self):
+        conn = _RecordingConn()
+        wire = _Wire(conn, 7, clock=_FakeClock())
+        flag = multiprocessing.RawValue("q", 0)
+        server = _ProbeServer(wire, flag)
+        wire.sample("first")
+        wire.sample("second")
+        flag.value = 1
+        server.maybe_serve(monitor=None)
+        assert conn.sent == [
+            ("events", 7, ["first"]),
+            ("events", 7, ["second"]),
+            ("probe", 7, 1, None),
+        ]
+
+    def test_quiet_phase_flushes_from_the_control_check(self):
+        conn = _RecordingConn()
+        clock = _FakeClock()
+        wire = _Wire(conn, 7, clock=clock)
+        shim = _WorkerQueryHandle(
+            "quiet", multiprocessing.RawValue("b", 0), None
+        )
+        monitor = _WorkerMonitor(
+            shim, _ProbeServer(wire, multiprocessing.RawValue("q", 0))
+        )
+        wire.sample("first")
+        wire.sample("second")
+        monitor._check_control()
+        assert len(conn.sent) == 1
+        clock.now += DISPLAY_INTERVAL
+        monitor._check_control()
+        assert conn.sent[1] == ("events", 7, ["second"])
+        # Nothing buffered: the check does not even read the clock.
+        readings = clock.calls
+        monitor._check_control()
+        assert clock.calls == readings and len(conn.sent) == 2
+
+    def test_a_batch_keeps_shared_snapshots_shared(self, db):
+        sent = serve_in_this_process(db, build_query(db, 3), _FakeClock())
+        batch = sent[1]
+        in_worker = shared_snapshots(batch[2])
+        assert in_worker > 0
+        in_parent = pickle.loads(pickle.dumps(batch))[2]
+        assert shared_snapshots(in_parent) == in_worker
+        # The sharing is the batch's doing: pickled one by one, the same
+        # events share nothing.
+        assert shared_snapshots(
+            [pickle.loads(pickle.dumps(event)) for event in batch[2]]
+        ) == 0
+
+    def test_shared_snapshots_reach_parent_side_sinks(self, db):
+        sink = MemorySink()
+        service = process_service(db, max_workers=1)
+        try:
+            service.submit(
+                build_query(db, 3), sinks=[sink]
+            ).result(timeout=120)
+        finally:
+            service.shutdown()
+        assert shared_snapshots(sink.events) > 0
 
 
 class TestStartMethods:
