@@ -2,7 +2,7 @@
 
 The third engine behind :func:`repro.engine.executor.execute`.  Where
 the interpreted engine pulls one row per ``get_next`` and the fused engine
-compiles operator chains into generators, this engine materializes each
+generates one row loop per pipeline, this engine materializes each
 pipeline's data flow as whole columns (NumPy arrays when
 :mod:`repro.storage.columnar` packed them, plain lists otherwise), computes
 every operator's output batch with vectorized kernels — and then *replays*
@@ -936,14 +936,8 @@ class _BlockSink:
             return
         buffer: List[_OrderedRow] = []
         if limit > 0:
-            row_key = op._row_key
             for row in batch.rows():
-                entry = _OrderedRow(row_key(row, functions), row)
-                if len(buffer) < limit:
-                    bisect.insort(buffer, entry)
-                elif entry < buffer[-1]:
-                    bisect.insort(buffer, entry)
-                    buffer.pop()
+                op._offer(buffer, functions, row)
         op._buffer = buffer
 
     def _commit_sort(self, op: Sort, batch: _Batch) -> None:
@@ -1428,10 +1422,10 @@ class _ColumnarCompiler(_Compiler):
         super().__init__(monitor)
         self._vec = _VecRunner(monitor)
 
-    def compile(self, op: Operator) -> _Node:
+    def _source(self, op: Operator) -> Optional[_Node]:
         if type(op) in _BLOCKING_VEC_TYPES and _vec_supported(op):
             return self._compile_vec_island(op)
-        return super().compile(op)
+        return super()._source(op)
 
     def _compile_vec_island(self, op: Operator) -> _Node:
         acct = self.acct
@@ -1474,14 +1468,7 @@ class _ColumnarCompiler(_Compiler):
                 yield row
             acct.finish(op)
 
-        def rewind() -> None:
-            # Operator.rewind gives the exact interpreted event cascade and
-            # spool semantics (blocking state kept, cursors reset); no part
-            # of the island's subtree is compiled, so nothing is shimmed.
-            flush()
-            op.rewind()
-
-        return _Node(op, make, rewind)
+        return _Node(op, make, "vector island")
 
 
 def run_columnar(
@@ -1504,13 +1491,6 @@ def run_columnar(
             sink = _RootSink()
             runner.run_pipeline(root, sink)
             return sink.rows
-        compiler = _ColumnarCompiler(monitor)
-        try:
-            program = compiler.compile(root)
-            compiler.acct.reset_budget()
-            return list(program.make())
-        finally:
-            compiler.acct.flush()
-            compiler.remove_shims()
+        return _ColumnarCompiler(monitor).run(root)
     finally:
         root.close()

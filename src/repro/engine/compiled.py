@@ -1,32 +1,47 @@
-"""Fused pipeline compiler: the batched execution engine.
+"""Fused pipeline compiler: one generated loop per pipeline.
 
 The interpreted engine walks the Volcano tree one row at a time: every row
-pays an abstract ``get_next`` per plan level plus two listener/observer
-loops inside :meth:`ExecutionMonitor.record`.  This module compiles a plan —
-*after* ``open`` has bound its expressions — into nested Python generators:
-each maximal non-blocking chain (scan→σ→π, the probe side of ⋈hash, the
-outer side of ⋈INL) becomes one specialized generator whose bound
-expressions, source lists and accounting cells live in closure locals.
+pays an abstract ``get_next`` per plan level, a Python frame per expression
+node and two listener/observer loops inside :meth:`ExecutionMonitor.record`.
+This module turns an *opened* plan into Python source by produce/consume
+(:meth:`_Compiler._produce`): every operator kind contributes the code for
+"a row of mine exists" and asks its parent for the body, so a maximal
+non-blocking chain — scan, σ, π, ``Distinct``, the probe side of ⋈hash, the
+outer side of ⋈INL — becomes one ``for`` nest that pushes straight into the
+state of the blocking operator ending it (``HashJoin._table``,
+``HashAggregate._groups``, ``Sort._rows``, the ``TopN`` buffer, the result
+list), with predicates, keys and aggregate arguments inlined by
+:func:`repro.engine.expressions.to_source`.  A plan is one function; a
+subtree some consumer must *pull* from (the child of ``Limit``, ⋈NL, ⋈merge,
+``UnionAll``, ``StreamAggregate`` or the generic adapter) is a generator
+function whose top pipeline ends in ``yield``.  :func:`generated_source`
+shows the text.
 
-Accounting is batched but **tick-exact**.  Every produced row increments a
-per-operator pending cell and decrements a shared budget equal to
-``monitor.ticks_until_next_observer()``; when the budget reaches zero the
-pending counts are applied via ``record_batch`` — the cumulative total then
-lands *exactly* on the next cadence multiple, so every observer fires at
-precisely the tick number the interpreted engine fires it at, and sees the
-same per-operator counts and live operator state (``rows_produced`` is
-updated inline, and blocking operators mutate their ordinary state fields:
-``Sort._rows``, ``HashAggregate._groups``, …).  A flush always precedes a
-``finish`` event, so pipeline-boundary forced observer rounds are identical
-too.  Tick events reach listeners coalesced per batch; that is exact for
-the listener channel's consumers (the bounds tracker and the runner)
+The text depends only on plan shape and schema positions: operators,
+literals, tables and helper callables reach the function through its one
+argument ``K``, so :data:`_CODE` memoises text → function across plans,
+runs and threads (``compile()`` costs about a millisecond per plan).
+
+Accounting is batched but **tick-exact**.  A pipeline that neither yields
+nor pulls from a row source counts its ticks in frame locals and runs a
+local copy of the shared budget (``monitor.ticks_until_next_observer()``)
+down; when that reaches zero — and before the pipeline's finish events, and
+in a ``finally`` — the counts are written back to ``rows_produced`` and the
+:class:`_Accounting` cells and applied via ``record_batch``.  The cumulative
+total then lands *exactly* on the next cadence multiple, so every observer
+fires at precisely the interpreter's tick number and sees the same
+per-operator counts and live operator state (blocking operators mutate
+their ordinary fields), and a failing expression still leaves the monitor
+holding every tick that happened.  Pipelines that yield or pull keep their
+counts in the shared cells row by row, because the code they alternate with
+ticks too.  Tick events reach listeners coalesced per batch; that is exact
+for the listener channel's consumers (the bounds tracker and the runner)
 because their per-event work is additive or idempotent.
 
-Operators without a hand-fused translation (merge join, stream aggregate,
-index seeks, random-order scans, user-defined operators) run through a
-generic adapter that drives the operator's own ``_next`` while its children
-are temporarily shimmed to pull from their compiled generators — exact
-semantics at interpreter speed for the node itself, fused speed below it.
+Operators without a translation (index seeks, random-order scans,
+user-defined operators) run through a generic adapter that drives the
+operator's own ``_next`` while its children are temporarily shimmed to pull
+from their compiled generators.
 
 Entry point: :func:`run_fused`; callers normally go through
 ``repro.engine.executor.execute(plan, engine="fused")``.
@@ -34,9 +49,10 @@ Entry point: :func:`run_fused`; callers normally go through
 
 from __future__ import annotations
 
-import bisect
-from typing import Callable, Iterator, List, Optional
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.engine.expressions import reject_source, to_source
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext, Operator
 from repro.engine.operators.aggregate import (
@@ -52,26 +68,37 @@ from repro.engine.operators.misc import Distinct, Limit, UnionAll
 from repro.engine.operators.nested_loops import NestedLoopsJoin
 from repro.engine.operators.project import Project
 from repro.engine.operators.scan import RowSource, TableScan
-from repro.engine.operators.sort import Sort, _null_first_key
+from repro.engine.operators.sort import Sort
 from repro.errors import ExecutionError
-from repro.engine.operators.topn import TopN, _OrderedRow
+from repro.engine.operators.topn import TopN
 from repro.storage.table import Row
 
-#: budget value used when no cadence observers are attached — flushes then
-#: happen only at finish events
-_UNBOUNDED = 1 << 62
+#: budget when no cadence observer is attached: flushes then happen at
+#: finish events and, harmlessly, every 2**29 ticks (a one-digit int counts
+#: down 6 ns a tick faster than 1 << 62 did)
+_UNBOUNDED = 1 << 29
+#: generated functions by their text, shared by every plan of that shape in
+#: the process; cleared when full.  Unlocked: a lost race compiles a text
+#: twice and keeps either function, and both are the same code.
+_CODE_CACHE_LIMIT = 256
+_CODE: Dict[str, Callable] = {}
+#: join match loops one generated pipeline may nest before the chain below
+#: is cut off into a generator of its own (CPython allows 20 nested blocks)
+_MAX_LOOPS = 12
+#: what generated functions see besides their argument
+_GLOBALS = {"_Accumulator": _Accumulator}
 
 
 class _Accounting:
     """Pending per-operator tick counts plus the shared observer budget.
 
     ``budget[0]`` is the number of ticks that may still be produced before
-    a cadence observer is due; generators decrement it inline and call
-    :meth:`flush` when it reaches zero.  Flushing applies every pending
-    count through ``record_batch`` — the batch that crosses the cadence
-    multiple is by construction the one that lands exactly on it, so the
-    observer fires at the interpreted engine's tick number with all counts
-    applied.
+    a cadence observer is due; generated code decrements it (or a frame
+    local copy of it) and calls :meth:`flush` when it reaches zero.
+    Flushing applies every pending count through ``record_batch`` — the
+    batch that crosses the cadence multiple is by construction the one that
+    lands exactly on it, so the observer fires at the interpreted engine's
+    tick number with all counts applied.
     """
 
     __slots__ = ("monitor", "budget", "_cells")
@@ -86,6 +113,23 @@ class _Accounting:
         self._cells.append((op.operator_id, pending))
         return pending
 
+    def writer(self, ops: List[Operator]) -> Callable[..., None]:
+        """The write-back of one pipeline's frame-local counts.
+
+        Driver first, so a reader between two writes never sees an operator
+        ahead of its input.  It cannot raise; the flush that may is a
+        separate step (:meth:`refill`), taken once the locals are zeroed,
+        so a cancel or a failing observer is never counted twice.
+        """
+        pairs = [(op, self.cell(op)) for op in ops]
+
+        def write(*counts: int) -> None:
+            for (op, pending), n in zip(pairs, counts):
+                op.rows_produced += n
+                pending[0] += n
+
+        return write
+
     def reset_budget(self) -> None:
         headroom = self.monitor.ticks_until_next_observer()
         self.budget[0] = _UNBOUNDED if headroom is None else headroom
@@ -99,6 +143,10 @@ class _Accounting:
                 record_batch(op_id, n)
         self.reset_budget()
 
+    def refill(self) -> int:
+        self.flush()
+        return self.budget[0]
+
     def finish(self, op: Operator) -> None:
         """End-of-stream on ``op``: flush, then emit its finish event.
 
@@ -109,361 +157,472 @@ class _Accounting:
         op.finished = True
         self.monitor.record_finish(op.operator_id)
 
+    def rewind(self, op: Operator) -> None:
+        """Restart ``op``'s subtree for a rescan, pending ticks applied first.
+
+        In the interpreted engine the tick that *caused* the rescan (the
+        ⋈NL outer row) is recorded before the inner subtree rewinds, so
+        event-stream consumers must see the same accumulation at the rewind
+        instant.  ``Operator.rewind`` is the interpreter's own cascade
+        (pre-order events, post-order ``_rewind``, spool semantics); called
+        on the class because an adapter's child carries a shim of that name.
+        """
+        self.flush()
+        type(op).rewind(op)
+
 
 class _Node:
-    """One compiled plan node: a generator factory plus a rewinder.
+    """A row source: a pull iterator over one operator's output.
 
-    ``make()`` returns a fresh single-pass iterator over the node's output;
-    it may be called again only after ``rewind()`` (⋈NL rescans).  ``gen``
-    holds the current pass's iterator for shimmed adapter children.
+    ``make()`` returns a fresh single-pass iterator; it may be called again
+    only after the subtree was rewound (⋈NL rescans).  ``why`` says, for
+    :func:`generated_source`, why the operator is not inlined; ``gen`` holds
+    the current pass's iterator for shimmed adapter children.
     """
 
-    __slots__ = ("op", "make", "rewind", "gen")
+    __slots__ = ("op", "make", "why", "gen")
 
     def __init__(self, op: Operator, make: Callable[[], Iterator[Row]],
-                 rewind: Callable[[], None]) -> None:
+                 why: str) -> None:
         self.op = op
         self.make = make
-        self.rewind = rewind
+        self.why = why
         self.gen: Optional[Iterator[Row]] = None
 
 
+class _Pipeline:
+    """The loop nest being emitted: who ticks in it, and how it counts."""
+
+    __slots__ = ("head", "local", "stages", "ops", "counters", "sites")
+
+    def __init__(self, head: int, local: bool) -> None:
+        self.head = head  # index of the header line, written on close
+        self.local = local  # counts in frame locals (else the shared cells)
+        self.stages: List[str] = []  # what the header line will name
+        self.ops: List[Operator] = []
+        self.counters: List[str] = []
+        self.sites: List[int] = []  # lines awaiting the write-back text
+
+
+class _Gen:
+    """One function while it is written: its lines and its constants.
+
+    Also the context :func:`repro.engine.expressions.to_source` emits
+    against (``row``, ``schema``, ``const``, ``tmp``).
+    """
+
+    def __init__(self, acct: _Accounting) -> None:
+        self.lines: List[str] = []
+        self.consts: list = [acct.budget, acct.flush, acct.finish, acct.refill]
+        self.temps = 0
+        self.pipelines = 0
+        self.pipe: Optional[_Pipeline] = None
+        self.row = self.schema = None
+
+    def const(self, value: object) -> str:
+        self.consts.append(value)
+        return "k%d" % (len(self.consts) - 1,)
+
+    def tmp(self) -> str:
+        self.temps += 1
+        return "t%d" % (self.temps,)
+
+    def emit(self, ind: str, text: str) -> None:
+        self.lines.append(ind + text)
+
+    def sink(self, stage: str, statement: str):
+        """A consume that ends the pipeline in one statement over the row."""
+        def consume(row: str, ind: str) -> None:
+            self.pipe.stages.append(stage)
+            self.emit(ind, statement % (row,))
+        return consume
+
+    def value(self, expression, row: str, schema) -> str:
+        self.row, self.schema = row, schema
+        return to_source(expression, self)
+
+    def reject(self, expression, row: str, schema) -> str:
+        self.row, self.schema = row, schema
+        return reject_source(expression, self)
+
+
 class _Compiler:
-    """Compiles an opened operator tree into :class:`_Node` generators."""
+    """Generates and binds the functions that execute an opened plan."""
 
     def __init__(self, monitor: ExecutionMonitor) -> None:
-        self.monitor = monitor
         self.acct = _Accounting(monitor)
         #: operators whose get_next/rewind were shadowed for the adapter
         self.shimmed: List[Operator] = []
+        #: text of every function generated, for :func:`generated_source`
+        self.sources: List[str] = []
 
-    # -- rewinders ---------------------------------------------------------------
+    # -- entry points ---------------------------------------------------------------
 
-    def rewinder(self, op: Operator, child_rewinds) -> Callable[[], None]:
-        """Mirror ``Operator.rewind``: pre-order events, post-order resets.
+    def program(self, root: Operator):
+        """The function that runs the whole tree, and its argument."""
+        g = _Gen(self.acct)
+        g.emit("    ", "out = []; push = out.append")
+        self._produce(g, root, "    ", g.sink("result", "push(%s)"), False)
+        return self._function(g, "\n    return out"), g.consts
 
-        Pending ticks are flushed before the rewind event goes out: in the
-        interpreted engine the tick that *caused* the rescan (the ⋈NL outer
-        row) is recorded before the inner subtree rewinds, so event-stream
-        consumers must see the same accumulation at the rewind instant.
-        """
-        record_rewind = self.monitor.record_rewind
-        flush = self.acct.flush
-
-        def rewind() -> None:
-            flush()
-            op.finished = False
-            record_rewind(op.operator_id)
-            for child_rewind in child_rewinds:
-                child_rewind()
-            op._rewind()
-
-        return rewind
-
-    # -- dispatch -----------------------------------------------------------------
+    def run(self, root: Operator) -> List[Row]:
+        """Execute the opened tree under ``root``; its rows, in order."""
+        try:
+            program, consts = self.program(root)
+            self.acct.reset_budget()
+            return program(consts)
+        finally:
+            # On an exception mid-batch the pending counts are still applied
+            # so the monitor reflects every getnext that actually happened
+            # (a partial batch can never cross a cadence multiple, so no
+            # observer fires here).
+            self.acct.flush()
+            self.remove_shims()
 
     def compile(self, op: Operator) -> _Node:
-        kind = type(op)
-        if kind is TableScan or kind is RowSource:
-            return self._compile_scan(op)
-        if kind is Filter:
-            return self._compile_filter(op)
-        if kind is Project:
-            return self._compile_project(op)
-        if kind is HashJoin:
-            return self._compile_hash_join(op)
-        if kind is IndexNestedLoopsJoin:
-            return self._compile_inl(op)
-        if kind is NestedLoopsJoin:
-            return self._compile_nl(op)
-        if kind is MergeJoin:
-            return self._compile_merge_join(op)
-        if kind is HashAggregate:
-            return self._compile_hash_aggregate(op)
-        if kind is StreamAggregate:
-            return self._compile_stream_aggregate(op)
-        if kind is Sort:
-            return self._compile_sort(op)
-        if kind is TopN:
-            return self._compile_topn(op)
-        if kind is Limit:
-            return self._compile_limit(op)
-        if kind is Distinct:
-            return self._compile_distinct(op)
-        if kind is UnionAll:
-            return self._compile_union(op)
-        return self._compile_adapter(op)
+        """``op``'s subtree as a row source for a consumer that pulls."""
+        node = self._source(op)
+        if node is None:
+            g = _Gen(self.acct)
+            self._produce(g, op, "    ", g.sink("yield", "yield %s"), True)
+            node = _Node(op, partial(self._function(g), g.consts), "pulled")
+        return node
 
-    # -- leaf chains --------------------------------------------------------------
-
-    @staticmethod
-    def _source_rows(op: Operator) -> List[Row]:
-        """The backing row list of a plain scan leaf (storage order)."""
-        if type(op) is TableScan:
-            return op.table._rows
-        return op.rows  # RowSource
-
-    def _compile_scan(self, op: Operator) -> _Node:
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-        source = self._source_rows
-
-        def make() -> Iterator[Row]:
-            for row in source(op):
-                op.rows_produced += 1
-                cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                yield row
-            acct.finish(op)
-
-        return _Node(op, make, self.rewinder(op, ()))
-
-    def _compile_filter(self, op: Filter) -> _Node:
-        child = op.child
-        if type(child) is TableScan or type(child) is RowSource:
-            return self._compile_filter_scan(op, child)
-        child_node = self.compile(child)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            predicate = op._bound
-            for row in child_node.make():
-                if predicate(row) is True:
-                    op.rows_produced += 1
-                    cell[0] += 1
-                    budget[0] -= 1
-                    if budget[0] <= 0:
-                        flush()
-                    yield row
-            acct.finish(op)
-
-        return _Node(op, make, self.rewinder(op, (child_node.rewind,)))
-
-    def _compile_filter_scan(self, op: Filter, scan: Operator) -> _Node:
-        """σ fused directly over a scan leaf: one generator, zero hops."""
-        acct = self.acct
-        scan_cell = acct.cell(scan)
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-        source = self._source_rows
-
-        def make() -> Iterator[Row]:
-            predicate = op._bound
-            for row in source(scan):
-                scan.rows_produced += 1
-                scan_cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                if predicate(row) is True:
-                    op.rows_produced += 1
-                    cell[0] += 1
-                    budget[0] -= 1
-                    if budget[0] <= 0:
-                        flush()
-                    yield row
-            acct.finish(scan)
-            acct.finish(op)
-
-        scan_rewind = self.rewinder(scan, ())
-        return _Node(op, make, self.rewinder(op, (scan_rewind,)))
-
-    def _compile_project(self, op: Project) -> _Node:
-        child = op.child
-        if type(child) is Filter and (
-            type(child.child) is TableScan or type(child.child) is RowSource
-        ):
-            return self._compile_project_filter_scan(op, child, child.child)
-        if type(child) is TableScan or type(child) is RowSource:
-            return self._compile_project_scan(op, child)
-        child_node = self.compile(child)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            project = op._project
-            for row in child_node.make():
-                out = project(row)
-                op.rows_produced += 1
-                cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                yield out
-            acct.finish(op)
-
-        return _Node(op, make, self.rewinder(op, (child_node.rewind,)))
-
-    def _compile_project_scan(self, op: Project, scan: Operator) -> _Node:
-        acct = self.acct
-        scan_cell = acct.cell(scan)
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-        source = self._source_rows
-
-        def make() -> Iterator[Row]:
-            project = op._project
-            for row in source(scan):
-                scan.rows_produced += 1
-                scan_cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                out = project(row)
-                op.rows_produced += 1
-                cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                yield out
-            acct.finish(scan)
-            acct.finish(op)
-
-        scan_rewind = self.rewinder(scan, ())
-        return _Node(op, make, self.rewinder(op, (scan_rewind,)))
-
-    def _compile_project_filter_scan(
-        self, op: Project, filt: Filter, scan: Operator
-    ) -> _Node:
-        """The full scan→σ→π pipeline as a single generator."""
-        acct = self.acct
-        scan_cell = acct.cell(scan)
-        filter_cell = acct.cell(filt)
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-        source = self._source_rows
-
-        def make() -> Iterator[Row]:
-            predicate = filt._bound
-            project = op._project
-            for row in source(scan):
-                scan.rows_produced += 1
-                scan_cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                if predicate(row) is not True:
-                    continue
-                filt.rows_produced += 1
-                filter_cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                out = project(row)
-                op.rows_produced += 1
-                cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                yield out
-            acct.finish(scan)
-            acct.finish(filt)
-            acct.finish(op)
-
-        scan_rewind = self.rewinder(scan, ())
-        filter_rewind = self.rewinder(filt, (scan_rewind,))
-        return _Node(op, make, self.rewinder(op, (filter_rewind,)))
-
-    # -- joins --------------------------------------------------------------------
-
-    def _compile_hash_join(self, op: HashJoin) -> _Node:
-        build_node = self.compile(op.left)
-        probe_node = self.compile(op.right)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            if not op._built:
-                # The build runs inside the first pull, exactly like the
-                # interpreted engine (blocking wrt the probe pipeline).
-                build_fn = op._build_fn
-                table = op._table
-                for row in build_node.make():
-                    key = build_fn(row)
-                    if key is None:
-                        continue  # NULL keys never join
-                    bucket = table.get(key)
-                    if bucket is None:
-                        table[key] = [row]
-                    else:
-                        bucket.append(row)
-                op._built = True
-            table = op._table
-            probe_fn = op._probe_fn
-            residual = op._residual_fn
-            preserve = op.preserve_probe
-            null_pad = op._null_pad
-            get_bucket = table.get
-            for probe_row in probe_node.make():
-                key = probe_fn(probe_row)
-                matches = None if key is None else get_bucket(key)
-                emitted = 0
-                if matches:
-                    for build_row in matches:
-                        joined = build_row + probe_row
-                        if residual is None or residual(joined) is True:
-                            emitted += 1
-                            op.rows_produced += 1
-                            cell[0] += 1
-                            budget[0] -= 1
-                            if budget[0] <= 0:
-                                flush()
-                            yield joined
-                if preserve and emitted == 0:
-                    op.rows_produced += 1
-                    cell[0] += 1
-                    budget[0] -= 1
-                    if budget[0] <= 0:
-                        flush()
-                    yield null_pad + probe_row
-            acct.finish(op)
-
-        return _Node(
-            op, make,
-            self.rewinder(op, (build_node.rewind, probe_node.rewind)),
+    def _function(self, g: _Gen, tail: str = "") -> Callable:
+        """Close ``g``'s text and return its function, compiled at most once
+        per text in the process (a compile costs about a millisecond)."""
+        text = "def program(K):\n    B, flush, fin, refill%s = K\n%s%s" % (
+            "".join(", k%d" % (i,) for i in range(4, len(g.consts))),
+            "\n".join(g.lines), tail,
         )
+        self.sources.append(text)
+        function = _CODE.get(text)
+        if function is None:
+            namespace: dict = {}
+            exec(compile(text, "<fused>", "exec"), _GLOBALS, namespace)
+            if len(_CODE) >= _CODE_CACHE_LIMIT:
+                _CODE.clear()
+            function = _CODE[text] = namespace["program"]
+        return function
 
-    def _compile_inl(self, op: IndexNestedLoopsJoin) -> _Node:
-        outer_node = self.compile(op.child)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
+    def _source(self, op: Operator) -> Optional[_Node]:
+        """The row source ``op`` stays, or None if its code is inlined.
 
-        def make() -> Iterator[Row]:
-            key_fn = op._key_fn
-            residual = op._residual_fn
-            lookup = op.index.lookup
-            for outer_row in outer_node.make():
-                key = key_fn(outer_row)
-                if key is None:
-                    continue  # NULL keys never match
-                for inner_row in lookup(key):
-                    joined = outer_row + inner_row
-                    if residual is None or residual(joined) is True:
-                        op.rows_produced += 1
-                        cell[0] += 1
-                        budget[0] -= 1
-                        if budget[0] <= 0:
-                            flush()
-                        yield joined
-            acct.finish(op)
+        The seam the columnar engine's vector islands plug into.
+        """
+        kind = type(op)
+        if kind in _INLINED and not (
+            kind is HashJoin and op.preserve_probe and op.residual is not None
+        ):
+            return None
+        return _SOURCES.get(kind, _Compiler._compile_adapter)(self, op)
 
-        return _Node(op, make, self.rewinder(op, (outer_node.rewind,)))
+    # -- produce / consume ---------------------------------------------------------
+
+    def _loop(self, g: _Gen, ind: str, op, k: str, rows: str, consume,
+              pulls: bool) -> None:
+        """Emit one pipeline: ``for row in rows`` around ``consume``'s code.
+
+        ``op``, bound to the constant ``k``, ticks once per row; None when
+        ``rows`` is a row source (``k`` then describes it), which ticks and
+        finishes on its own.  The pipeline counts in frame locals unless it
+        yields or pulls; its header and the write-back text at its tick
+        sites are filled in here, once every operator ticking in it is known.
+        """
+        g.pipelines += 1
+        pipe = g.pipe = _Pipeline(len(g.lines), op is not None and not pulls)
+        g.lines.append("")
+        body = ind
+        if pipe.local:
+            g.emit(ind, "try:")
+            body += "    "
+        row = g.tmp()
+        g.emit(body, "for %s in %s:" % (row, rows))
+        if op is None:
+            pipe.stages.append(k)
+        else:
+            self._tick(g, body + "    ", op, k)
+        consume(row, body + "    ")
+        head = "%s# pipeline %d: %s" % (
+            ind, g.pipelines, " -> ".join(pipe.stages)
+        )
+        if pipe.local:
+            counters = ", ".join(pipe.counters)
+            zero = " = ".join(pipe.counters) + " = 0"
+            writer = g.const(self.acct.writer(pipe.ops))
+            g.emit(ind, "finally:")
+            g.emit(body, "%s(%s)" % (writer, counters))
+            spill = "%s(%s); %s; b = refill()" % (writer, counters, zero)
+            for site in pipe.sites:
+                g.lines[site] += spill
+            head += "\n%s%s; b = B[0]" % (ind, zero)
+        g.lines[pipe.head] = head
+        g.pipe = None
+
+    def _tick(self, g: _Gen, ind: str, op: Operator, k: str) -> None:
+        """One counted row of ``op`` (bound to the constant ``k``)."""
+        pipe = g.pipe
+        pipe.stages.append(op.name)
+        if pipe.local:
+            counter = "n" + k[1:]
+            pipe.ops.append(op)
+            pipe.counters.append(counter)
+            g.emit(ind, "%s += 1; b -= 1" % (counter,))
+            pipe.sites.append(len(g.lines))
+            g.emit(ind, "if not b: ")
+        else:
+            g.emit(ind, "%s.rows_produced += 1; %s[0] += 1; B[0] -= 1" % (
+                k, g.const(self.acct.cell(op)),
+            ))
+            g.emit(ind, "if B[0] <= 0: flush()")
+
+    def _produce(self, g: _Gen, op: Operator, ind: str, consume,
+                 pulls: bool, joins: int = 0) -> None:
+        """Emit, at ``ind``, the code that feeds every row of ``op`` to
+        ``consume(row, ind)`` and then finishes ``op``.
+
+        ``pulls`` says the rows end in a ``yield`` with no blocking operator
+        in between, so the pipelines ``op`` takes part in alternate with
+        their consumer's code and count in the shared cells.  ``joins`` is
+        the number of match loops the operators above ``op`` nest inside its
+        pipeline's loop.
+        """
+        node = self._source(op)
+        if node is None and joins >= _MAX_LOOPS:
+            node = self.compile(op)
+        if node is not None:
+            self._loop(
+                g, ind, None, "[%s: %s]" % (op.name, node.why),
+                g.const(node.make) + "()", consume, True,
+            )
+            return
+        kind = type(op)
+        k = g.const(op)
+        child = op.children[0] if op.children else None
+        if kind is TableScan or kind is RowSource:
+            rows = ".table._rows" if kind is TableScan else ".rows"
+            self._loop(g, ind, op, k, k + rows, consume, pulls)
+        elif kind is Filter:
+            def select(row: str, ind: str) -> None:
+                g.emit(ind, "if %s: continue" % (
+                    g.reject(op.predicate, row, child.schema),
+                ))
+                self._tick(g, ind, op, k)
+                consume(row, ind)
+
+            self._produce(g, child, ind, select, pulls, joins)
+        elif kind is Project:
+            def project(row: str, ind: str) -> None:
+                out = g.tmp()
+                g.emit(ind, "%s = (%s,)" % (out, ", ".join(
+                    [g.value(e, row, child.schema) for _, e in op.outputs]
+                )))
+                self._tick(g, ind, op, k)
+                consume(out, ind)
+
+            self._produce(g, child, ind, project, pulls, joins)
+        elif kind is Distinct:
+            seen = g.tmp()
+
+            def distinct(row: str, ind: str) -> None:
+                g.emit(ind, "if %s in %s: continue" % (row, seen))
+                g.emit(ind, "%s.add(%s)" % (seen, row))
+                self._tick(g, ind, op, k)
+                consume(row, ind)
+
+            g.emit(ind, "%s = %s._seen" % (seen, k))
+            self._produce(g, child, ind, distinct, pulls, joins)
+        elif kind is IndexNestedLoopsJoin:
+            lookup = g.tmp()
+
+            def seek(row: str, ind: str) -> None:
+                key, inner = g.tmp(), g.tmp()
+                g.emit(ind, "%s = %s" % (
+                    key, g.value(op.outer_key, row, child.schema)
+                ))
+                g.emit(ind, "if %s is None: continue" % (key,))
+                g.emit(ind, "for %s in %s(%s):" % (inner, lookup, key))
+                self._join(g, ind, op, k, "%s + %s" % (row, inner), consume)
+
+            g.emit(ind, "%s = %s.index.lookup" % (lookup, k))
+            self._produce(g, child, ind, seek, pulls, joins + 1)
+        elif kind is HashJoin:
+            table, get = g.tmp(), g.tmp()
+
+            def build(row: str, ind: str) -> None:
+                g.pipe.stages.append("build HashJoin")
+                key, bucket = g.tmp(), g.tmp()
+                g.emit(ind, "%s = %s" % (
+                    key, g.value(op.build_key, row, child.schema)
+                ))
+                g.emit(ind, "if %s is None: continue" % (key,))
+                g.emit(ind, "%s = %s(%s)" % (bucket, get, key))
+                g.emit(ind, "if %s is None: %s[%s] = [%s]" % (
+                    bucket, table, key, row
+                ))
+                g.emit(ind, "else: %s.append(%s)" % (bucket, row))
+
+            def probe(row: str, ind: str) -> None:
+                match = g.tmp()
+                # NULL keys never join and are never stored, so looking one
+                # up finds nothing; an outer join then pads the probe row.
+                g.emit(ind, "for %s in %s(%s%s:" % (
+                    match, get,
+                    g.value(op.probe_key, row, op.right.schema),
+                    ") or " + g.const((op._null_pad,))
+                    if op.preserve_probe else ", ())",
+                ))
+                self._join(g, ind, op, k, "%s + %s" % (match, row), consume)
+
+            # The build runs before the first probe row is pulled, exactly
+            # like the interpreted engine (blocking wrt the probe pipeline).
+            g.emit(ind, "%s = %s._table; %s = %s.get" % (table, k, get, table))
+            g.emit(ind, "if not %s._built:" % (k,))
+            self._produce(g, child, ind + "    ", build, False)
+            g.emit(ind, "    %s._built = True" % (k,))
+            self._produce(g, op.right, ind, probe, pulls, joins + 1)
+        elif kind is HashAggregate:
+            groups, get, key, acc = g.tmp(), g.tmp(), g.tmp(), g.tmp()
+            fresh = "%s[%s] = _Accumulator(%d)" % (
+                groups, key if op.group_by else "()", len(op.aggregates)
+            )
+
+            def accumulate(row: str, ind: str) -> None:
+                g.pipe.stages.append("build HashAggregate")
+                if op.group_by:
+                    g.emit(ind, "%s = (%s,)" % (key, ", ".join(
+                        [g.value(e, row, child.schema) for _, e in op.group_by]
+                    )))
+                    g.emit(ind, "%s = %s(%s)" % (acc, get, key))
+                # a scalar aggregate keeps its one accumulator across rows
+                g.emit(ind, "if %s is None: %s = %s" % (acc, acc, fresh))
+                self._update(g, ind, op, acc, row)
+
+            # Accumulate into op._groups in place: mid-build observers read
+            # groups_seen() exactly as under the interpreted engine.
+            g.emit(ind, "if %s._output is None:" % (k,))
+            g.emit(ind, "    %s = %s._groups; %s = %s.get; %s = None" % (
+                groups, k, get, groups, acc
+            ))
+            self._produce(g, child, ind + "    ", accumulate, False)
+            if not op.group_by:  # one row even over empty input
+                g.emit(ind, "    if %s is None: %s" % (acc, fresh))
+            g.emit(ind, "    %s._materialized = True" % (k,))
+            g.emit(ind, "    %s._output = iter([%s._emit(key, acc) "
+                   "for key, acc in %s.items()])" % (k, k, groups))
+            self._loop(g, ind, op, k, k + "._output", consume, pulls)
+        elif kind is Sort:
+            rows = g.tmp()
+            # _rows is only assigned after the sort, so the boundary
+            # observer at the child's finish still sees
+            # materialized_count() == None.
+            g.emit(ind, "if %s._rows is None:" % (k,))
+            g.emit(ind, "    %s = []" % (rows,))
+            self._produce(
+                g, child, ind + "    ",
+                g.sink("build Sort", rows + ".append(%s)"), False,
+            )
+            # Sort._materialize's stable multi-key sort (least significant
+            # key first, NULLs first), one frame per row and key.
+            for key in reversed(op.keys):
+                g.emit(ind, "    %s.sort(key=lambda r: ((v := %s) is not None, "
+                       "v), reverse=%r)" % (
+                           rows, g.value(key.expression, "r", child.schema),
+                           key.descending,
+                       ))
+            g.emit(ind, "    %s._rows = %s" % (k, rows))
+            self._loop(g, ind, op, k, k + "._rows", consume, pulls)
+        else:  # TopN
+            buffer, keys = g.tmp(), g.tmp()
+            g.emit(ind, "if %s._buffer is None:" % (k,))
+            g.emit(ind, "    %s = []; %s = %s._key_functions()" % (
+                buffer, keys, k
+            ))
+            offer = "%s._offer(%s, %s, %%s)" % (k, buffer, keys)
+            self._produce(
+                g, child, ind + "    ", g.sink("build TopN", offer), False
+            )
+            g.emit(ind, "    %s._buffer = %s" % (k, buffer))
+            self._loop(
+                g, ind, op, k, "[entry.row for entry in %s._buffer]" % (k,),
+                consume, pulls,
+            )
+        g.emit(ind, "fin(%s)" % (k,))
+
+    def _join(self, g: _Gen, ind: str, op, k: str, pair: str, consume) -> None:
+        """Inside the match loop opened at ``ind``: concatenate the pair,
+        test the residual, tick, hand the joined row on."""
+        ind += "    "
+        joined = g.tmp()
+        g.emit(ind, "%s = %s" % (joined, pair))
+        if op.residual is not None:
+            g.emit(ind, "if %s: continue" % (
+                g.reject(op.residual, joined, op.schema),
+            ))
+        self._tick(g, ind, op, k)
+        consume(joined, ind)
+
+    def _update(self, g: _Gen, ind: str, op, acc: str, row: str) -> None:
+        """Emit the per-row update of accumulator ``acc`` from ``row``.
+
+        ``_Accumulator.update`` loops over every spec maintaining
+        count/sum/min/max for each; ``finalize`` only ever reads the slot
+        matching the spec's kind, so the emitted code touches just those
+        slots and evaluates a shared argument expression object once (they
+        are pure; sharing is by identity — two structurally equal nodes are
+        evaluated twice).  Emitted rows are identical; the untouched slots
+        are not observable (progress bounds read ``groups_seen()``/
+        ``input_consumed``, never accumulator internals).
+        """
+        schema = op.child.schema
+        g.emit(ind, "%s.count_star += 1" % (acc,))
+        values: dict = {}  # id(argument expression) -> local holding its value
+        slots: set = set()
+
+        def slot(name: str) -> None:  # the slot list, loaded once per row
+            if name not in slots:
+                slots.add(name)
+                g.emit(ind, "%s = %s.%s" % (name, acc, name))
+
+        for index, spec in enumerate(op.aggregates):
+            if spec.argument is None:  # COUNT(*): only count_star, done above
+                continue
+            value = values.get(id(spec.argument))
+            if value is None:
+                value = values[id(spec.argument)] = g.tmp()
+                g.emit(ind, "%s = %s" % (
+                    value, g.value(spec.argument, row, schema)
+                ))
+            kind = spec.kind.name
+            if kind in ("COUNT", "AVG"):
+                slot("counts")
+            if kind == "COUNT":
+                g.emit(ind, "if %s is not None: counts[%d] += 1" % (
+                    value, index
+                ))
+            elif kind in ("SUM", "AVG"):
+                slot("sums")
+                g.emit(ind, "if %s is not None:" % (value,))
+                if kind == "AVG":
+                    g.emit(ind, "    counts[%d] += 1" % (index,))
+                # `cls is not bool and isinstance(...)` reproduces the
+                # reference's bool-excluding numeric guard with the common
+                # int/float case answered by two identity checks.
+                g.emit(ind, "    cls = %s.__class__" % (value,))
+                g.emit(ind, "    if cls is float or cls is int or (cls is not"
+                       " bool and isinstance(%s, (int, float))):" % (value,))
+                g.emit(ind, "        cur = sums[%d]" % (index,))
+                g.emit(ind, "        sums[%d] = %s if cur is None else cur + %s"
+                       % (index, value, value))
+            else:  # MIN keeps the smaller value, MAX the larger
+                name, test = ("mins", "<") if kind == "MIN" else ("maxs", ">")
+                slot(name)
+                g.emit(ind, "if %s is not None:" % (value,))
+                g.emit(ind, "    cur = %s[%d]" % (name, index))
+                g.emit(ind, "    if cur is None or %s %s cur: %s[%d] = %s"
+                       % (value, test, name, index, value))
+
+    # -- row sources: pull iterators over compiled children ---------------------
 
     def _compile_nl(self, op: NestedLoopsJoin) -> _Node:
         outer_node = self.compile(op.left)
@@ -475,7 +634,7 @@ class _Compiler:
 
         def make() -> Iterator[Row]:
             predicate = op._bound
-            inner_rewind = inner_node.rewind
+            inner_rewind = partial(acct.rewind, op.right)
             inner_make = inner_node.make
             for outer_row in outer_node.make():
                 inner_rewind()
@@ -490,10 +649,7 @@ class _Compiler:
                         yield joined
             acct.finish(op)
 
-        return _Node(
-            op, make,
-            self.rewinder(op, (outer_node.rewind, inner_node.rewind)),
-        )
+        return _Node(op, make, "rescanned inner")
 
     def _compile_merge_join(self, op: MergeJoin) -> _Node:
         """⋈merge transliterated over the compiled inputs.
@@ -604,202 +760,7 @@ class _Compiler:
                     break
             acct.finish(op)
 
-        return _Node(
-            op, make,
-            self.rewinder(op, (left_node.rewind, right_node.rewind)),
-        )
-
-    # -- blocking operators --------------------------------------------------------
-
-    def _compile_sort(self, op: Sort) -> _Node:
-        child_node = self.compile(op.child)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            if op._rows is None:
-                rows = list(child_node.make())
-                # Same stable multi-key sort as Sort._materialize; _rows is
-                # only assigned afterwards so the boundary observer at the
-                # child's finish still sees materialized_count() == None.
-                child_schema = op.child.schema
-                for key in reversed(op.keys):
-                    bound = key.expression.bind(child_schema)
-                    rows.sort(
-                        key=lambda row, fn=bound: _null_first_key(fn(row)),
-                        reverse=key.descending,
-                    )
-                op._rows = rows
-            for row in op._rows:
-                op.rows_produced += 1
-                cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                yield row
-            acct.finish(op)
-
-        return _Node(op, make, self.rewinder(op, (child_node.rewind,)))
-
-    def _compile_topn(self, op: TopN) -> _Node:
-        child_node = self.compile(op.child)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            if op._buffer is None:
-                functions = op._key_functions()
-                limit = op.limit
-                buffer: List[_OrderedRow] = []
-                row_key = op._row_key
-                for row in child_node.make():
-                    if limit == 0:
-                        continue  # still drain the child (blocking contract)
-                    entry = _OrderedRow(row_key(row, functions), row)
-                    if len(buffer) < limit:
-                        bisect.insort(buffer, entry)
-                    elif entry < buffer[-1]:
-                        bisect.insort(buffer, entry)
-                        buffer.pop()
-                op._buffer = buffer
-            for entry in op._buffer:
-                op.rows_produced += 1
-                cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                yield entry.row
-            acct.finish(op)
-
-        return _Node(op, make, self.rewinder(op, (child_node.rewind,)))
-
-    @staticmethod
-    def _compile_update(op: HashAggregate):
-        """exec-specialize the per-row accumulator update into one function.
-
-        ``_Accumulator.update`` loops over every spec maintaining
-        count/sum/min/max for each; ``finalize`` only ever reads the slot
-        matching the spec's kind, so the generated function touches just
-        those slots, evaluates a shared argument expression object once
-        (they are pure; reprs are not reliably structural — CASE elides its
-        branches — so sharing is by identity), and folds the whole loop —
-        including ``count_star`` — into a single frame per input row.  Emitted rows are identical; the untouched slots are not
-        observable (progress bounds read ``groups_seen()``/
-        ``input_consumed``, never accumulator internals).
-        """
-        env: dict = {}
-        lines = ["def update(acc, row):", "    acc.count_star += 1"]
-        preamble = []
-        needs = set()
-        values: dict = {}  # structural expression repr -> local name
-        for index, (spec, fn) in enumerate(
-            zip(op.aggregates, op._argument_fns)
-        ):
-            if fn is None:  # COUNT(*): only count_star, handled above
-                continue
-            key = id(spec.argument)
-            value = values.get(key)
-            if value is None:
-                value = "v%d" % (len(values),)
-                values[key] = value
-                env["arg_" + value] = fn
-                lines.append("    %s = arg_%s(row)" % (value, value))
-            kind = spec.kind.name
-            if kind == "COUNT":
-                needs.add("counts")
-                lines.append(
-                    "    if %s is not None: counts[%d] += 1" % (value, index)
-                )
-                continue
-            lines.append("    if %s is not None:" % (value,))
-            if kind in ("SUM", "AVG"):
-                if kind == "AVG":
-                    needs.add("counts")
-                    lines.append("        counts[%d] += 1" % (index,))
-                needs.add("sums")
-                # `cls is not bool and isinstance(...)` reproduces the
-                # reference's bool-excluding numeric guard with the common
-                # int/float case answered by two identity checks.
-                lines += [
-                    "        cls = %s.__class__" % (value,),
-                    "        if cls is float or cls is int or ("
-                    "cls is not bool and isinstance(%s, (int, float))):"
-                    % (value,),
-                    "            cur = sums[%d]" % (index,),
-                    "            sums[%d] = %s if cur is None else cur + %s"
-                    % (index, value, value),
-                ]
-            elif kind == "MIN":
-                needs.add("mins")
-                lines += [
-                    "        cur = mins[%d]" % (index,),
-                    "        if cur is None or %s < cur: mins[%d] = %s"
-                    % (value, index, value),
-                ]
-            else:  # MAX
-                needs.add("maxs")
-                lines += [
-                    "        cur = maxs[%d]" % (index,),
-                    "        if cur is None or %s > cur: maxs[%d] = %s"
-                    % (value, index, value),
-                ]
-        for name in sorted(needs):
-            preamble.append("    %s = acc.%s" % (name, name))
-        source = "\n".join(lines[:2] + preamble + lines[2:])
-        exec(source, env)  # noqa: S102 — fn cells only, no user input
-        return env["update"]
-
-    def _compile_hash_aggregate(self, op: HashAggregate) -> _Node:
-        child_node = self.compile(op.child)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            if op._output is None:
-                # Accumulate into op._groups in place: mid-build observers
-                # read groups_seen() exactly as under the interpreted engine.
-                groups = op._groups
-                group_fns = op._group_fns
-                spec_count = len(op.aggregates)
-                update_row = self._compile_update(op)
-                get_group = groups.get
-                single_key = group_fns[0] if len(group_fns) == 1 else None
-                for row in child_node.make():
-                    if single_key is not None:
-                        key = (single_key(row),)
-                    else:
-                        key = tuple([fn(row) for fn in group_fns])
-                    accumulator = get_group(key)
-                    if accumulator is None:
-                        accumulator = _Accumulator(spec_count)
-                        groups[key] = accumulator
-                    update_row(accumulator, row)
-                if not op.group_by and not groups:
-                    groups[()] = _Accumulator(spec_count)
-                op._materialized = True
-                op._output = iter(
-                    [op._emit(key, acc) for key, acc in groups.items()]
-                )
-            output = op._output
-            while True:
-                row = next(output, None)
-                if row is None:
-                    break
-                op.rows_produced += 1
-                cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                yield row
-            acct.finish(op)
-
-        return _Node(op, make, self.rewinder(op, (child_node.rewind,)))
+        return _Node(op, make, "lookahead on both inputs")
 
     def _compile_stream_aggregate(self, op: StreamAggregate) -> _Node:
         """Order-based γ fused over the compiled child.
@@ -812,16 +773,20 @@ class _Compiler:
         row's key once (the interpreter computes it twice) is unobservable.
         """
         child_node = self.compile(op.child)
+        g = _Gen(self.acct)  # the two per-row helpers, expressions inlined
+        g.emit("    ", "def update(acc, row):")
+        self._update(g, "        ", op, "acc", "row")
+        g.emit("    ", "return update, lambda row: (%s)" % ("".join(
+            [g.value(e, "row", op.child.schema) + ", " for _, e in op.group_by]
+        ),))
+        update_row, group_key = self._function(g)(g.consts)
         acct = self.acct
         cell = acct.cell(op)
         budget = acct.budget
         flush = acct.flush
 
         def make() -> Iterator[Row]:
-            group_fns = op._group_fns
-            single_key = group_fns[0] if len(group_fns) == 1 else None
             spec_count = len(op.aggregates)
-            update_row = self._compile_update(op)
             emit = op._emit
             child_iter = child_node.make()
             pending = next(child_iter, None)
@@ -836,10 +801,7 @@ class _Compiler:
                     yield row
                 acct.finish(op)
                 return
-            if single_key is not None:
-                pending_key = (single_key(pending),)
-            else:
-                pending_key = tuple([fn(pending) for fn in group_fns])
+            pending_key = group_key(pending)
             while pending is not None:
                 key = pending_key
                 accumulator = _Accumulator(spec_count)
@@ -847,12 +809,7 @@ class _Compiler:
                     update_row(accumulator, pending)
                     pending = next(child_iter, None)
                     if pending is not None:
-                        if single_key is not None:
-                            pending_key = (single_key(pending),)
-                        else:
-                            pending_key = tuple(
-                                [fn(pending) for fn in group_fns]
-                            )
+                        pending_key = group_key(pending)
                 row = emit(key, accumulator)
                 op.rows_produced += 1
                 cell[0] += 1
@@ -862,9 +819,7 @@ class _Compiler:
                 yield row
             acct.finish(op)
 
-        return _Node(op, make, self.rewinder(op, (child_node.rewind,)))
-
-    # -- auxiliaries ----------------------------------------------------------------
+        return _Node(op, make, "group lookahead")
 
     def _compile_limit(self, op: Limit) -> _Node:
         child_node = self.compile(op.child)
@@ -899,31 +854,7 @@ class _Compiler:
             # like the interpreted engine: no finish event for it.
             acct.finish(op)
 
-        return _Node(op, make, self.rewinder(op, (child_node.rewind,)))
-
-    def _compile_distinct(self, op: Distinct) -> _Node:
-        child_node = self.compile(op.child)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            seen = op._seen
-            add = seen.add
-            for row in child_node.make():
-                if row in seen:
-                    continue
-                add(row)
-                op.rows_produced += 1
-                cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                yield row
-            acct.finish(op)
-
-        return _Node(op, make, self.rewinder(op, (child_node.rewind,)))
+        return _Node(op, make, "stops early")
 
     def _compile_union(self, op: UnionAll) -> _Node:
         child_nodes = [self.compile(child) for child in op.children]
@@ -943,10 +874,7 @@ class _Compiler:
                     yield row
             acct.finish(op)
 
-        return _Node(
-            op, make,
-            self.rewinder(op, tuple(node.rewind for node in child_nodes)),
-        )
+        return _Node(op, make, "concatenated inputs")
 
     # -- generic adapter -------------------------------------------------------------
 
@@ -956,8 +884,8 @@ class _Compiler:
         The children's ``get_next``/``rewind`` methods are shadowed with
         instance attributes that pull from their compiled generators, so
         the operator's exact row logic runs unchanged while everything
-        below it stays fused.  Used for merge joins, stream aggregates,
-        index seeks, random-order scans and user-defined operators.
+        below it stays fused.  Used for index seeks, random-order scans,
+        user-defined operators and outer hash joins with a residual.
         """
         child_nodes = [self.compile(child) for child in op.children]
         for child, node in zip(op.children, child_nodes):
@@ -987,10 +915,7 @@ class _Compiler:
                 yield row
             acct.finish(op)
 
-        return _Node(
-            op, make,
-            self.rewinder(op, tuple(node.rewind for node in child_nodes)),
-        )
+        return _Node(op, make, "adapter")
 
     def _install_shim(self, child: Operator, node: _Node) -> None:
         def shim_get_next() -> Optional[Row]:
@@ -1000,7 +925,7 @@ class _Compiler:
             return next(gen, None)
 
         def shim_rewind() -> None:
-            node.rewind()
+            self.acct.rewind(child)
             node.gen = node.make()
 
         child.get_next = shim_get_next  # type: ignore[method-assign]
@@ -1017,6 +942,21 @@ class _Compiler:
         self.shimmed = []
 
 
+#: operator kinds whose code is generated inline; every other kind is a row
+#: source — one of the pull iterators below, or the generic adapter
+_INLINED = frozenset((
+    TableScan, RowSource, Filter, Project, Distinct, IndexNestedLoopsJoin,
+    HashJoin, HashAggregate, Sort, TopN,
+))
+_SOURCES = {
+    NestedLoopsJoin: _Compiler._compile_nl,
+    MergeJoin: _Compiler._compile_merge_join,
+    StreamAggregate: _Compiler._compile_stream_aggregate,
+    Limit: _Compiler._compile_limit,
+    UnionAll: _Compiler._compile_union,
+}
+
+
 def run_fused(root: Operator, context: Optional[ExecutionContext] = None) -> List[Row]:
     """Open ``root``, execute it through the fused engine, close it.
 
@@ -1026,18 +966,25 @@ def run_fused(root: Operator, context: Optional[ExecutionContext] = None) -> Lis
     batch-listener channel).
     """
     context = context or ExecutionContext()
-    monitor = context.monitor
     root.open(context)
-    compiler = _Compiler(monitor)
     try:
-        program = compiler.compile(root)
-        compiler.acct.reset_budget()
-        return list(program.make())
+        return _Compiler(context.monitor).run(root)
     finally:
-        # On an exception mid-batch the pending counts are still applied so
-        # the monitor reflects every getnext that actually happened (a
-        # partial batch can never cross a cadence multiple, so no observer
-        # fires here).
-        compiler.acct.flush()
-        compiler.remove_shims()
         root.close()
+
+
+def generated_source(plan) -> str:
+    """The Python text the fused engine runs ``plan`` with, for reading.
+
+    The plan's own function comes first, then one generator function per
+    subtree that is pulled from.  Each pipeline starts with a comment
+    naming, in order, the operators inlined into its loop and the blocking
+    operator it builds; a ``[Kind: reason]`` entry is a row source that is
+    not inlined, with the reason.  For tests, docs and debugging.
+    """
+    compiler = _Compiler(ExecutionMonitor())
+    try:
+        compiler.program(plan.root)
+    finally:
+        compiler.remove_shims()
+    return "\n\n".join(reversed(compiler.sources))

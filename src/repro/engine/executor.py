@@ -8,8 +8,8 @@ Three engines produce identical results (rows, per-operator counts, observer
 firing instants, event streams — see ``tests/engine/test_compiled_engine``):
 
 * ``"fused"`` (default) — the pipeline compiler in
-  :mod:`repro.engine.compiled`: operator chains fused into generators,
-  accounting batched between observer cadence points;
+  :mod:`repro.engine.compiled`: one generated loop per pipeline,
+  expressions inlined, accounting batched between observer cadence points;
 * ``"interpreted"`` — the row-at-a-time Volcano reference path;
 * ``"columnar"`` — the batch engine in :mod:`repro.engine.columnar`:
   whole-column kernels (NumPy when available, lists otherwise) with a

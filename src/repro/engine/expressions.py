@@ -9,6 +9,15 @@ the Volcano operators never re-resolve names in their inner loops.
 NULL handling follows SQL's three-valued logic: comparisons and arithmetic
 involving NULL yield NULL, AND/OR/NOT use Kleene logic, and a filter keeps a
 row only when its predicate is exactly ``True``.
+
+Beside ``bind`` every built-in node has a ``_source`` emitter, reached through
+:func:`to_source`: it returns the node as *Python source text* over a row
+variable, for the fused engine to inline into its generated pipeline loops
+(:mod:`repro.engine.compiled`).  The text mirrors ``bind`` exactly — the same
+literal folding, the same evaluation order, the same short-circuits, hence
+the same value or the same exception on every row — and a node type without
+an emitter (user-defined expressions, subclasses) is called through its bound
+closure, so coverage can grow node by node.
 """
 
 from __future__ import annotations
@@ -71,6 +80,80 @@ def _make_col_lit_factories():
 
 
 _COL_LIT_COMPARE_FACTORIES = _make_col_lit_factories()
+
+#: ``str.format`` templates over two operand names, for :func:`to_source`
+_COMPARE_SOURCE = {
+    "=": "{0} == {1}", "<>": "{0} != {1}", "<": "{0} < {1}",
+    "<=": "{0} <= {1}", ">": "{0} > {1}", ">=": "{0} >= {1}",
+}
+_ARITHMETIC_SOURCE = {
+    "+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}",
+    "/": "(None if {1} == 0 else {0} / {1})",
+    "%": "(None if {1} == 0 else {0} % {1})",
+}
+#: nodes nested deeper than this are called through their bound closure: the
+#: emitted text nests a parenthesis or two per level and CPython's tokenizer
+#: refuses more than 200
+_MAX_SOURCE_DEPTH = 40
+
+
+def to_source(expression: "Expression", g, depth: int = 0) -> str:
+    """``expression`` as Python source over the row variable ``g.row``.
+
+    ``g`` is the code generator's context: ``g.row`` (name of the row
+    variable), ``g.schema`` (its schema), ``g.const(value)`` (name under
+    which a constant reaches the generated function — literals, sets,
+    regexes and closures never appear in the text, so it depends on
+    expression *shape* and column positions only) and ``g.tmp()`` (a fresh
+    local name; sub-results are kept with ``:=``).  Dispatch is on the exact
+    type: anything else is evaluated by ``bind``'s closure.
+    """
+    emit = _SOURCE.get(type(expression))
+    if emit is None or depth > _MAX_SOURCE_DEPTH:
+        return "%s(%s)" % (g.const(expression.bind(g.schema)), g.row)
+    return emit(expression, g, depth + 1)
+
+
+def reject_source(expression: "Expression", g) -> str:
+    """Source of a condition that holds when ``expression`` is not TRUE.
+
+    What σ and join residuals need.  A conjunction skips building its
+    three-valued result: it is not TRUE as soon as an operand is FALSE
+    (later operands are then not evaluated, as in ``And.bind``) or, all
+    operands evaluated, one of them is NULL.
+    """
+    if type(expression) is And:
+        return "%s or %s" % expression._tests(g, 1, "False")
+    return "%s is not True" % (to_source(expression, g),)
+
+
+def _binary_source(node, g, depth: int, template: str) -> str:
+    """NULL-propagating binary node, folded and ordered as its ``bind``."""
+    left, right = node.left, node.right
+    if isinstance(right, Literal):
+        if right.value is None:
+            return "None"
+        a = g.tmp()
+        return "(None if (%s := %s) is None else %s)" % (
+            a, to_source(left, g, depth),
+            template.format(a, g.const(right.value)),
+        )
+    if isinstance(left, Literal):
+        if left.value is None:
+            return "None"
+        b = g.tmp()
+        return "(None if (%s := %s) is None else %s)" % (
+            b, to_source(right, g, depth),
+            template.format(g.const(left.value), b),
+        )
+    a, b = g.tmp(), g.tmp()
+    # ``bind`` evaluates both operands before it looks for a NULL; only a
+    # bare column on the right can be skipped unobserved.
+    return "(None if ((%s := %s) is None) %s ((%s := %s) is None) else %s)" % (
+        a, to_source(left, g, depth),
+        "or" if type(right) is ColumnRef else "|",
+        b, to_source(right, g, depth), template.format(a, b),
+    )
 
 
 class Expression(abc.ABC):
@@ -142,6 +225,9 @@ class Literal(Expression):
         value = self.value
         return lambda row: value
 
+    def _source(self, g, depth: int) -> str:
+        return g.const(self.value)
+
     def references(self) -> Tuple[str, ...]:
         return ()
 
@@ -160,6 +246,9 @@ class ColumnRef(Expression):
     def bind(self, schema: Schema) -> BoundFn:
         position = schema.index_of(self.name)
         return lambda row: row[position]
+
+    def _source(self, g, depth: int) -> str:
+        return "%s[%d]" % (g.row, g.schema.index_of(self.name))
 
     def references(self) -> Tuple[str, ...]:
         return (self.name,)
@@ -239,6 +328,9 @@ class Comparison(Expression):
 
         return evaluate
 
+    def _source(self, g, depth: int) -> str:
+        return _binary_source(self, g, depth, _COMPARE_SOURCE[self.op])
+
     def references(self) -> Tuple[str, ...]:
         return self.left.references() + self.right.references()
 
@@ -299,6 +391,9 @@ class Arithmetic(Expression):
             return arith(a, b)
 
         return evaluate
+
+    def _source(self, g, depth: int) -> str:
+        return _binary_source(self, g, depth, _ARITHMETIC_SOURCE[self.op])
 
     def references(self) -> Tuple[str, ...]:
         return self.left.references() + self.right.references()
@@ -384,6 +479,25 @@ class And(Expression):
 
         return evaluate
 
+    def _tests(self, g, depth: int, decisive: str) -> Tuple[str, str]:
+        """``(an operand is <decisive>, an operand is NULL)`` as two
+        ``or`` chains over the operands' values, evaluated left to right."""
+        names = [g.tmp() for _ in self.operands]
+        return (
+            " or ".join(
+                "(%s := %s) is %s" % (
+                    name, to_source(operand, g, depth), decisive
+                )
+                for name, operand in zip(names, self.operands)
+            ),
+            " or ".join("%s is None" % (name,) for name in names),
+        )
+
+    def _source(self, g, depth: int) -> str:
+        return "(False if %s else None if %s else True)" % (
+            self._tests(g, depth, "False")
+        )
+
     def references(self) -> Tuple[str, ...]:
         return tuple(name for operand in self.operands for name in operand.references())
 
@@ -444,6 +558,13 @@ class Or(Expression):
 
         return evaluate
 
+    _tests = And._tests
+
+    def _source(self, g, depth: int) -> str:
+        return "(True if %s else None if %s else False)" % (
+            self._tests(g, depth, "True")
+        )
+
     def references(self) -> Tuple[str, ...]:
         return tuple(name for operand in self.operands for name in operand.references())
 
@@ -468,6 +589,12 @@ class Not(Expression):
 
         return evaluate
 
+    def _source(self, g, depth: int) -> str:
+        name = g.tmp()
+        return "(None if (%s := %s) is None else not %s)" % (
+            name, to_source(self.operand, g, depth), name
+        )
+
     def references(self) -> Tuple[str, ...]:
         return self.operand.references()
 
@@ -486,6 +613,11 @@ class IsNull(Expression):
         bound = self.operand.bind(schema)
         negated = self.negated
         return lambda row: (bound(row) is not None) if negated else (bound(row) is None)
+
+    def _source(self, g, depth: int) -> str:
+        return "(%s is %sNone)" % (
+            to_source(self.operand, g, depth), "not " if self.negated else ""
+        )
 
     def references(self) -> Tuple[str, ...]:
         return self.operand.references()
@@ -544,6 +676,26 @@ class Between(Expression):
 
         return evaluate
 
+    def _source(self, g, depth: int) -> str:
+        literal = isinstance(self.low, Literal) and isinstance(self.high, Literal)
+        if literal and (self.low.value is None or self.high.value is None):
+            return "None"
+        value = g.tmp()
+        operand = to_source(self.operand, g, depth)
+        if literal:
+            return "(None if (%s := %s) is None else %s <= %s <= %s)" % (
+                value, operand, g.const(self.low.value), value,
+                g.const(self.high.value),
+            )
+        lo, hi = g.tmp(), g.tmp()
+        return (
+            "(None if ((%s := %s) is None) | ((%s := %s) is None)"
+            " | ((%s := %s) is None) else %s <= %s <= %s)" % (
+                value, operand, lo, to_source(self.low, g, depth),
+                hi, to_source(self.high, g, depth), lo, value, hi,
+            )
+        )
+
     def references(self) -> Tuple[str, ...]:
         return (
             self.operand.references() + self.low.references() + self.high.references()
@@ -582,6 +734,13 @@ class InList(Expression):
 
         return evaluate
 
+    def _source(self, g, depth: int) -> str:
+        value = g.tmp()
+        return "(None if (%s := %s) is None else %s in %s)" % (
+            value, to_source(self.operand, g, depth), value,
+            g.const(set(self.values)),
+        )
+
     def references(self) -> Tuple[str, ...]:
         return self.operand.references()
 
@@ -612,6 +771,13 @@ class Like(Expression):
             return compiled.match(str(value)) is not None
 
         return evaluate
+
+    def _source(self, g, depth: int) -> str:
+        value = g.tmp()
+        return "(None if (%s := %s) is None else %s(str(%s)) is not None)" % (
+            value, to_source(self.operand, g, depth),
+            g.const(self._compiled.match), value,
+        )
 
     def references(self) -> Tuple[str, ...]:
         return self.operand.references()
@@ -648,6 +814,17 @@ class Case(Expression):
 
         return evaluate
 
+    def _source(self, g, depth: int) -> str:
+        return "(%s%s)" % (
+            "".join(
+                "%s if %s is True else " % (
+                    to_source(value, g, depth), to_source(condition, g, depth)
+                )
+                for condition, value in self.branches
+            ),
+            to_source(self.default, g, depth),
+        )
+
     def references(self) -> Tuple[str, ...]:
         names: List[str] = []
         for condition, value in self.branches:
@@ -657,7 +834,22 @@ class Case(Expression):
         return tuple(names)
 
     def __repr__(self) -> str:
-        return "CASE(%d branches)" % (len(self.branches),)
+        return "CASE(%sELSE %r)" % (
+            "".join(
+                "WHEN %r THEN %r " % branch for branch in self.branches
+            ),
+            self.default,
+        )
+
+
+#: exact node type -> source emitter; see :func:`to_source`
+_SOURCE = {
+    kind: kind._source
+    for kind in (
+        Literal, ColumnRef, Comparison, Arithmetic, And, Or, Not, IsNull,
+        Between, InList, Like, Case,
+    )
+}
 
 
 # -- convenience constructors (the public plan-building vocabulary) -----------

@@ -90,15 +90,19 @@ class TopN(UnaryOperator):
             row = self.child.get_next()
             if row is None:
                 break
-            if self.limit == 0:
-                continue  # still drain the child (blocking contract)
-            entry = _OrderedRow(self._row_key(row, functions), row)
-            if len(buffer) < self.limit:
-                bisect.insort(buffer, entry)
-            elif entry < buffer[-1]:
-                bisect.insort(buffer, entry)
-                buffer.pop()
+            self._offer(buffer, functions, row)
         self._buffer = buffer
+
+    def _offer(self, buffer: List[_OrderedRow], functions, row: Row) -> None:
+        """Keep ``row`` if it is among the ``limit`` smallest seen so far."""
+        if self.limit == 0:
+            return  # the child is still drained (blocking contract)
+        entry = _OrderedRow(self._row_key(row, functions), row)
+        if len(buffer) < self.limit:
+            bisect.insort(buffer, entry)
+        elif entry < buffer[-1]:
+            bisect.insort(buffer, entry)
+            buffer.pop()
 
     def _next(self) -> Optional[Row]:
         if self._buffer is None:

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.core.bounds import BoundsSnapshot
 from repro.core.estimators.base import Observation
-from repro.engine.expressions import col, lit
+from repro.engine.expressions import Case, col, lit
 from repro.engine.operators import Filter, TableScan
 from repro.engine.plan import Plan
 from repro.errors import DegenerateBoundsError
@@ -47,6 +47,30 @@ class TestPlanSignature:
         assert plan_signature(Plan(TableScan(t1))) != plan_signature(
             Plan(TableScan(t2))
         )
+
+
+    def test_statements_differing_inside_a_case_do_not_collide(self):
+        """``CASE``'s repr once read ``CASE(1 branches)``: two statements
+        that differ only inside one shared a signature, and feedback and
+        robust learned one query's total for the other."""
+        table = Table("t", schema_of("t", "a:int"), [(i,) for i in range(40)])
+
+        def plan(cut):
+            flag = Case([(col("a") < lit(cut), lit(1))], lit(0))
+            return Plan(Filter(TableScan(table), flag == lit(1)))
+
+        few, many = plan(5), plan(30)
+        assert "WHEN (col('a') < lit(5)) THEN lit(1) ELSE lit(0)" in (
+            plan_signature(few)
+        )
+        assert plan_signature(few) != plan_signature(many)
+        assert plan_signature(few) == plan_signature(plan(5))
+        history = QueryHistory()
+        history.record(few, 45)
+        history.record(many, 70)
+        assert len(history) == 2
+        assert history.expected_total(few) == 45.0
+        assert history.expected_total(many) == 70.0
 
 
 class TestQueryHistory:

@@ -183,3 +183,229 @@ def test_observer_cadence_extremes(tpch_db, every):
     # interpreted one); a huge cadence means only boundary-forced rounds.
     _assert_identical(lambda: build_query(tpch_db, 6), every=every)
     _assert_identical(lambda: build_query(tpch_db, 18), every=every)
+
+
+# -- the generated code: its cache, its life cycle, its text ------------------------
+
+
+import gc  # noqa: E402
+import itertools  # noqa: E402
+import pickle  # noqa: E402
+import sys  # noqa: E402
+import threading  # noqa: E402
+import types  # noqa: E402
+
+from repro.core import decompose  # noqa: E402
+from repro.engine import compiled  # noqa: E402
+from repro.engine.expressions import col, lit  # noqa: E402
+from repro.engine.operators import (  # noqa: E402
+    Filter,
+    LeafOperator,
+    Project,
+    UnaryOperator,
+)
+from repro.storage import Table, schema_of  # noqa: E402
+
+
+def _program(plan):
+    """The function the fused engine would run ``plan`` with."""
+    context = ExecutionContext()
+    plan.root.open(context)
+    try:
+        return compiled._Compiler(context.monitor).program(plan.root)[0]
+    finally:
+        plan.root.close()
+
+
+def _small_table(name="t"):
+    return Table(
+        name, schema_of(name, "a:int", "b:int", "c:int", "d:int"),
+        [(i, i % 3, -i, 7) for i in range(20)],
+    )
+
+
+def test_one_shape_is_one_code_object_whatever_the_literals_and_ids():
+    def plan(table, column, cut):
+        return Plan(Filter(TableScan(table), col(column) < lit(cut)))
+
+    first = plan(_small_table(), "a", 5)
+    second = plan(_small_table("other"), "a", 11)
+    assert first.root.operator_id != second.root.operator_id
+    assert _program(first).__code__ is _program(second).__code__
+    # ...and each run is bound to its own plan's constants
+    assert len(execute(first, engine="fused").rows) == 5
+    assert len(execute(second, engine="fused").rows) == 11
+    # a different schema position is a different text
+    moved = plan(_small_table(), "c", 5)
+    assert _program(moved).__code__ is not _program(first).__code__
+
+
+def test_code_cache_stays_bounded_under_a_thousand_shapes():
+    table = _small_table()
+    shapes = itertools.islice(itertools.product("abcd", repeat=5), 1000)
+    seen = set()
+    for names in shapes:
+        plan = Plan(Project(
+            TableScan(table), [("o%d" % i, col(n)) for i, n in enumerate(names)]
+        ))
+        seen.add(_program(plan).__code__)
+        assert len(compiled._CODE) <= compiled._CODE_CACHE_LIMIT
+    assert len(seen) == 1000
+
+
+def test_eight_threads_on_shared_code_equal_their_solo_runs(tpch_db):
+    def trace(number):
+        report = run_with_estimators(
+            build_query(tpch_db, number),
+            [DneEstimator(), PmaxEstimator(), SafeEstimator()],
+            catalog=tpch_db.catalog, engine="fused",
+        )
+        return [
+            (s.curr, s.actual, s.estimates, s.lower_bound, s.upper_bound)
+            for s in report.trace.samples
+        ]
+
+    numbers = (3, 3, 6, 1, 3, 6, 12, 18)  # same shapes and different ones
+    solo = {number: trace(number) for number in set(numbers)}
+    traces = [None] * len(numbers)
+
+    def work(slot):
+        traces[slot] = trace(numbers[slot])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand over inside the generated loops
+    try:
+        compiled._CODE.clear()  # ...and race on the first compile
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert traces == [solo[number] for number in numbers]
+
+
+class _Relay(UnaryOperator):
+    """A user-defined operator: the fused engine adapts it, shimming its child."""
+
+    name = "Relay"
+
+    def __init__(self, child):
+        super().__init__(child.schema, child)
+
+    def _open(self):
+        pass
+
+    def _next(self):
+        return self.child.get_next()
+
+
+class _Fuse(LeafOperator):
+    name = "Fuse"
+
+    def __init__(self, schema, rows, fail):
+        super().__init__(schema)
+        self.rows, self.fail = rows, fail
+
+    def _open(self):
+        self._cursor = 0
+
+    def _next(self):
+        if self._cursor >= len(self.rows):
+            if self.fail:
+                raise RuntimeError("boom")
+            return None
+        self._cursor += 1
+        return self.rows[self._cursor - 1]
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` (by ``gc.get_referents``)."""
+    seen, stack = {}, [root]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, (type, types.ModuleType)):
+            continue
+        seen[id(item)] = item
+        stack.extend(gc.get_referents(item))
+    return seen.values()
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_a_run_leaves_nothing_generated_on_the_plan(fail):
+    table = _small_table()
+    schema = table.schema.qualified("t")
+    plan = Plan(Filter(
+        _Relay(Filter(_Fuse(schema, table._rows, fail), col("a") >= lit(2))),
+        col("b") < lit(2),
+    ))
+    if fail:
+        with pytest.raises(RuntimeError):
+            execute(plan, engine="fused")
+    else:
+        assert len(execute(plan, engine="fused").rows) == 12
+    for op in plan.operators():
+        # remove_shims has nothing left to undo
+        assert "get_next" not in vars(op) and "rewind" not in vars(op)
+    for item in _reachable(plan):
+        assert not isinstance(item, (types.GeneratorType, types.FrameType))
+        if isinstance(item, types.FunctionType):
+            assert item.__code__.co_filename != "<fused>"
+            assert item.__module__ != compiled.__name__
+    assert pickle.loads(pickle.dumps(plan)).root.name == "Filter"
+
+
+def test_generated_source_pins_q3(tpch_db):
+    """q3 is five pipelines — one per pipeline of the paper's decomposition,
+    three of them scan-driven — with every operator inlined."""
+    plan = build_query(tpch_db, 3)
+    text = compiled.generated_source(plan)
+    headers = [
+        line.strip() for line in text.splitlines()
+        if line.lstrip().startswith("# pipeline")
+    ]
+    assert headers == [
+        "# pipeline 1: TableScan -> Filter -> build HashJoin",
+        "# pipeline 2: TableScan -> Filter -> HashJoin -> build HashJoin",
+        "# pipeline 3: TableScan -> Filter -> HashJoin -> build HashAggregate",
+        "# pipeline 4: HashAggregate -> build TopN",
+        "# pipeline 5: TopN -> result",
+    ]
+    assert len(headers) == len(decompose(plan))
+    assert text.count("def program(") == 1 and "[" not in "".join(headers)
+    assert "yield" not in text
+    # asking for the text runs nothing and leaves the plan as it was
+    assert all(not op.is_open for op in plan.operators())
+
+
+def test_generated_source_names_row_sources_with_the_reason(zipf):
+    text = compiled.generated_source(zipf.merge_plan())
+    assert "[MergeJoin: lookahead on both inputs]" in text
+    assert text.count("def program(") == 3  # the plan and ⋈merge's two inputs
+    assert text.count("-> yield") == 2
+
+
+def test_a_chain_too_deep_for_one_loop_nest_is_cut_into_generators():
+    """CPython refuses more than 20 nested blocks: past ``_MAX_LOOPS`` match
+    loops the rest of the probe chain becomes a generator of its own."""
+    from repro.engine.operators import HashJoin
+
+    tables = [
+        Table("t%d" % i, schema_of("t%d" % i, "a:int"),
+              [(v,) for v in range(6) for _ in range(1 + (i == 3))])
+        for i in range(compiled._MAX_LOOPS + 4)
+    ]
+
+    def build():
+        root = TableScan(tables[0])
+        for table in tables[1:]:
+            root = HashJoin(
+                TableScan(table), root, col(table.name + ".a"), col("t0.a")
+            )
+        return Plan(root, "deep")
+
+    text = compiled.generated_source(build())
+    assert text.count("def program(") == 2 and ": pulled]" in text
+    _assert_identical(build, every=7)

@@ -129,3 +129,152 @@ def test_filter_semantics_keep_only_true(pair, row):
     source = RowSource(SCHEMA, [row])
     out = Filter(source, expression).run(ExecutionContext())
     assert (out == [row]) == (reference(row) is True)
+
+
+# -- the inlined source (fused engine) against bind() (interpreter) --------------------
+#
+# The fused engine does not call an expression's bound closure: it inlines
+# ``repro.engine.expressions.to_source``'s text into its generated loops —
+# as a value under π and γ, as a rejection test under σ.  Both forms are
+# driven here the way they run, through ``execute``, over random trees of
+# every node kind, rows of mixed types and NULLs, zero divisors and empty IN
+# lists.  Same value (compared by ``repr``: 1, 1.0 and True differ, NaN
+# equals itself) *or the same exception type* on every row.
+
+from repro.engine.executor import execute  # noqa: E402
+from repro.engine.expressions import Case, Expression, Like  # noqa: E402
+from repro.engine.operators import (  # noqa: E402
+    Filter,
+    HashAggregate,
+    Project,
+    RowSource,
+    agg_avg,
+    agg_sum,
+)
+from repro.engine.plan import Plan  # noqa: E402
+
+WIDE = schema_of("t", "a:int", "b:float", "c:str", "d:int")
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([0.0, -1.5, 2.0, 0.5]), st.sampled_from(["", "a", "ab%"]),
+)
+wide_rows = st.lists(st.tuples(scalars, scalars, scalars, scalars),
+                     min_size=1, max_size=4)
+columns = st.sampled_from(["a", "b", "c", "d"])
+
+
+@st.composite
+def any_expression(draw, depth=0):
+    if depth >= 3 or draw(st.integers(0, 3)) == 0:
+        return draw(st.one_of(columns.map(col), scalars.map(lit)))
+    sub = any_expression(depth=depth + 1)
+    kind = draw(st.sampled_from([
+        "compare", "arith", "and", "or", "not", "isnull", "between", "in",
+        "like", "case",
+    ]))
+    if kind == "compare":
+        return Comparison(
+            draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="])),
+            draw(sub), draw(sub),
+        )
+    if kind == "arith":
+        return Arithmetic(
+            draw(st.sampled_from(["+", "-", "*", "/", "%"])),
+            draw(sub), draw(sub),
+        )
+    if kind in ("and", "or"):
+        operands = draw(st.lists(sub, min_size=2, max_size=5))
+        return (And if kind == "and" else Or)(*operands)
+    if kind == "not":
+        return Not(draw(sub))
+    if kind == "isnull":
+        return IsNull(draw(sub), negated=draw(st.booleans()))
+    if kind == "between":
+        return Between(draw(sub), draw(sub), draw(sub))
+    if kind == "in":
+        return InList(draw(sub), draw(st.lists(scalars, max_size=3)))
+    if kind == "like":
+        return Like(draw(sub), draw(st.sampled_from(["a%", "%", "_b\\%", ""])))
+    return Case(
+        draw(st.lists(st.tuples(sub, sub), min_size=1, max_size=3)),
+        draw(st.one_of(st.none(), sub)),
+    )
+
+
+def outcome(make_plan, engine):
+    try:
+        return repr(execute(make_plan(), engine=engine).rows)
+    except Exception as error:  # noqa: BLE001 — the type is the outcome
+        return type(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_expression(), wide_rows)
+def test_inlined_value_equals_bind(expression, data):
+    def plan():
+        return Plan(Project(RowSource(WIDE, data), [("v", expression)]))
+
+    assert outcome(plan, "fused") == outcome(plan, "interpreted")
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_expression(), wide_rows)
+def test_inlined_rejection_equals_bind(expression, data):
+    def plan():
+        return Plan(Filter(RowSource(WIDE, data), expression))
+
+    assert outcome(plan, "fused") == outcome(plan, "interpreted")
+
+
+class Counted(Expression):
+    """A user-defined node: no source emitter, and it counts its calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def bind(self, schema):
+        bound = self.inner.bind(schema)
+
+        def evaluate(row):
+            self.calls += 1
+            return bound(row)
+
+        return evaluate
+
+    def references(self):
+        return self.inner.references()
+
+
+def test_a_node_without_an_emitter_is_called_through_its_closure():
+    data = [(1, 0.5, "a", None), (None, 2.0, "b", 3), (3, None, "c", 1)]
+    calls = {}
+    for engine in ("interpreted", "fused"):
+        counted = Counted(col("b") > lit(0.0))
+        predicate = And(col("a") >= lit(1), counted, IsNull(col("c"), True))
+        result = execute(
+            Plan(Filter(RowSource(WIDE, data), predicate)), engine=engine
+        )
+        assert result.rows == [data[0]]
+        calls[engine] = counted.calls
+    # every row reaches it: a NULL first operand does not short-circuit AND
+    assert calls == {"interpreted": 3, "fused": 3}
+
+
+def test_shared_argument_nodes_are_found_by_identity_not_by_shape():
+    data = [(i, 1.0, "g", i % 2) for i in range(6)]
+
+    def run(first, second):
+        plan = Plan(HashAggregate(
+            RowSource(WIDE, data), [("d", col("d"))],
+            [agg_sum(first, "s"), agg_avg(second, "m")],
+        ))
+        return execute(plan, engine="fused").rows
+
+    shared = Counted(col("a") * lit(2))
+    rows = run(shared, shared)
+    assert shared.calls == len(data)  # one node object: once per row
+    left, right = Counted(col("a") * lit(2)), Counted(col("a") * lit(2))
+    assert run(left, right) == rows
+    # equal shape, two objects (q1 builds _revenue() twice): not merged
+    assert (left.calls, right.calls) == (len(data), len(data))

@@ -694,6 +694,29 @@ class TestFacade:
         assert report.trace.samples == solo.trace.samples
         assert report.total == solo.total
 
+    @pytest.mark.parametrize("number", [3, 15, 18])
+    def test_plan_aborted_mid_pipeline_still_submits(self, db, number):
+        """The fused engine's generated functions, their frames and the
+        write-back closures bound to the plan's operators must not outlive
+        a run — not even one that was aborted inside a generated loop (q15
+        and q18 also hold suspended generators under ``Limit`` and
+        ``StreamAggregate`` at that moment)."""
+        import repro
+
+        plan = build_query(db, number)
+        with repro.connect(
+            catalog=db.catalog, backend="process", max_workers=1
+        ) as session:
+            with pytest.raises(RuntimeError, match="boom, later"):
+                ProgressRunner(
+                    plan, [_FailsLater(at=3)], catalog=db.catalog,
+                    engine="fused",
+                ).run()
+            solo = session.run(build_query(db, number))
+            report = session.submit(plan).result(timeout=120)
+        assert report.trace.samples == solo.trace.samples
+        assert report.total == solo.total
+
     def test_shutdown_is_idempotent_and_final(self, db):
         service = process_service(db, max_workers=1)
         service.shutdown()
