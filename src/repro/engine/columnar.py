@@ -65,7 +65,7 @@ from repro.engine.operators.index_nested_loops import IndexNestedLoopsJoin
 from repro.engine.operators.misc import Distinct, Limit
 from repro.engine.operators.project import Project
 from repro.engine.operators.scan import RowSource, TableScan
-from repro.engine.operators.sort import Sort, _null_first_key
+from repro.engine.operators.sort import Sort
 from repro.engine.operators.topn import TopN, _OrderedRow
 from repro.engine.vectorize import Unvectorizable, evaluate, tolist, truth_mask
 from repro.storage.columnar import columns_for, pack_values
@@ -952,16 +952,8 @@ class _BlockSink:
             op._rows = _SpoolRows(emit)
             return
         # Row path: some key has no NULL-free vectorized translation, so
-        # the exact ``_null_first_key`` wrapping must decide the order.
-        rows = list(batch.rows())
-        child_schema = op.child.schema
-        for key in reversed(op.keys):
-            bound = key.expression.bind(child_schema)
-            rows.sort(
-                key=lambda row, fn=bound: _null_first_key(fn(row)),
-                reverse=key.descending,
-            )
-        op._rows = rows
+        # ``sort_rows`` (which states the NULL order) must decide.
+        op._rows = op._order(list(batch.rows()))
 
     @staticmethod
     def _sort_permutation(op, batch: _Batch):
@@ -984,7 +976,7 @@ class _BlockSink:
         permutation = _np.arange(batch.n, dtype=_np.int64)
         # Least- to most-significant key, exactly like the row path's
         # reversed stable-sort loop; NULL-free natural order is what
-        # ``_null_first_key`` degenerates to without NULLs.
+        # ``sort_rows`` degenerates to without NULLs.
         for vcol, descending in reversed(key_arrays):
             permutation = permutation[
                 _stable_argsort(vcol[permutation], descending)

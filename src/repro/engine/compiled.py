@@ -7,15 +7,15 @@ This module turns an *opened* plan into Python source by produce/consume
 (:meth:`_Compiler._produce`): every operator kind contributes the code for
 "a row of mine exists" and asks its parent for the body, so a maximal
 non-blocking chain — scan, σ, π, ``Distinct``, the probe side of ⋈hash, the
-outer side of ⋈INL — becomes one ``for`` nest that pushes straight into the
-state of the blocking operator ending it (``HashJoin._table``,
-``HashAggregate._groups``, ``Sort._rows``, the ``TopN`` buffer, the result
-list), with predicates, keys and aggregate arguments inlined by
-:func:`repro.engine.expressions.to_source`.  A plan is one function; a
-subtree some consumer must *pull* from (the child of ``Limit``, ⋈NL, ⋈merge,
-``UnionAll``, ``StreamAggregate`` or the generic adapter) is a generator
-function whose top pipeline ends in ``yield``.  :func:`generated_source`
-shows the text.
+outer side of ⋈INL, the left side of ⋈merge, stream-γ — becomes one ``for``
+nest that pushes straight into the state of the blocking operator ending it
+(``HashJoin._table``, ``HashAggregate._groups``, ``Sort._rows``, the ``TopN``
+buffer, the result list), with predicates, keys and aggregate arguments
+inlined by :func:`repro.engine.expressions.to_source`.  A plan is one
+function; a subtree some consumer must *pull* from (the child of ``Limit``,
+⋈NL, ``UnionAll`` or the generic adapter, the right input of ⋈merge) is a
+generator function whose top pipeline ends in ``yield``.
+:func:`generated_source` shows the text.
 
 The text depends only on plan shape and schema positions: operators,
 literals, tables and helper callables reach the function through its one
@@ -52,7 +52,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.engine.expressions import reject_source, to_source
+from repro.engine.expressions import ColumnRef, reject_source, to_source
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext, Operator
 from repro.engine.operators.aggregate import (
@@ -68,7 +68,7 @@ from repro.engine.operators.misc import Distinct, Limit, UnionAll
 from repro.engine.operators.nested_loops import NestedLoopsJoin
 from repro.engine.operators.project import Project
 from repro.engine.operators.scan import RowSource, TableScan
-from repro.engine.operators.sort import Sort
+from repro.engine.operators.sort import Sort, sort_rows
 from repro.errors import ExecutionError
 from repro.engine.operators.topn import TopN
 from repro.storage.table import Row
@@ -86,7 +86,11 @@ _CODE: Dict[str, Callable] = {}
 #: is cut off into a generator of its own (CPython allows 20 nested blocks)
 _MAX_LOOPS = 12
 #: what generated functions see besides their argument
-_GLOBALS = {"_Accumulator": _Accumulator}
+_GLOBALS = {
+    "_Accumulator": _Accumulator,
+    "ExecutionError": ExecutionError,
+    "sort_rows": sort_rows,
+}
 
 
 class _Accounting:
@@ -511,6 +515,99 @@ class _Compiler:
             g.emit(ind, "    %s._output = iter([%s._emit(key, acc) "
                    "for key, acc in %s.items()])" % (k, k, groups))
             self._loop(g, ind, op, k, k + "._output", consume, pulls)
+        elif kind is StreamAggregate:
+            acc, cur = g.tmp(), g.tmp()
+            fresh = "_Accumulator(%d)" % (len(op.aggregates),)
+
+            def group(row: str, ind: str) -> None:
+                if op.group_by:
+                    key, out = g.tmp(), g.tmp()
+                    g.emit(ind, "%s = (%s,)" % (key, ", ".join(
+                        [g.value(e, row, child.schema) for _, e in op.group_by]
+                    )))
+                    # A new key closes the open group: its row goes up
+                    # before this row is accumulated (the interpreter's
+                    # order).  The one-row loop keeps a ``continue`` in the
+                    # parent's code from skipping the update below.
+                    g.emit(ind, "if %s != %s:" % (key, cur))
+                    g.emit(ind, "    if %s is not None:" % (acc,))
+                    g.emit(ind, "        for %s in (%s._emit(%s, %s),):" % (
+                        out, k, cur, acc
+                    ))
+                    self._tick(g, ind + "            ", op, k)
+                    consume(out, ind + "            ")
+                    g.emit(ind, "    %s = %s; %s = %s" % (cur, key, acc, fresh))
+                else:  # a scalar aggregate keeps its one accumulator
+                    g.emit(ind, "if %s is None: %s = %s" % (acc, acc, fresh))
+                self._update(g, ind, op, acc, row)
+
+            g.emit(ind, "%s = %s = None" % (acc, cur))
+            self._produce(g, child, ind, group, pulls, joins + bool(op.group_by))
+            # The last group closes when the input ends — after the child's
+            # finish events, in a pipeline of its own; the scalar form
+            # emits its one row even over empty input.
+            if op.group_by:
+                last = "() if %s is None else (%s._emit(%s, %s),)" % (
+                    acc, k, cur, acc
+                )
+            else:
+                last = "(%s._emit((), %s if %s is None else %s),)" % (
+                    k, fresh, acc, acc
+                )
+            self._loop(g, ind, op, k, last, consume, pulls)
+        elif kind is MergeJoin:
+            right = self.compile(op.right)
+            pull = g.const(right.make)
+            cursor, rrow, rkey, gkey, group = (g.tmp() for _ in range(5))
+            unsorted = "raise ExecutionError('merge join: %s input not sorted on key')"
+
+            def advance(ind: str) -> None:
+                """Pull the next right row with a non-NULL key, or None."""
+                key = g.tmp()
+                g.emit(ind, "for %s in %s:" % (rrow, cursor))
+                g.emit(ind, "    %s = %s" % (
+                    key, g.value(op.right_key, rrow, op.right.schema)
+                ))
+                g.emit(ind, "    if %s is None: continue" % (key,))
+                g.emit(ind, "    if %s is not None and %s < %s: %s" % (
+                    rkey, key, rkey, unsorted % ("right",)
+                ))
+                g.emit(ind, "    %s = %s; break" % (rkey, key))
+                g.emit(ind, "else: %s = None" % (rrow,))
+
+            def merge(row: str, ind: str) -> None:
+                key, match, joined = g.tmp(), g.tmp(), g.tmp()
+                g.emit(ind, "%s = %s" % (
+                    key, g.value(op.left_key, row, op.left.schema)
+                ))
+                g.emit(ind, "if %s is None: continue" % (key,))
+                g.emit(ind, "if %s is not None and %s < %s: %s" % (
+                    gkey, key, gkey, unsorted % ("left",)
+                ))
+                # A new left key: skip the right rows below it and buffer
+                # the ones equal to it; an equal left key reuses the group.
+                g.emit(ind, "if %s != %s:" % (key, gkey))
+                g.emit(ind, "    %s = %s; %s = []" % (gkey, key, group))
+                g.emit(ind, "    if %s is None:" % (cursor,))
+                g.emit(ind, "        %s = %s()" % (cursor, pull))
+                advance(ind + "        ")
+                g.emit(ind, "    while %s is not None:" % (rrow,))
+                g.emit(ind, "        if %s == %s: %s.append(%s)" % (
+                    rkey, key, group, rrow
+                ))
+                g.emit(ind, "        elif not %s < %s: break" % (rkey, key))
+                advance(ind + "        ")
+                g.emit(ind, "for %s in %s:" % (match, group))
+                g.emit(ind, "    %s = %s + %s" % (joined, row, match))
+                self._tick(g, ind + "    ", op, k)
+                g.pipe.stages[-1] += " <- [%s: %s]" % (op.right.name, right.why)
+                consume(joined, ind + "    ")
+
+            # The left input is pushed through the merge step, the right is
+            # pulled — first at the first non-NULL left row, never again
+            # once the left runs dry — so the pipeline counts in the cells.
+            g.emit(ind, "%s = %s = %s = %s = None" % (cursor, rrow, rkey, gkey))
+            self._produce(g, op.left, ind, merge, True, joins + 1)
         elif kind is Sort:
             rows = g.tmp()
             # _rows is only assigned after the sort, so the boundary
@@ -522,14 +619,15 @@ class _Compiler:
                 g, child, ind + "    ",
                 g.sink("build Sort", rows + ".append(%s)"), False,
             )
-            # Sort._materialize's stable multi-key sort (least significant
-            # key first, NULLs first), one frame per row and key.
+            # Sort._materialize's loop: least significant key first.
             for key in reversed(op.keys):
-                g.emit(ind, "    %s.sort(key=lambda r: ((v := %s) is not None, "
-                       "v), reverse=%r)" % (
-                           rows, g.value(key.expression, "r", child.schema),
-                           key.descending,
-                       ))
+                plain = type(key.expression) is ColumnRef
+                g.emit(ind, "    %s = sort_rows(%s, %s, %r)" % (
+                    rows, rows,
+                    g.const(key.expression.bind(child.schema)) if plain else
+                    "lambda r: " + g.value(key.expression, "r", child.schema),
+                    key.descending,
+                ))
             g.emit(ind, "    %s._rows = %s" % (k, rows))
             self._loop(g, ind, op, k, k + "._rows", consume, pulls)
         else:  # TopN
@@ -650,176 +748,6 @@ class _Compiler:
             acct.finish(op)
 
         return _Node(op, make, "rescanned inner")
-
-    def _compile_merge_join(self, op: MergeJoin) -> _Node:
-        """⋈merge transliterated over the compiled inputs.
-
-        The generator replays ``MergeJoin._next``'s exact pull sequence —
-        lookahead row on each side, NULL keys skipped, sortedness verified,
-        duplicate right groups buffered — so every child tick and finish
-        event lands on the interpreted instant.  When the left side runs
-        dry first the right input is abandoned mid-stream without a finish
-        event, exactly as the interpreter leaves it.
-        """
-        left_node = self.compile(op.left)
-        right_node = self.compile(op.right)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            left_fn = op._left_fn
-            right_fn = op._right_fn
-            left_iter = left_node.make()
-            right_iter = right_node.make()
-            left_row = None
-            right_row = None
-            last_left_key = None
-            last_right_key = None
-
-            def advance_left():
-                nonlocal left_row, last_left_key
-                while True:
-                    left_row = next(left_iter, None)
-                    if left_row is None:
-                        return None
-                    key = left_fn(left_row)
-                    if key is None:
-                        continue  # NULLs never join
-                    if last_left_key is not None and key < last_left_key:
-                        raise ExecutionError(
-                            "merge join: left input not sorted on key"
-                        )
-                    last_left_key = key
-                    return key
-
-            def advance_right():
-                nonlocal right_row, last_right_key
-                while True:
-                    right_row = next(right_iter, None)
-                    if right_row is None:
-                        return None
-                    key = right_fn(right_row)
-                    if key is None:
-                        continue
-                    if last_right_key is not None and key < last_right_key:
-                        raise ExecutionError(
-                            "merge join: right input not sorted on key"
-                        )
-                    last_right_key = key
-                    return key
-
-            if advance_left() is None:
-                acct.finish(op)
-                return
-            advance_right()
-            right_group: List[Row] = []
-            group_key = None
-            while left_row is not None:
-                left_key = left_fn(left_row)
-                if group_key is not None and left_key == group_key:
-                    # Emit the buffered matches for this left row; the
-                    # interpreter emits them over consecutive pulls with no
-                    # child activity in between, so a tight loop is
-                    # tick-identical.
-                    for right_match in right_group:
-                        joined = left_row + right_match
-                        op.rows_produced += 1
-                        cell[0] += 1
-                        budget[0] -= 1
-                        if budget[0] <= 0:
-                            flush()
-                        yield joined
-                    if advance_left() is None:
-                        break
-                    continue
-                # Align the right side with the current left key.
-                while (
-                    right_row is not None
-                    and right_fn(right_row) < left_key
-                ):
-                    advance_right()
-                if (
-                    right_row is not None
-                    and right_fn(right_row) == left_key
-                ):
-                    right_group = []
-                    while (
-                        right_row is not None
-                        and right_fn(right_row) == left_key
-                    ):
-                        right_group.append(right_row)
-                        advance_right()
-                    group_key = left_key
-                    continue
-                # No right match for this left key.
-                group_key = None
-                right_group = []
-                if advance_left() is None:
-                    break
-            acct.finish(op)
-
-        return _Node(op, make, "lookahead on both inputs")
-
-    def _compile_stream_aggregate(self, op: StreamAggregate) -> _Node:
-        """Order-based γ fused over the compiled child.
-
-        Replicates ``StreamAggregate._next``'s lookahead loop: a group is
-        emitted when the next key differs (or the input ends), the scalar
-        no-GROUP-BY form emits one row on empty input, and the child's
-        finish event fires during the pull that drains it — exactly the
-        interpreted instants.  Keys are pure expressions, so computing each
-        row's key once (the interpreter computes it twice) is unobservable.
-        """
-        child_node = self.compile(op.child)
-        g = _Gen(self.acct)  # the two per-row helpers, expressions inlined
-        g.emit("    ", "def update(acc, row):")
-        self._update(g, "        ", op, "acc", "row")
-        g.emit("    ", "return update, lambda row: (%s)" % ("".join(
-            [g.value(e, "row", op.child.schema) + ", " for _, e in op.group_by]
-        ),))
-        update_row, group_key = self._function(g)(g.consts)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            spec_count = len(op.aggregates)
-            emit = op._emit
-            child_iter = child_node.make()
-            pending = next(child_iter, None)
-            if pending is None:
-                if not op.group_by:
-                    row = emit((), _Accumulator(spec_count))
-                    op.rows_produced += 1
-                    cell[0] += 1
-                    budget[0] -= 1
-                    if budget[0] <= 0:
-                        flush()
-                    yield row
-                acct.finish(op)
-                return
-            pending_key = group_key(pending)
-            while pending is not None:
-                key = pending_key
-                accumulator = _Accumulator(spec_count)
-                while pending is not None and pending_key == key:
-                    update_row(accumulator, pending)
-                    pending = next(child_iter, None)
-                    if pending is not None:
-                        pending_key = group_key(pending)
-                row = emit(key, accumulator)
-                op.rows_produced += 1
-                cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                yield row
-            acct.finish(op)
-
-        return _Node(op, make, "group lookahead")
 
     def _compile_limit(self, op: Limit) -> _Node:
         child_node = self.compile(op.child)
@@ -946,12 +874,10 @@ class _Compiler:
 #: source — one of the pull iterators below, or the generic adapter
 _INLINED = frozenset((
     TableScan, RowSource, Filter, Project, Distinct, IndexNestedLoopsJoin,
-    HashJoin, HashAggregate, Sort, TopN,
+    HashJoin, MergeJoin, HashAggregate, StreamAggregate, Sort, TopN,
 ))
 _SOURCES = {
     NestedLoopsJoin: _Compiler._compile_nl,
-    MergeJoin: _Compiler._compile_merge_join,
-    StreamAggregate: _Compiler._compile_stream_aggregate,
     Limit: _Compiler._compile_limit,
     UnionAll: _Compiler._compile_union,
 }

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import abc
 import re
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError
@@ -244,8 +245,7 @@ class ColumnRef(Expression):
         self.name = name
 
     def bind(self, schema: Schema) -> BoundFn:
-        position = schema.index_of(self.name)
-        return lambda row: row[position]
+        return itemgetter(schema.index_of(self.name))
 
     def _source(self, g, depth: int) -> str:
         return "%s[%d]" % (g.row, g.schema.index_of(self.name))

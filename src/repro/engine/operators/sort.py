@@ -8,9 +8,8 @@ which is why bounds become tight the moment a sort finishes consuming.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.engine.expressions import Expression
 from repro.engine.operators.base import Operator, UnaryOperator
@@ -31,8 +30,32 @@ def _null_first_key(value: object):
     return (value is not None, value)
 
 
+def sort_rows(
+    rows: List[Row], key: Callable[[Row], object], descending: bool = False
+) -> List[Row]:
+    """``rows`` in ORDER BY ``key`` order; the list given may be reordered.
+
+    The one ordering kernel of all three engines, and the one statement of
+    the NULL order: the sort is stable, NULLs come first ascending and last
+    descending, and among themselves stay in arrival order — exactly what
+    ``sorted(rows, key=lambda r: _null_first_key(key(r)), reverse=descending)``
+    gives, without a tuple per row: NULLs are partitioned off (a C-speed
+    scan finds out whether there are any) and the rest is sorted on the bare
+    value.  Several keys are applied least significant first.  (With ``nan``
+    in the column ``<`` is not an order and both forms return whatever
+    timsort makes of it; they still agree when the column has no NULL.)
+    """
+    if None in map(key, rows):
+        nulls = [row for row in rows if key(row) is None]
+        rows = [row for row in rows if key(row) is not None]
+        rows.sort(key=key, reverse=descending)
+        return rows + nulls if descending else nulls + rows
+    rows.sort(key=key, reverse=descending)
+    return rows
+
+
 class Sort(UnaryOperator):
-    """Full in-memory sort over one or more keys (stable, NULLs first)."""
+    """Full in-memory sort over one or more keys, in :func:`sort_rows` order."""
 
     is_blocking = True
 
@@ -70,14 +93,16 @@ class Sort(UnaryOperator):
             if row is None:
                 break
             rows.append(row)
-        # Stable multi-key sort: apply keys from least to most significant.
+        self._rows = self._order(rows)
+
+    def _order(self, rows: List[Row]) -> List[Row]:
+        """``rows`` of the child's schema under all keys: a stable sort per
+        key, from the least to the most significant."""
         for key in reversed(self.keys):
-            bound = key.expression.bind(self.child.schema)
-            rows.sort(
-                key=lambda row, fn=bound: _null_first_key(fn(row)),
-                reverse=key.descending,
+            rows = sort_rows(
+                rows, key.expression.bind(self.child.schema), key.descending
             )
-        self._rows = rows
+        return rows
 
     def _next(self) -> Optional[Row]:
         if self._rows is None:

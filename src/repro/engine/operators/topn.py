@@ -32,10 +32,12 @@ class _OrderedRow:
 
 
 class TopN(UnaryOperator):
-    """Keep the ``limit`` smallest rows under the given sort keys.
+    """Keep the ``limit`` first rows of :func:`~repro.engine.operators.sort.sort_rows`
+    order under the given sort keys — the same rows ``Sort`` + ``Limit``
+    would return, NULL order and stability included.
 
-    Descending keys are supported by negating numeric values and by a
-    generic inversion wrapper for other types.
+    A descending key is compared through the :class:`_Inverted` wrapper,
+    whatever its type.
     """
 
     is_blocking = True
@@ -94,13 +96,32 @@ class TopN(UnaryOperator):
         self._buffer = buffer
 
     def _offer(self, buffer: List[_OrderedRow], functions, row: Row) -> None:
-        """Keep ``row`` if it is among the ``limit`` smallest seen so far."""
-        if self.limit == 0:
+        """Keep ``row`` if it is among the ``limit`` smallest seen so far.
+
+        Once the buffer is full nearly every row loses on its first key
+        alone; that is decided on the bare values before a key tuple, an
+        ``_Inverted`` or an ``_OrderedRow`` exists.  The test is strict — a
+        tie on the first key, a NULL or a ``nan`` goes on to the full
+        comparison, which stays the only arbiter of what is kept.
+        """
+        limit = self.limit
+        if len(buffer) < limit:
+            bisect.insort(buffer, _OrderedRow(self._row_key(row, functions), row))
+            return
+        if limit == 0:
             return  # the child is still drained (blocking contract)
+        fn, descending = functions[0]
+        value, worst = fn(row), buffer[-1].key[0]
+        if descending:
+            low, high = value, worst.value[1]
+        else:
+            low, high = worst[1], value
+        # ``low`` strictly precedes ``high`` in ascending NULL-first order:
+        # the row comes after the worst kept one
+        if high is not None and (low is None or low < high):
+            return
         entry = _OrderedRow(self._row_key(row, functions), row)
-        if len(buffer) < self.limit:
-            bisect.insort(buffer, entry)
-        elif entry < buffer[-1]:
+        if entry < buffer[-1]:
             bisect.insort(buffer, entry)
             buffer.pop()
 

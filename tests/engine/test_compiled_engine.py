@@ -382,9 +382,10 @@ def test_generated_source_pins_q3(tpch_db):
 
 def test_generated_source_names_row_sources_with_the_reason(zipf):
     text = compiled.generated_source(zipf.merge_plan())
-    assert "[MergeJoin: lookahead on both inputs]" in text
-    assert text.count("def program(") == 3  # the plan and ⋈merge's two inputs
-    assert text.count("-> yield") == 2
+    assert "# pipeline 2: Sort -> MergeJoin <- [Sort: pulled] -> result" in text
+    # one `program` for the plan and one generator for the right input
+    assert text.count("def program(") == 2
+    assert text.count("-> yield") == 1
 
 
 def test_a_chain_too_deep_for_one_loop_nest_is_cut_into_generators():
@@ -409,3 +410,281 @@ def test_a_chain_too_deep_for_one_loop_nest_is_cut_into_generators():
     text = compiled.generated_source(build())
     assert text.count("def program(") == 2 and ": pulled]" in text
     _assert_identical(build, every=7)
+
+
+def test_generated_source_pins_q18(tpch_db):
+    """Stream-γ is inlined: the open group closes inside the sort's emit
+    loop, and the last one in a one-row pipeline after the input's end."""
+    text = compiled.generated_source(build_query(tpch_db, 18))
+    headers = [
+        line.strip() for line in text.splitlines()
+        if line.lstrip().startswith("# pipeline")
+    ]
+    assert headers[:3] == [
+        "# pipeline 1: TableScan -> build Sort",
+        "# pipeline 2: Sort -> StreamAggregate -> Filter"
+        + " -> IndexNestedLoopsJoin" * 3 + " -> build HashAggregate",
+        "# pipeline 3: StreamAggregate -> Filter"
+        + " -> IndexNestedLoopsJoin" * 3 + " -> build HashAggregate",
+    ]
+    assert "[StreamAggregate" not in text and "[" not in "".join(headers)
+    assert "update(" not in text and "lambda" not in text
+    assert text.count("def program(") == 1 and "yield" not in text
+
+
+# -- the order-based operators: ⋈merge and stream-γ as emitters ---------------------
+
+from repro.engine.monitor import EVENT_TICK  # noqa: E402
+from repro.engine.operators import (  # noqa: E402
+    Limit,
+    MergeJoin,
+    Sort,
+    SortKey,
+    StreamAggregate,
+    agg_sum,
+    count_star,
+)
+from repro.errors import ExecutionError  # noqa: E402
+from repro.storage.schema import Column, ColumnType, Schema  # noqa: E402
+
+
+def _story(build_plan, engine, every):
+    """Everything an observer of one run can see, ids made positional."""
+    plan = build_plan()
+    operators = list(plan.operators())
+    index = {op.operator_id: i for i, op in enumerate(operators)}
+    monitor = ExecutionMonitor()
+    instants, events = [], []
+
+    def observe(m):
+        counts = m.counts()
+        instants.append((
+            m.total_ticks,
+            tuple(counts.get(op.operator_id, 0) for op in operators),
+            tuple(op.finished for op in operators),
+        ))
+        # at an instant nothing is pending: the operators' own counters
+        # and the monitor's agree
+        assert all(
+            op.rows_produced == counts.get(op.operator_id, 0) for op in operators
+        )
+
+    monitor.add_observer(observe, every=every)
+    monitor.add_batch_listener(
+        lambda op, kind, n: kind == EVENT_TICK
+        or events.append((monitor.total_ticks, kind, index[op]))
+    )
+    try:
+        rows = execute(plan, ExecutionContext(monitor), engine=engine).rows
+    except ExecutionError as error:
+        rows = str(error)
+    counts = monitor.counts()
+    return {
+        "rows": rows,
+        "total": monitor.total_ticks,
+        "per_op": [(op.name, counts.get(op.operator_id, 0)) for op in operators],
+        "produced": [op.rows_produced for op in operators],
+        "finished": [op.finished for op in operators],
+        "instants": instants,
+        "events": events,
+    }
+
+
+def _same_story(build_plan):
+    """All engines tell the interpreter's story at cadences 1, 2 and 1000;
+    returns the interpreter's (cadence 1000) for pinning."""
+    for every in (1, 2, 1000):
+        reference = _story(build_plan, "interpreted", every)
+        for engine in ENGINES:
+            assert _story(build_plan, engine, every) == reference, (engine, every)
+    return reference
+
+
+def _nullable(name, key_type, other):
+    return Schema.of(name, [
+        Column("k", ColumnType.INT, nullable=True), Column(other, key_type),
+    ])
+
+
+def _keys(name, values):
+    return Table(name, _nullable(name, ColumnType.INT, "tag"),
+                 [(v, i) for i, v in enumerate(values)])
+
+
+def _merge(left, right, sort_left=False, sort_right=False):
+    def build():
+        l, r = TableScan(left), TableScan(right)
+        if sort_left:
+            l = Sort(l, [SortKey(col(left.name + ".k"))])
+        if sort_right:
+            r = Sort(r, [SortKey(col(right.name + ".k"))])
+        return Plan(
+            MergeJoin(l, r, col(left.name + ".k"), col(right.name + ".k")),
+            "merge",
+        )
+
+    return build
+
+
+def test_merge_over_bare_scans_with_null_keys_and_duplicate_groups():
+    left = _keys("l", [None, 1, 1, 2, None, 3, 3, 5, 5])
+    right = _keys("r", [None, 1, 1, 3, None, 3, 4, 5, 5, 6, None])
+    story = _same_story(_merge(left, right))
+    assert [(row[0], row[1], row[3]) for row in story["rows"]] == [
+        (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2),
+        (3, 5, 3), (3, 5, 5), (3, 6, 3), (3, 6, 5),
+        (5, 7, 7), (5, 7, 8), (5, 8, 7), (5, 8, 8),
+    ]
+    # left ran dry on the right's lookahead row, its last row still unread
+    assert story["per_op"] == [("MergeJoin", 12), ("TableScan", 9), ("TableScan", 10)]
+    assert story["finished"] == [True, True, False]
+
+
+def test_merge_with_an_empty_left_never_pulls_the_right():
+    story = _same_story(_merge(_keys("l", []), _keys("r", [1, 2, 3])))
+    assert story["rows"] == [] and story["total"] == 0
+    assert story["finished"] == [True, True, False]
+    assert [(kind, op) for _, kind, op in story["events"]] == [
+        ("finish", 1), ("finish", 0),
+    ]
+    # ... and neither does a left of NULL keys only
+    story = _same_story(_merge(_keys("l", [None, None]), _keys("r", [1])))
+    assert story["per_op"] == [("MergeJoin", 0), ("TableScan", 2), ("TableScan", 0)]
+
+
+def test_merge_with_an_empty_right_drains_the_left():
+    story = _same_story(_merge(_keys("l", [1, 2, 3]), _keys("r", [])))
+    assert story["rows"] == [] and story["total"] == 3
+    assert [(at, kind, op) for at, kind, op in story["events"]] == [
+        (1, "finish", 2), (3, "finish", 1), (3, "finish", 0),
+    ]
+
+
+def test_merge_whose_left_runs_dry_abandons_the_right_unfinished():
+    story = _same_story(_merge(_keys("l", [1, 2]), _keys("r", [1, 2, 3, 4, 5])))
+    assert len(story["rows"]) == 2
+    assert story["per_op"] == [("MergeJoin", 2), ("TableScan", 2), ("TableScan", 3)]
+    assert story["finished"] == [True, True, False]
+    assert all(op != 2 for _, _, op in story["events"])
+
+
+def test_merge_over_an_unsorted_input_raises_at_the_interpreters_tick():
+    right = _same_story(_merge(
+        _keys("l", [0, 1, 2, 3, 4, 5]), _keys("r", [2, 1, 3, 4, 5, 6])
+    ))
+    assert right["rows"] == "merge join: right input not sorted on key"
+    assert right["total"] == 5
+    assert right["per_op"] == [("MergeJoin", 0), ("TableScan", 3), ("TableScan", 2)]
+    left = _same_story(_merge(
+        _keys("l", [1, 2, 0, 3, 4, 5, 6]), _keys("r", [1, 2, 3, 4, 5, 6, 7])
+    ))
+    assert left["rows"] == "merge join: left input not sorted on key"
+    assert left["total"] == 8
+    assert left["per_op"] == [("MergeJoin", 2), ("TableScan", 3), ("TableScan", 3)]
+
+
+def test_merge_under_limit_is_pulled_and_abandoned():
+    left, right = _keys("l", [1, 1, 2, 3, 4]), _keys("r", [1, 1, 3, 4, 4])
+    for limit, offset in ((0, 0), (3, 0), (2, 1), (99, 0)):
+        def build():
+            return Plan(Limit(_merge(left, right)().root, limit, offset), "lim")
+
+        story = _same_story(build)
+        assert len(story["rows"]) == min(limit, 7 - offset)
+    text = compiled.generated_source(build())
+    assert "[Limit: stops early]" in text
+    assert "TableScan -> MergeJoin <- [TableScan: pulled] -> yield" in text
+
+
+def test_merge_as_a_nested_loops_inner_rescans_and_keeps_its_spools():
+    outer = _keys("o", [1, 3, 3, 7])
+    left, right = _keys("l", [3, 1, 2, 3, None]), _keys("r", [3, 3, None, 1])
+
+    def build():
+        inner = _merge(left, right, sort_left=True, sort_right=True)().root
+        return Plan(
+            NestedLoopsJoin(TableScan(outer), inner, col("o.k") == col("l.k")),
+            "nl-merge",
+        )
+
+    story = _same_story(build)
+    assert len(story["rows"]) == 1 + 4 + 4
+    # four passes over the merge, each sort built once
+    assert dict(story["per_op"])["MergeJoin"] == 4 * 5
+    assert [n for name, n in story["per_op"] if name == "TableScan"] == [4, 5, 4]
+    assert sum(kind == "rewind" for _, kind, _ in story["events"]) == 4 * 5
+
+
+def test_merge_with_a_sort_on_one_side_only():
+    sorted_side, shuffled = _keys("a", [1, 2, 2, 4, None]), _keys("b", [4, None, 2, 1, 2])
+    left_sorted = _same_story(_merge(shuffled, sorted_side, sort_left=True))
+    right_sorted = _same_story(_merge(sorted_side, shuffled, sort_right=True))
+    assert len(left_sorted["rows"]) == len(right_sorted["rows"]) == 6
+    text = compiled.generated_source(_merge(sorted_side, shuffled, sort_right=True)())
+    assert "TableScan -> MergeJoin <- [Sort: pulled] -> result" in text
+
+
+def _stream(values, grouped=True, limit=None):
+    table = Table("g", _nullable("g", ColumnType.FLOAT, "v"),
+                  [(k, float(i)) for i, k in enumerate(values)])
+
+    def build():
+        root = StreamAggregate(
+            TableScan(table),
+            [("k", col("g.k"))] if grouped else [],
+            [count_star("n"), agg_sum(col("g.v"), "s")],
+        )
+        if limit is not None:
+            root = Limit(root, limit)
+        return Plan(root, "stream")
+
+    return build
+
+
+def test_stream_aggregate_over_empty_input():
+    grouped = _same_story(_stream([]))
+    assert grouped["rows"] == [] and grouped["total"] == 0
+    scalar = _same_story(_stream([], grouped=False))
+    assert scalar["rows"] == [(0, None)] and scalar["total"] == 1
+    # the one row comes after the child's finish, before the aggregate's
+    assert scalar["events"] == [(0, "finish", 1), (1, "finish", 0)]
+
+
+def test_stream_aggregate_null_keys_one_group_and_many():
+    story = _same_story(_stream([None, None, 1, 1, None, 2]))
+    assert story["rows"] == [
+        (None, 2, 1.0), (1, 2, 5.0), (None, 1, 4.0), (2, 1, 5.0),
+    ]
+    assert story["events"] == [(9, "finish", 1), (10, "finish", 0)]
+    assert _same_story(_stream([7, 7, 7]))["rows"] == [(7, 3, 3.0)]
+    assert _same_story(_stream([7, 7, 7], grouped=False))["rows"] == [(3, 3.0)]
+
+
+def test_stream_aggregate_under_limit_stops_mid_group():
+    for limit in (0, 1, 2, 3, 9):
+        story = _same_story(_stream([1, 1, 2, 3, 3], limit=limit))
+        assert len(story["rows"]) == min(limit, 3)
+    # two groups out: the scan stopped on the first row of the third
+    assert story["finished"] == [True, True, True]
+    story = _same_story(_stream([1, 1, 2, 3, 3], limit=2))
+    assert story["per_op"] == [("Limit", 2), ("StreamAggregate", 2), ("TableScan", 4)]
+    assert story["finished"] == [True, False, False]
+
+
+def test_stream_aggregate_feeding_a_filter_a_merge_and_a_sort():
+    """The group row's consumer is emitted twice (inside the loop and for
+    the last group): a filter that rejects, a merge step with its own
+    state, and a blocking sort above all stay exact."""
+    left = _keys("l", [1, 1, 2, 2, 2, 4, 5, 5])
+    right = _keys("r", [2, 2, 3, 5])
+
+    def build():
+        groups = StreamAggregate(
+            TableScan(left), [("k", col("l.k"))], [count_star("n")]
+        )
+        kept = Filter(groups, col("n") > lit(1))
+        join = MergeJoin(kept, TableScan(right), col("k"), col("r.k"))
+        return Plan(Sort(join, [SortKey(col("r.tag"), True)]), "stack")
+
+    story = _same_story(build)
+    assert story["rows"] == [(5, 2, 5, 3), (2, 3, 2, 1), (2, 3, 2, 0)]
