@@ -230,12 +230,7 @@ def cmd_progress(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Stress the HTTP/WebSocket server: admit a tenant workload mix,
     watch live progress over the wire, and report via ``/metrics``."""
-    from repro.server import (
-        ReproServer,
-        ServerClient,
-        ServerConfig,
-        TenantQuota,
-    )
+    from repro.server import ReproServer, ServerClient, ServerConfig
 
     db = generate_tpch(scale=args.scale, skew=args.skew, seed=args.seed)
     numbers = [int(part) for part in args.queries.split(",") if part]
@@ -253,10 +248,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         options=options,
-        default_quota=TenantQuota(
-            max_pending=max(TenantQuota().max_pending, total),
-            max_inflight=max(1, args.workers),
-        ),
         default_deadline=args.deadline,
     )
     server = ReproServer(db.catalog, config=config)
@@ -266,14 +257,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         scheduled = []
         for round_index in range(args.repeat):
             for number in numbers:
-                # Plan objects hold runtime state: the scheduler calls the
-                # factory at dispatch time so every run gets a fresh plan.
+                # Plan objects hold runtime state: the worker that takes
+                # the query calls the factory, so every run gets a fresh plan.
                 factory = (lambda db=db, number=number:
                            build_query(db, number))
-                scheduled.append(server.scheduler.submit(
+                scheduled.append(server.submit_local(
                     args.tenant, factory,
                     name="Q%d#%d" % (number, round_index),
-                    target_samples=args.samples,
+                    target_samples=args.samples, stream=False,
                 ))
         print("admitted %d queries onto %d %s workers (engine=%s) "
               "at http://%s:%d"
@@ -285,7 +276,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             # Spin for the first live sample so the DELETE lands while the
             # query is still on a worker (tiny test databases finish in
             # tens of milliseconds — a coarse poll would miss the window).
-            while (cancel_target.latest_progress() is None
+            while (cancel_target.progress() is None
                    and not cancel_target.done):
                 time.sleep(0.001)
             client.cancel(cancel_target.query_id)

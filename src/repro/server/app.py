@@ -2,9 +2,9 @@
 
 One :class:`ReproServer` owns a :class:`~repro.service.service.QueryService`
 (thread or process backend — the server never touches engine internals, it
-consumes the same facade surface as ``repro.connect``), a
-:class:`~repro.server.scheduler.FairScheduler` in front of it, and a plain
-``asyncio.start_server`` socket loop speaking just enough HTTP/1.1:
+consumes the same facade surface as ``repro.connect``) whose admission
+queue is the tenant-fair scheduler, and a plain ``asyncio.start_server``
+socket loop speaking just enough HTTP/1.1:
 
 ========  ==========================  =======================================
 method    path                        behaviour
@@ -19,6 +19,11 @@ GET       ``/metrics``                queue depths, per-tenant ticks/s,
                                       p50/p99 latency
 GET       ``/healthz``                liveness
 ========  ==========================  =======================================
+
+A POSTed query's SQL is planned by the worker that takes it, never on
+the event loop, so bad SQL is 201 and then ``failed``.  Every terminal
+path runs the handle's done callback, which records the completion and
+seals the query's stream.
 
 Connections are one-request (``Connection: close``) except the WebSocket
 upgrade, which hands the socket to the event stream: frames are the
@@ -48,11 +53,20 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from repro.server import wsproto
-from repro.server.bridge import EventStream, StreamSink, Subscription
+from repro.server.bridge import (
+    EventStream,
+    StreamSink,
+    Subscription,
+    status_record,
+    stream_of,
+    terminal_frame,
+)
 from repro.server.config import ServerConfig
 from repro.server.metrics import ServerMetrics
-from repro.server.scheduler import FairScheduler, TenantThrottled
+from repro.service.admission import TenantThrottled
+from repro.service.handle import QueryHandle, QueryState
 from repro.service.service import QueryService
+from repro.sql import plan_query
 
 _REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
@@ -77,28 +91,17 @@ class _RequestError(Exception):
 class ReproServer:
     """The network tier: HTTP admission, WebSocket streams, fair dispatch."""
 
-    def __init__(
-        self,
-        catalog=None,
-        *,
-        config: Optional[ServerConfig] = None,
-        service: Optional[QueryService] = None,
-    ) -> None:
+    def __init__(self, catalog=None, *,
+                 config: Optional[ServerConfig] = None) -> None:
         self.config = (config or ServerConfig()).resolved()
-        self.service = service if service is not None else QueryService(
+        self.service = QueryService(
             catalog,
             options=self.config.options,
-            default_deadline=self.config.default_deadline,
-        )
-        self._owns_service = service is None
-        self.metrics = ServerMetrics()
-        self.scheduler = FairScheduler(
-            self.service,
-            metrics=self.metrics,
-            default_quota=self.config.default_quota,
             quotas=self.config.quotas,
+            default_deadline=self.config.default_deadline,
             sinks=self.config.sinks,
         )
+        self.metrics = ServerMetrics()
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -116,14 +119,18 @@ class ReproServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting, drain the scheduler, shut the service down."""
+        """Stop accepting, then shut the service down: queued queries end
+        cancelled, running ones are cancelled at their next tick batch."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self.scheduler.shutdown()
-        if self._owns_service:
-            self.service.shutdown()
+        self.service.shutdown()
+
+    @property
+    def scheduler(self) -> QueryService:
+        """The tenant scheduler: the service, whose admission queue it is."""
+        return self.service
 
     # -- lifecycle (background thread, for the CLI / tests / benchmarks) -----------
 
@@ -186,46 +193,69 @@ class ReproServer:
         finally:
             self.stop_background(timeout)
 
-    # -- in-process admission ------------------------------------------------------
+    # -- admission ------------------------------------------------------------------
 
     def submit_local(self, tenant: str, query, *, name: Optional[str] = None,
                      deadline: Optional[float] = None,
                      target_samples: Optional[int] = None,
-                     stream: bool = True):
-        """Admit a query from in-process code, streams and all.
+                     stream: bool = True) -> QueryHandle:
+        """Admit a query for ``tenant``, streams and all.
 
-        The HTTP body only carries SQL text; workloads defined as plan
-        factories (the CLI's TPC-H mix, benchmarks) enter here instead and
-        get the same event stream a POSTed query would, so their WebSocket
-        endpoint works identically.
+        ``POST /queries`` admits its SQL text here; in-process code also
+        passes plan factories (the CLI's TPC-H mix, benchmarks) and gets
+        the same event stream.  SQL text and factories are planned by the
+        worker that takes the query.  A watched query's stream holds the
+        first-paint count from here on; a refused admission closes it
+        again, so the count never leaks.
         """
         if self._loop is None:
             raise RuntimeError("server is not running")
-        if not stream:
-            return self.scheduler.submit(
-                tenant, query, name=name, deadline=deadline,
-                target_samples=target_samples,
+        if isinstance(query, str):
+            sql, catalog = query, self.service.catalog
+            query = lambda: plan_query(  # noqa: E731
+                sql, catalog, name=name or "service-sql",
             )
-        return self._submit_streamed(
-            tenant, query, name=name, deadline=deadline,
-            target_samples=target_samples,
+        events = (
+            EventStream(self._loop, self.service.first_paint, headed=True)
+            if stream else None
         )
-
-    def _submit_streamed(self, tenant: str, query, **admission):
-        """Admit a query whose frames someone will watch.
-
-        The stream holds the first-paint count from here on; a refused
-        admission closes it again, so the count never leaks.
-        """
-        event_stream = EventStream(self._loop, self.service.first_paint)
         try:
-            return self.scheduler.submit(
-                tenant, query, stream=event_stream,
-                sinks=(StreamSink(event_stream),), **admission,
+            handle = self.service.submit(
+                query, tenant=tenant, name=name, deadline=deadline,
+                target_samples=target_samples,
+                sinks=(StreamSink(events),) if events is not None else (),
             )
-        except BaseException:
-            event_stream.close()
+        except BaseException as exc:
+            if events is not None:
+                events.close()
+            if isinstance(exc, TenantThrottled):
+                self.metrics.record_throttled(tenant)
             raise
+        self.metrics.record_submitted(tenant)
+        if events is not None:
+            events.publish(json.dumps({
+                "event": "queued", "id": handle.query_id,
+                "query": handle.name, "tenant": tenant,
+            }, sort_keys=True))
+        handle.add_done_callback(
+            lambda finished: self._on_done(finished, events)
+        )
+        return handle
+
+    def _on_done(self, handle: QueryHandle,
+                 stream: Optional[EventStream]) -> None:
+        profile = (
+            handle.result(timeout=0).profile
+            if handle.state is QueryState.DONE else None
+        )
+        self.metrics.record_completed(
+            handle.tenant, handle.state.value,
+            ticks=profile.ticks if profile is not None else 0,
+            latency_seconds=handle.finished_at - handle.submitted_at,
+        )
+        if stream is not None:
+            stream.publish(json.dumps(terminal_frame(handle), sort_keys=True))
+            stream.close()
 
     # -- connection handling -------------------------------------------------------
 
@@ -303,7 +333,7 @@ class ReproServer:
             return False
         if path == "/metrics" and method == "GET":
             self._respond(writer, 200, self.metrics.snapshot(
-                queue_depths=self.scheduler.queue_depths(),
+                load=self.service.admission.load(),
                 first_paint_pending=self.service.first_paint.count,
             ))
             return False
@@ -312,8 +342,7 @@ class ReproServer:
             return False
         if path == "/queries" and method == "GET":
             self._respond(writer, 200, {"queries": [
-                scheduled.snapshot()
-                for scheduled in self.scheduler.queries()
+                status_record(handle) for handle in self.service.handles()
             ]})
             return False
         if path.startswith("/queries/"):
@@ -354,7 +383,7 @@ class ReproServer:
             return
         tenant = str(payload.get("tenant") or "default")
         try:
-            scheduled = self._submit_streamed(
+            handle = self.submit_local(
                 tenant,
                 sql,
                 name=payload.get("name"),
@@ -370,29 +399,29 @@ class ReproServer:
         except Exception as exc:
             self._respond(writer, 400, {"error": str(exc)})
             return
-        record = scheduled.snapshot()
-        record["events_path"] = "/queries/%s/events" % scheduled.query_id
+        record = status_record(handle)
+        record["events_path"] = "/queries/%s/events" % handle.query_id
         self._respond(writer, 201, record)
 
     def _get_query(self, writer: asyncio.StreamWriter, query_id: str) -> None:
-        scheduled = self.scheduler.get(query_id)
-        if scheduled is None:
+        handle = self.service.get(query_id)
+        if handle is None:
             self._respond(writer, 404, {"error": "unknown query %r"
                                         % query_id})
             return
-        self._respond(writer, 200, scheduled.snapshot())
+        self._respond(writer, 200, status_record(handle))
 
     def _delete_query(self, writer: asyncio.StreamWriter,
                       query_id: str) -> None:
-        scheduled = self.scheduler.get(query_id)
-        if scheduled is None:
+        handle = self.service.get(query_id)
+        if handle is None:
             self._respond(writer, 404, {"error": "unknown query %r"
                                         % query_id})
             return
-        cancelled = self.scheduler.cancel(query_id)
+        cancelled = handle.cancel()
         self._respond(writer, 200, {
             "id": query_id, "cancelled": cancelled,
-            "state": scheduled.state_name(),
+            "state": handle.state.value,
         })
 
     # -- the WebSocket leg -----------------------------------------------------------
@@ -400,8 +429,9 @@ class ReproServer:
     async def _websocket(self, query_id: str, headers: Dict[str, str],
                          reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> bool:
-        scheduled = self.scheduler.get(query_id)
-        if scheduled is None or scheduled.stream is None:
+        handle = self.service.get(query_id)
+        stream = stream_of(handle) if handle is not None else None
+        if stream is None:
             self._respond(writer, 404, {"error": "unknown query %r"
                                         % query_id})
             return False
@@ -419,7 +449,7 @@ class ReproServer:
             "Sec-WebSocket-Accept: %s\r\n\r\n" % wsproto.accept_key(key)
         ).encode("latin-1"))
         await writer.drain()
-        subscription = scheduled.stream.subscribe()
+        subscription = stream.subscribe()
         self.metrics.record_ws_open()
         sender = asyncio.ensure_future(self._ws_send(writer, subscription))
         receiver = asyncio.ensure_future(self._ws_recv(reader, writer))
@@ -432,7 +462,7 @@ class ReproServer:
                 with contextlib.suppress(asyncio.CancelledError, Exception):
                     await task
         finally:
-            scheduled.stream.unsubscribe(subscription)
+            stream.unsubscribe(subscription)
             self.metrics.record_ws_close()
             with contextlib.suppress(Exception):
                 writer.close()

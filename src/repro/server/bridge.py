@@ -22,6 +22,10 @@ A stream built with the service's
 from construction until its first ``sample`` frame has been written to a
 subscriber or the stream closes, whichever comes first — exactly one
 lower per stream, on every exit.
+
+The front door's streams are *headed*: their first frame, ``queued``,
+needs the id admission gives the query, by when a worker may already be
+sampling it — samples published before the header wait for it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.observe import Fragments, ProgressEvent, ProgressEventSink
 from repro.server import wsproto
+from repro.service.handle import QueryState
 from repro.service.monitor import FirstPaintPending
 
 
@@ -77,10 +82,13 @@ class EventStream:
     """One query's ordered frame sequence, fan-out to asyncio subscribers."""
 
     def __init__(self, loop: asyncio.AbstractEventLoop,
-                 first_paint: Optional[FirstPaintPending] = None) -> None:
+                 first_paint: Optional[FirstPaintPending] = None,
+                 *, headed: bool = False) -> None:
         self._loop = loop
         self._lock = threading.Lock()
         self._encoded: List[bytes] = []
+        #: samples published before the header, while one is awaited
+        self._early: Optional[List[bytes]] = [] if headed else None
         #: index of the first ``sample`` frame, once one was published
         self._first_sample: Optional[int] = None
         self._subscribers: List[Subscription] = []
@@ -104,9 +112,21 @@ class EventStream:
         with self._lock:
             if self._closed:
                 return
-            if self._first_sample is None and is_sample:
-                self._first_sample = len(self._encoded)
-            self._encoded.append(encoded)
+            early = self._early
+            if early is not None:
+                if is_sample:
+                    early.append(encoded)
+                    return
+                # The header goes first, then the samples that beat it.
+                self._early = None
+                if early:
+                    self._first_sample = len(self._encoded) + 1
+                self._encoded.append(encoded)
+                self._encoded.extend(early)
+            else:
+                if self._first_sample is None and is_sample:
+                    self._first_sample = len(self._encoded)
+                self._encoded.append(encoded)
             parked = self._unpark()
         self._wake(parked)
 
@@ -214,30 +234,46 @@ def sample_to_dict(sample) -> Dict[str, object]:
     }
 
 
-def terminal_frame(scheduled) -> Dict[str, object]:
+def stream_of(handle) -> Optional[EventStream]:
+    """The event stream a front-door query publishes to, if watched."""
+    for sink in handle._sinks:
+        if isinstance(sink, StreamSink):
+            return sink.stream
+    return None
+
+
+def _record(handle, **fields) -> Dict[str, object]:
+    record: Dict[str, object] = {
+        "id": handle.query_id,
+        "query": handle.name,
+        "tenant": handle.tenant,
+        "state": handle.state.value,
+    }
+    record.update(fields)
+    if handle.error is not None:
+        record["error"] = str(handle.error)
+    return record
+
+
+def status_record(handle) -> Dict[str, object]:
+    """One query's status, as ``GET /queries/{id}`` answers it."""
+    record = _record(handle, done=handle.done)
+    sample = handle.progress()
+    if sample is not None:
+        record["progress"] = sample_to_dict(sample)
+    return record
+
+
+def terminal_frame(handle) -> Dict[str, object]:
     """The stream's final frame: state, error, profile, sealed trace.
 
     The trace rides along so a client can verify bit-identity against a
     solo in-process run without a second HTTP round trip; ``actual`` labels
     are the back-filled truth of the single-pass protocol.
     """
-    handle = scheduled.handle
-    frame: Dict[str, object] = {
-        "event": "end",
-        "id": scheduled.query_id,
-        "query": scheduled.name,
-        "tenant": scheduled.tenant,
-        "state": scheduled.state_name(),
-    }
-    error: Optional[BaseException] = (
-        handle.error if handle is not None else scheduled.pre_dispatch_error
-    )
-    if error is not None:
-        frame["error"] = str(error)
-    report = None
-    if handle is not None and handle.error is None and handle.done:
+    frame = _record(handle, event="end")
+    if handle.state is QueryState.DONE:
         report = handle.result(timeout=0)
-    if report is not None:
         frame["total"] = report.total
         frame["trace"] = [
             sample_to_dict(sample) for sample in report.trace.samples

@@ -3,18 +3,20 @@
 :class:`ServerConfig` carries the bind address, the per-tenant quotas and —
 crucially — a single :class:`~repro.options.ExecutionOptions` for every
 execution knob, so the server resolves engine/backend/pool sizing
-through exactly the same path as ``repro.connect``.  No ``REPRO_*``
+through exactly the same path as ``repro.connect``.  A tenant without a
+``quotas`` entry gets ``TenantQuota(max_pending=options.queue_depth,
+max_inflight=options.max_workers)``.  No ``REPRO_*``
 environment variable is read here; that is :meth:`ExecutionOptions.resolve`'s
 job, at construction time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence
 
 from repro.options import ExecutionOptions
-from repro.server.scheduler import TenantQuota
+from repro.service.admission import TenantQuota
 
 
 @dataclass
@@ -26,10 +28,10 @@ class ServerConfig:
     #: the running server
     port: int = 0
     options: ExecutionOptions = field(default_factory=ExecutionOptions)
-    default_quota: TenantQuota = field(default_factory=TenantQuota)
     #: per-tenant quota overrides (tenant name -> quota)
     quotas: Dict[str, TenantQuota] = field(default_factory=dict)
-    #: observability sinks receiving tenant_admitted / tenant_throttled
+    #: observability sinks receiving the service's events (query_queued,
+    #: tenant_admitted / tenant_throttled, query_start, query_end, ...)
     sinks: Sequence = ()
     #: default per-query deadline in seconds (None: unlimited)
     default_deadline: Optional[float] = None
@@ -38,13 +40,7 @@ class ServerConfig:
 
     def resolved(self) -> "ServerConfig":
         """A copy whose execution options are fully resolved."""
-        return ServerConfig(
-            host=self.host,
-            port=self.port,
-            options=self.options.resolve(),
-            default_quota=self.default_quota,
-            quotas=dict(self.quotas),
+        return replace(
+            self, options=self.options.resolve(), quotas=dict(self.quotas),
             sinks=tuple(self.sinks),
-            default_deadline=self.default_deadline,
-            max_body_bytes=self.max_body_bytes,
         )

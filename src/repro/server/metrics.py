@@ -1,9 +1,11 @@
 """Server metrics: queue depths, per-tenant throughput, latency quantiles.
 
-One registry per server, shared by the HTTP tier, the fair scheduler and
-the CLI.  Everything is guarded by a single lock — counters are touched a
-handful of times per query, never per tick, so contention is negligible —
-and :meth:`ServerMetrics.snapshot` renders the whole registry as the JSON
+One registry per server, shared by the HTTP tier and the CLI.  Queue
+state is not shadowed here: per-tenant ``pending`` / ``inflight`` are read
+off the service's admission queue when a snapshot is rendered.  The
+counters are guarded by a single lock — touched a handful of times per
+query, never per tick, so contention is negligible — and
+:meth:`ServerMetrics.snapshot` renders the whole registry as the JSON
 document ``GET /metrics`` returns.  The ``repro serve`` CLI prints *from
 this snapshot*, so the human-readable summary and the endpoint cannot
 drift.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import Counter
 from typing import Callable, Dict, List, Optional
 
 
@@ -66,12 +69,11 @@ class TenantMetrics:
         self.first_seen = clock()
         self.submitted = 0
         self.throttled = 0
-        self.completed: Dict[str, int] = {}
+        self.completed: Counter = Counter()
         self.ticks = 0
-        self.inflight = 0
-        self.pending = 0
 
-    def to_dict(self, now: float) -> Dict[str, object]:
+    def to_dict(self, now: float,
+                load: Dict[str, int]) -> Dict[str, object]:
         elapsed = max(now - self.first_seen, 1e-9)
         return {
             "submitted": self.submitted,
@@ -79,8 +81,8 @@ class TenantMetrics:
             "completed": dict(self.completed),
             "ticks": self.ticks,
             "ticks_per_second": self.ticks / elapsed,
-            "inflight": self.inflight,
-            "pending": self.pending,
+            "inflight": load.get("inflight", 0),
+            "pending": load.get("pending", 0),
         }
 
 
@@ -91,10 +93,6 @@ class ServerMetrics:
         self._clock = clock
         self._lock = threading.Lock()
         self.started_at = clock()
-        self.submitted = 0
-        self.throttled = 0
-        self.cancelled_queued = 0
-        self.completed: Dict[str, int] = {}
         self.ws_opened = 0
         self.ws_closed = 0
         self.http_requests = 0
@@ -115,47 +113,18 @@ class ServerMetrics:
 
     def record_submitted(self, tenant: str) -> None:
         with self._lock:
-            self.submitted += 1
-            state = self._tenant(tenant)
-            state.submitted += 1
-            state.pending += 1
+            self._tenant(tenant).submitted += 1
 
     def record_throttled(self, tenant: str) -> None:
         with self._lock:
-            self.throttled += 1
             self._tenant(tenant).throttled += 1
-
-    def record_dispatched(self, tenant: str) -> None:
-        with self._lock:
-            state = self._tenant(tenant)
-            state.pending = max(0, state.pending - 1)
-            state.inflight += 1
-
-    def record_cancelled_queued(self, tenant: str) -> None:
-        """A query cancelled before it was ever dispatched."""
-        with self._lock:
-            self.cancelled_queued += 1
-            state = self._tenant(tenant)
-            state.pending = max(0, state.pending - 1)
-            state.completed["cancelled"] = (
-                state.completed.get("cancelled", 0) + 1
-            )
-            self.completed["cancelled"] = (
-                self.completed.get("cancelled", 0) + 1
-            )
 
     def record_completed(self, tenant: str, state_name: str, *,
                          ticks: int = 0,
                          latency_seconds: Optional[float] = None) -> None:
         with self._lock:
-            self.completed[state_name] = (
-                self.completed.get(state_name, 0) + 1
-            )
             state = self._tenant(tenant)
-            state.inflight = max(0, state.inflight - 1)
-            state.completed[state_name] = (
-                state.completed.get(state_name, 0) + 1
-            )
+            state.completed[state_name] += 1
             state.ticks += ticks
             if latency_seconds is not None:
                 self.latency.record(latency_seconds)
@@ -171,13 +140,17 @@ class ServerMetrics:
     # -- rendering ---------------------------------------------------------------
 
     def snapshot(
-        self, queue_depths: Optional[Dict[str, int]] = None,
+        self, load: Optional[Dict[str, Dict[str, int]]] = None,
         first_paint_pending: int = 0,
     ) -> Dict[str, object]:
+        """The registry as ``GET /metrics`` renders it; ``load`` is the
+        admission queue's per-tenant ``pending`` / ``inflight``."""
+        load = load or {}
         now = self._clock()
         with self._lock:
             elapsed = max(now - self.started_at, 1e-9)
-            total_ticks = sum(t.ticks for t in self.tenants.values())
+            tenants = self.tenants.values()
+            total_ticks = sum(t.ticks for t in tenants)
             return {
                 "uptime_seconds": now - self.started_at,
                 "http_requests": self.http_requests,
@@ -187,20 +160,25 @@ class ServerMetrics:
                     "closed": self.ws_closed,
                 },
                 "queries": {
-                    "submitted": self.submitted,
-                    "throttled": self.throttled,
-                    "completed": dict(self.completed),
+                    "submitted": sum(t.submitted for t in tenants),
+                    "throttled": sum(t.throttled for t in tenants),
+                    "completed": dict(sum(
+                        (t.completed for t in tenants), Counter(),
+                    )),
                 },
                 "ticks": total_ticks,
                 "ticks_per_second": total_ticks / elapsed,
                 "latency": self.latency.quantiles(),
-                "queue_depths": dict(queue_depths or {}),
+                "queue_depths": {
+                    "tenant:%s" % name: counts["pending"]
+                    for name, counts in sorted(load.items())
+                },
                 # streams still owed a first estimate: worker threads give
                 # way at every tick batch while this is non-zero, so a
                 # value that stays up with no query arriving is a leak
                 "first_paint_pending": first_paint_pending,
                 "tenants": {
-                    name: tenant.to_dict(now)
+                    name: tenant.to_dict(now, load.get(name, {}))
                     for name, tenant in sorted(self.tenants.items())
                 },
             }

@@ -2,7 +2,9 @@
 
 Public surface:
 
-* :class:`QueryService` — bounded worker pool with backpressure;
+* :class:`QueryService` — bounded worker pool behind one tenant-fair
+  admission queue, with :class:`TenantQuota` limits and
+  :class:`TenantThrottled` backpressure;
 * :class:`QueryHandle` / :class:`QueryState` — per-query tickets with
   cooperative cancellation, deadlines and thread-safe progress sampling;
 * :class:`ServiceExecutionMonitor` — the tick-boundary control monitor;
@@ -17,6 +19,7 @@ Typical use goes through the facade (:func:`repro.api.connect` →
 """
 
 from repro.options import BACKENDS
+from repro.service.admission import TenantQuota, TenantThrottled
 from repro.service.handle import QueryHandle, QueryState
 from repro.service.monitor import ServiceExecutionMonitor
 from repro.service.procpool import CatalogSpec
@@ -31,4 +34,6 @@ __all__ = [
     "QueryState",
     "ResilientEstimator",
     "ServiceExecutionMonitor",
+    "TenantQuota",
+    "TenantThrottled",
 ]

@@ -6,8 +6,10 @@ any number of monitor threads sampling progress.  Its life cycle is
 
     QUEUED -> RUNNING -> DONE | CANCELLED | FAILED | TIMED_OUT
 
-with exactly one transition into a terminal state; ``wait``/``result`` park
-on an event that fires at that transition.  Progress is exposed two ways:
+with exactly one transition into a terminal state (a query cancelled while
+queued goes straight to CANCELLED and never reaches a worker);
+``wait``/``result`` park on an event that fires at that transition.
+Progress is exposed two ways:
 
 * :meth:`progress` — the most recent cadence sample the executor published
   (free to read);
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.metrics import TraceSample
 from repro.core.runner import ProgressReport, RunnerProbe
@@ -57,10 +59,17 @@ _TERMINAL = frozenset(
 class QueryHandle:
     """Ticket for one admitted query; safe to use from any thread."""
 
-    def __init__(self, query_id: int, name: str, plan) -> None:
+    def __init__(self, query_id: Optional[str], name: Optional[str],
+                 plan) -> None:
+        #: ``"q-N"``, assigned at admission
         self.query_id = query_id
         self.name = name
+        #: None until the worker that takes a plan-later query plans it
         self.plan = plan
+        self.tenant = "default"
+        #: admission and terminal instants on the service's clock
+        self.submitted_at: Optional[float] = None
+        self.finished_at: Optional[float] = None
         #: read by the service monitor on *every* recorded tick batch — a
         #: plain attribute so the hot path pays one attribute load, not a
         #: lock round trip
@@ -82,6 +91,7 @@ class QueryHandle:
         self._probe: Optional[RunnerProbe] = None
         self._probe_lock: Optional[threading.RLock] = None
         # per-query run configuration, filled in by the service at admission
+        self._factory: Optional[Callable[[], object]] = None
         self._target_samples = 200
         self._estimators: Optional[List] = None
         #: per-query event sinks (cadence samples only); the network tier's
@@ -90,9 +100,9 @@ class QueryHandle:
         self._callbacks: List[Callable[["QueryHandle"], None]] = []
         #: pickled (plan, estimators) wire payload — process backend only
         self._wire: Optional[bytes] = None
-        # backend hooks: the thread backend leaves these None (cancel is a
-        # shared-memory attribute read, sampling goes through the probe);
-        # the process backend binds them while its worker owns the query
+        # backend hooks: while queued, ``_on_cancel`` leaves the admission
+        # queue; on a worker the process backend binds its own (the thread
+        # backend reads cancel_requested and samples through the probe)
         self._on_cancel: Optional[Callable[[], None]] = None
         self._remote_sampler: Optional[Callable[[], Optional[TraceSample]]] = None
 
@@ -115,9 +125,9 @@ class QueryHandle:
 
         Registered after the terminal transition, ``fn`` runs immediately
         on the calling thread; otherwise it runs on the thread that
-        finalizes the query (a worker or shepherd).  Callbacks must not
-        block — the scheduler and the network tier use them to unpark
-        waiters, record latency and push terminal frames.  A raising
+        finalizes the query (a worker, a shepherd, or whoever cancelled it
+        while queued).  Callbacks must not block — the network tier uses
+        them to record latency and push terminal frames.  A raising
         callback is swallowed: completion accounting must never be
         derailed by a subscriber.
         """
@@ -159,16 +169,17 @@ class QueryHandle:
         """Request cooperative cancellation.
 
         Returns True if the query had not yet reached a terminal state; the
-        executor honours the request at the next tick-batch boundary (or at
-        dequeue time if the query never started).
+        executor honours the request at the next tick-batch boundary, and a
+        query still waiting for a worker turns CANCELLED at once.
         """
         with self._state_lock:
             self.cancel_requested = True
             on_cancel = self._on_cancel
             live = not self._state.terminal
         if live and on_cancel is not None:
-            # Process backend: mirror the request into the shared-memory
-            # flag the worker process polls at tick-batch boundaries.
+            # Queued: leave the admission queue.  Process backend: mirror
+            # the request into the shared-memory flag the worker process
+            # polls at tick-batch boundaries.
             on_cancel()
         return live
 
@@ -224,9 +235,9 @@ class QueryHandle:
     ) -> None:
         """Wire (or, with Nones, unwire) process-backend cancel/sample hooks.
 
-        A cancel that raced admission — requested after ``submit`` returned
-        but before the worker slot bound its hooks — is replayed into the
-        fresh hook so the shared flag is never left unset.
+        A cancel that raced the hand-over — requested after a worker took
+        the query but before its slot bound these hooks — is replayed into
+        the fresh hook so the shared flag is never left unset.
         """
         with self._state_lock:
             self._on_cancel = on_cancel
@@ -292,17 +303,30 @@ class QueryHandle:
             self._run_callback(fn)
 
     def __repr__(self) -> str:
-        return "QueryHandle(#%d %r, %s)" % (
+        return "QueryHandle(%s %r, %s)" % (
             self.query_id, self.name, self._state.value,
         )
 
 
-def cancelled_error(handle: QueryHandle) -> QueryCancelled:
-    return QueryCancelled("query %r was cancelled" % (handle.name,))
+def cancelled_error(name: str) -> QueryCancelled:
+    return QueryCancelled("query %r was cancelled" % (name,))
 
 
-def timeout_error(handle: QueryHandle) -> QueryTimeout:
+def timeout_error(name: str, seconds: Optional[float]) -> QueryTimeout:
     return QueryTimeout(
-        "query %r exceeded its %.3fs deadline"
-        % (handle.name, handle.deadline_seconds or 0.0)
+        "query %r exceeded its %.3fs deadline" % (name, seconds or 0.0)
     )
+
+
+def run_outcome(
+    run: Callable[[], ProgressReport],
+) -> Tuple[QueryState, Optional[ProgressReport], Optional[BaseException]]:
+    """``(state, report, error)`` of one monitored run, on either backend."""
+    try:
+        return QueryState.DONE, run(), None
+    except QueryCancelled as exc:
+        return QueryState.CANCELLED, None, exc
+    except QueryTimeout as exc:
+        return QueryState.TIMED_OUT, None, exc
+    except Exception as exc:
+        return QueryState.FAILED, None, exc

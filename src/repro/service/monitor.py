@@ -4,13 +4,15 @@ The engine is pure Python, so "stopping a query" means raising out of its
 own getnext stream.  Every counted tick (interpreted engine) and every
 coalesced tick batch (fused engine) funnels through
 :meth:`ExecutionMonitor.record` / :meth:`ExecutionMonitor.record_batch`;
-this subclass checks the query's cancel flag and deadline right there, so a
-cancel lands within one tick (row-at-a-time) or one observer-cadence batch
-(fused) — and the fused engine's batches are already capped at the observer
+this subclass calls its control check right there, so a cancel lands
+within one tick (row-at-a-time) or one observer-cadence batch (fused) —
+and the fused engine's batches are already capped at the observer
 cadence, so responsiveness does not degrade with batching.  Finish and
 rewind events are checked as well: a ⋈NL rescan over an already-filtered
 inner emits long finish/rewind trains with no counted tick in between, and
-those must not stretch the cancel bound.
+those must not stretch the cancel bound.  Both backends run this one
+class; only the control callable differs (:func:`handle_control` here, a
+worker process's own in :mod:`repro.service.procpool`).
 
 The same subclass provides the *sampling lock*: all monitor entry points
 that mutate progress state (ticks, finishes, rewinds, resets — and the
@@ -22,7 +24,7 @@ forces an observer round from inside ``record_finish``.
 
 The control check is also where a CPU-bound worker thread gives way to a
 waiting client.  Under the GIL every hand-off to another thread (event
-loop, dispatcher, client) waits out CPython's 5 ms switch interval behind
+loop, client) waits out CPython's 5 ms switch interval behind
 a worker that never blocks; a query's first estimate needs about fifteen
 such hand-offs to reach its client.  :class:`FirstPaintPending` counts the
 streams whose first estimate is still owed; while it is non-zero — a few
@@ -65,42 +67,21 @@ class FirstPaintPending:
 
 
 class ServiceExecutionMonitor(ExecutionMonitor):
-    """An :class:`ExecutionMonitor` wired to one query handle.
+    """An :class:`ExecutionMonitor` with a control check and a lock.
 
-    Raises :class:`repro.errors.QueryCancelled` /
-    :class:`repro.errors.QueryTimeout` from the recording path when the
-    handle asks for it, and serializes all recording (plus the observer
-    rounds it triggers) under :attr:`lock`.
+    ``control`` runs at every recording entry point, before the lock is
+    taken, and raises :class:`repro.errors.QueryCancelled` /
+    :class:`repro.errors.QueryTimeout` to stop the query.  All recording,
+    plus the observer rounds it triggers, is serialized under :attr:`lock`.
 
     Each query has exactly one monitored execution, so this is the *only*
     place control is checked.
     """
 
-    def __init__(
-        self,
-        handle: QueryHandle,
-        clock: Callable[[], float] = time.monotonic,
-        first_paint: Optional[FirstPaintPending] = None,
-    ) -> None:
+    def __init__(self, control: Callable[[], None]) -> None:
         super().__init__()
-        self.handle = handle
-        self.clock = clock
-        #: worker processes and bare monitors get a private, ever-zero count
-        self.first_paint = first_paint or FirstPaintPending()
+        self._check_control = control
         self.lock = threading.RLock()
-
-    def _check_control(self) -> None:
-        if self.first_paint.count:
-            # Some client is waiting for its first estimate: let the event
-            # loop, dispatcher or client thread run now instead of at the
-            # end of this thread's switch interval.
-            time.sleep(0)
-        handle = self.handle
-        if handle.cancel_requested:
-            raise cancelled_error(handle)
-        deadline = handle.deadline_at
-        if deadline is not None and self.clock() >= deadline:
-            raise timeout_error(handle)
 
     # -- recording entry points, control-checked and lock-scoped -----------------
 
@@ -135,3 +116,25 @@ class ServiceExecutionMonitor(ExecutionMonitor):
     def reset(self) -> None:
         with self.lock:
             super().reset()
+
+
+def handle_control(
+    handle: QueryHandle,
+    clock: Callable[[], float] = time.monotonic,
+    first_paint: Optional[FirstPaintPending] = None,
+) -> Callable[[], None]:
+    """The thread backend's control check: give way while a first paint
+    is pending, then honour the handle's cancel flag and deadline."""
+    def control() -> None:
+        if first_paint is not None and first_paint.count:
+            # Some client is waiting for its first estimate: let the event
+            # loop or client thread run now instead of at the end of this
+            # thread's switch interval.
+            time.sleep(0)
+        if handle.cancel_requested:
+            raise cancelled_error(handle.name)
+        deadline = handle.deadline_at
+        if deadline is not None and clock() >= deadline:
+            raise timeout_error(handle.name, handle.deadline_seconds)
+
+    return control

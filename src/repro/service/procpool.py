@@ -22,8 +22,8 @@ time), with every observable behaving identically at the parent:
   bit-identical to solo runs (floats pickle exactly);
 * **control** — cancellation and the probe request counter travel the
   *other* way through shared memory (:func:`multiprocessing.RawValue`),
-  checked by the worker's monitor at the same tick-batch boundaries the
-  thread backend checks, so cancel/deadline latency bounds are unchanged;
+  checked by the thread backend's own monitor class at the same
+  tick-batch boundaries, so cancel/deadline latency bounds are unchanged;
 * **live sampling** — ``handle.sample()`` increments the probe counter and
   parks until the worker answers with a fresh lock-scoped
   :class:`~repro.core.metrics.TraceSample` taken at its next boundary
@@ -56,12 +56,14 @@ from typing import Optional, Sequence, Tuple
 from repro.core.metrics import TraceSample
 from repro.core.observe import ForwardingSink, emit_to_all
 from repro.core.runner import ProgressRunner
-from repro.errors import (
-    QueryCancelled,
-    QueryTimeout,
-    ServiceError,
+from repro.errors import ServiceError
+from repro.service.handle import (
+    QueryHandle,
+    QueryState,
+    cancelled_error,
+    run_outcome,
+    timeout_error,
 )
-from repro.service.handle import QueryHandle, QueryState
 from repro.service.monitor import ServiceExecutionMonitor
 from repro.service.resilient import ResilientEstimator
 
@@ -165,7 +167,7 @@ class _ExecuteRequest:
     """One query, parent → worker.  ``payload`` is the pickled
     ``(plan, estimators-or-None)`` pair produced by :func:`encode_query`."""
 
-    query_id: int
+    query_id: str
     name: str
     payload: bytes
     deadline_seconds: Optional[float]
@@ -267,35 +269,7 @@ def _encode_error(error: BaseException) -> bytes:
         ))
 
 
-_STATE_FOR = {
-    "done": QueryState.DONE,
-    "cancelled": QueryState.CANCELLED,
-    "timed_out": QueryState.TIMED_OUT,
-    "failed": QueryState.FAILED,
-}
-
-
 # -- worker side -----------------------------------------------------------------
-
-
-class _WorkerQueryHandle:
-    """Duck-typed stand-in for :class:`QueryHandle` inside a worker.
-
-    :class:`ServiceExecutionMonitor` reads exactly four things off its
-    handle — ``cancel_requested``, ``deadline_at``, ``name`` and
-    ``deadline_seconds`` — so this shim provides those, with the cancel
-    flag backed by the shared-memory value the parent writes."""
-
-    def __init__(self, name, cancel_flag, deadline_seconds) -> None:
-        self.name = name
-        self.deadline_seconds = deadline_seconds
-        self.deadline_at: Optional[float] = None
-        self.degraded = {}
-        self._cancel_flag = cancel_flag
-
-    @property
-    def cancel_requested(self) -> bool:
-        return self._cancel_flag.value != 0
 
 
 #: One refresh of a 60 Hz progress display.  Cadence samples a worker
@@ -321,7 +295,7 @@ class _Wire:
     pipeline is idle) arrive shared.
     """
 
-    def __init__(self, conn, query_id: int, clock=time.monotonic) -> None:
+    def __init__(self, conn, query_id: str, clock=time.monotonic) -> None:
         self.conn = conn
         self.query_id = query_id
         self.clock = clock
@@ -354,10 +328,10 @@ class _Wire:
 class _ProbeServer:
     """Answers the parent's on-demand sample requests at tick boundaries.
 
-    The parent increments a shared counter; the worker's monitor calls
-    :meth:`maybe_serve` on every control check, notices the counter moved,
-    takes a lock-scoped :meth:`~repro.core.runner.RunnerProbe.live_sample`
-    and ships it back tagged with the counter value.  Before the probe
+    The parent increments a shared counter; the worker's control check
+    calls :meth:`maybe_serve`, which notices the counter moved, takes a
+    :meth:`~repro.core.runner.RunnerProbe.live_sample` under the monitor's
+    lock and ships it back tagged with the counter value.  Before the probe
     attaches (runner setup) it answers ``None`` immediately so the parent's
     ``sample()`` never blocks on a phase that cannot sample."""
 
@@ -370,32 +344,38 @@ class _ProbeServer:
     def attach(self, probe) -> None:
         self.probe = probe
 
-    def maybe_serve(self, monitor) -> None:
+    def maybe_serve(self) -> None:
         request = self.flag.value
         if request == self._served:
             return
         probe = self.probe
         sample = None
         if probe is not None:
-            with monitor.lock:
+            with probe.monitor.lock:
                 sample = probe.live_sample()
         self._served = request
         self.wire.send("probe", request, sample)
 
 
-class _WorkerMonitor(ServiceExecutionMonitor):
-    """The service monitor plus probe serving and the wire's display-rate
-    flush, for in-worker execution."""
+def _worker_control(wire: _Wire, probe_server: _ProbeServer, cancel_flag,
+                    name: str, deadline_seconds: Optional[float]):
+    """The worker process's control check for one query: serve probe
+    requests, let the pipe flush a quiet phase, then honour the shared
+    cancel flag and the deadline (which starts now)."""
+    deadline_at = (
+        None if deadline_seconds is None
+        else time.monotonic() + deadline_seconds
+    )
 
-    def __init__(self, shim: _WorkerQueryHandle, probe_server: _ProbeServer) -> None:
-        super().__init__(shim, time.monotonic)
-        self._probe_server = probe_server
-        self._wire = probe_server.wire
+    def control() -> None:
+        probe_server.maybe_serve()
+        wire.poll()
+        if cancel_flag.value:
+            raise cancelled_error(name)
+        if deadline_at is not None and time.monotonic() >= deadline_at:
+            raise timeout_error(name, deadline_seconds)
 
-    def _check_control(self) -> None:
-        self._probe_server.maybe_serve(self)
-        self._wire.poll()
-        super()._check_control()
+    return control
 
 
 def _worker_main(conn, catalog_payload, toolkit_factory, cancel_flag, probe_flag):
@@ -416,21 +396,21 @@ def _worker_main(conn, catalog_payload, toolkit_factory, cancel_flag, probe_flag
 
 def _serve_request(wire: _Wire, catalog, toolkit_factory, cancel_flag,
                    probe_flag, request: _ExecuteRequest) -> None:
-    state, report_blob, error = "failed", None, None
+    state, report, error = QueryState.FAILED, None, None
     try:
         plan, estimators = decode_query(request.payload, catalog)
-        shim = _WorkerQueryHandle(
-            request.name, cancel_flag, request.deadline_seconds
-        )
         probe_server = _ProbeServer(wire, probe_flag)
 
         def on_degrade(estimator_name: str, reason: str) -> None:
-            shim.degraded[estimator_name] = reason
             wire.send("degraded", estimator_name, reason)
 
         toolkit = estimators if estimators is not None else toolkit_factory()
         probe_toolkit = toolkit_factory() if estimators is None else None
         wrapped = [ResilientEstimator(e, on_degrade) for e in toolkit]
+        control = _worker_control(
+            wire, probe_server, cancel_flag, request.name,
+            request.deadline_seconds,
+        )
         runner = ProgressRunner(
             plan,
             wrapped,
@@ -442,29 +422,18 @@ def _serve_request(wire: _Wire, catalog, toolkit_factory, cancel_flag,
             sinks=(ForwardingSink(wire.sample, kinds=("sample",)),),
             engine=request.engine,
             bounds=request.bounds,
-            monitor_factory=lambda: _WorkerMonitor(shim, probe_server),
+            monitor_factory=lambda: ServiceExecutionMonitor(control),
             on_probe=probe_server.attach,
             probe_estimators=probe_toolkit,
         )
-        if request.deadline_seconds is not None:
-            shim.deadline_at = time.monotonic() + request.deadline_seconds
-        try:
-            report = runner.run()
-        except QueryCancelled as exc:
-            state, error = "cancelled", exc
-        except QueryTimeout as exc:
-            state, error = "timed_out", exc
-        except Exception as exc:
-            state, error = "failed", exc
-        else:
-            state, report_blob = "done", pickle.dumps(
-                report, pickle.HIGHEST_PROTOCOL
-            )
+        state, report, error = run_outcome(runner.run)
     except Exception as exc:
-        state, error = "failed", exc
+        error = exc
     try:
         wire.send(
-            "done", state, report_blob,
+            "done", state.value,
+            pickle.dumps(report, pickle.HIGHEST_PROTOCOL)
+            if report is not None else None,
             _encode_error(error) if error is not None else None,
         )
     except Exception:
@@ -555,7 +524,7 @@ class _WorkerSlot:
 
     def restart_process(self) -> None:
         self.discard_process()
-        if not self.pool.service._closed:
+        if not self.pool.service.admission._closed:
             self.start_process()
 
     def discard_process(self) -> None:
@@ -584,20 +553,18 @@ class _WorkerSlot:
     # -- the shepherd -----------------------------------------------------------
 
     def shepherd_loop(self) -> None:
-        service = self.pool.service
-        admission_queue = service._queue
+        admission = self.pool.service.admission
         while True:
-            item = admission_queue.get()
-            try:
-                if item is self.pool.stop_sentinel:
-                    self.stop_process()
-                    return
-                self.run_query(item)
-            finally:
-                admission_queue.task_done()
+            handle = admission.take()
+            if handle is None:
+                self.stop_process()
+                return
+            self.run_query(handle)
 
     def run_query(self, handle: QueryHandle) -> None:
         service = self.pool.service
+        if not service._begin(handle):
+            return
         box = _ProbeBox(handle)
         self.cancel_flag.value = 0
         self.probe_flag.value = 0
@@ -605,9 +572,8 @@ class _WorkerSlot:
             on_cancel=self._signal_cancel,
             sampler=lambda: self._remote_sample(box),
         )
+        state, report, error = QueryState.FAILED, None, None
         try:
-            if not service._begin(handle):
-                return
             request = _ExecuteRequest(
                 query_id=handle.query_id,
                 name=handle.name,
@@ -620,33 +586,33 @@ class _WorkerSlot:
             try:
                 self.conn.send(request)
             except (OSError, ValueError, AttributeError) as exc:
-                handle._finalize(QueryState.FAILED, error=ServiceError(
+                error = ServiceError(
                     "could not dispatch query %r to its worker: %s"
                     % (handle.name, exc)
-                ))
+                )
                 self.restart_process()
-                return
-            self.pump(handle, box)
+            else:
+                state, report, error = self.pump(handle, box)
         except Exception as exc:  # pragma: no cover - shepherd must survive
-            handle._finalize(QueryState.FAILED, error=exc)
+            error = exc
         finally:
             box.abort()
             handle._bind_backend(None, None)
-            service._finish(handle)
+        service.admission.complete(handle, state, report=report, error=error)
 
-    def pump(self, handle: QueryHandle, box: _ProbeBox) -> None:
-        """Apply the worker's event stream to the handle until ``done``."""
+    def pump(self, handle: QueryHandle, box: _ProbeBox):
+        """Apply the worker's event stream to the handle until ``done``;
+        returns the query's ``(state, report, error)``."""
         service = self.pool.service
         while True:
             try:
                 message = self.conn.recv()
             except (EOFError, OSError):
-                handle._finalize(QueryState.FAILED, error=ServiceError(
+                self.restart_process()
+                return QueryState.FAILED, None, ServiceError(
                     "worker process died while running query %r"
                     % (handle.name,)
-                ))
-                self.restart_process()
-                return
+                )
             kind = message[0]
             if kind == "events":
                 events = message[2]
@@ -663,16 +629,11 @@ class _WorkerSlot:
                 box.deliver(message[2], message[3])
             elif kind == "done":
                 _, _, state, report_blob, error_blob = message
-                report = (
-                    pickle.loads(report_blob) if report_blob is not None
-                    else None
+                return (
+                    QueryState(state),
+                    report_blob and pickle.loads(report_blob),
+                    error_blob and pickle.loads(error_blob),
                 )
-                error = (
-                    pickle.loads(error_blob) if error_blob is not None
-                    else None
-                )
-                handle._finalize(_STATE_FOR[state], report=report, error=error)
-                return
 
     # -- handle-facing hooks -----------------------------------------------------
 
@@ -691,19 +652,16 @@ class _WorkerSlot:
 class ProcessPool:
     """``max_workers`` worker processes, each fed by a shepherd thread.
 
-    The shepherds consume the service's ordinary admission queue (so
-    backpressure, ``_STOP`` sentinels and shutdown work identically to the
-    thread backend) and mirror the thread worker's life-cycle calls —
-    ``_begin`` / ``_record_degraded`` / ``_finalize`` / ``_finish`` — while
-    the query itself executes in the worker process."""
+    The shepherds take from the service's admission queue (so tenant
+    fairness, backpressure and shutdown work identically to the thread
+    backend) and mirror the thread worker's life-cycle calls — ``_begin`` /
+    ``_record_degraded`` / ``admission.complete`` — while the query itself
+    executes in the worker process."""
 
     def __init__(self, service, max_workers: int) -> None:
-        from repro.service.service import _STOP
-
         self.service = service
         self.start_method = service.options.start_method
         self.ctx = multiprocessing.get_context(self.start_method)
-        self.stop_sentinel = _STOP
         self._catalog_payload = None
         self._payload_ready = False
         self.slots = [_WorkerSlot(self, index) for index in range(max_workers)]

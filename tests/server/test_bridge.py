@@ -33,10 +33,11 @@ from repro.server import (
     TenantQuota,
     wsproto,
 )
+from repro.server.bridge import stream_of
 from repro.service import ServiceExecutionMonitor
 from repro.service import monitor as monitor_module
 from repro.service.handle import QueryHandle
-from repro.service.monitor import FirstPaintPending
+from repro.service.monitor import FirstPaintPending, handle_control
 from repro.stats import StatisticsManager
 from repro.storage import Table, schema_of
 from repro.workloads import build_query, generate_tpch
@@ -333,7 +334,7 @@ class TestGateInTheControlCheck:
     def _monitor(self, pending):
         handle = QueryHandle(1, "gated", plan=None)
         monitor = ServiceExecutionMonitor(
-            handle, lambda: 10.0, pending,
+            handle_control(handle, lambda: 10.0, pending),
         )
         return handle, monitor
 
@@ -361,11 +362,10 @@ class TestGateInTheControlCheck:
 
     def test_a_bare_monitor_never_yields(self, yields):
         monitor = ServiceExecutionMonitor(
-            QueryHandle(1, "bare", plan=None),
+            handle_control(QueryHandle(1, "bare", plan=None)),
         )
         monitor.record_batch(1, 10)
         assert yields == []
-        assert monitor.first_paint.count == 0
 
     def test_cancel_and_deadline_are_checked_while_yielding(self, yields):
         pending = FirstPaintPending()
@@ -403,7 +403,7 @@ def db():
 def one_worker_server(db, **quota):
     return ReproServer(db.catalog, config=ServerConfig(
         options=ExecutionOptions(backend="thread", max_workers=1),
-        default_quota=TenantQuota(**quota) if quota else TenantQuota(),
+        quotas={"default": TenantQuota(**quota)} if quota else {},
     ))
 
 
@@ -514,7 +514,7 @@ class TestFirstPaintOverTheWire:
                 "local", SMALL_SQL, target_samples=5, stream=False,
             )
             assert server.service.first_paint.count == 0
-            assert scheduled.stream is None
+            assert stream_of(scheduled) is None
             streamed = server.submit_local(
                 "local", SMALL_SQL, target_samples=5,
             )

@@ -134,7 +134,7 @@ class TestClientErrorsAre4xx:
         def broken():
             raise RuntimeError("registry on fire")
 
-        monkeypatch.setattr(server.scheduler, "queue_depths", broken)
+        monkeypatch.setattr(server.service.admission, "load", broken)
         status, payload = raw_request(
             server, b"GET /metrics HTTP/1.1\r\n\r\n",
         )
@@ -304,7 +304,7 @@ class TestThrottle:
     def test_tenant_quota_yields_429(self, db):
         config = ServerConfig(
             options=ExecutionOptions(backend="thread", max_workers=1),
-            default_quota=TenantQuota(max_pending=1, max_inflight=1),
+            quotas={"noisy": TenantQuota(max_pending=1, max_inflight=1)},
         )
         instance = ReproServer(db.catalog, config=config)
         with instance.running():
@@ -349,7 +349,7 @@ class TestMetrics:
         assert metrics["queries"]["submitted"] >= 1
         assert metrics["queries"]["completed"].get("done", 0) >= 1
         assert metrics["ticks"] > 0
-        assert "service_pending" in metrics["queue_depths"]
+        assert metrics["queue_depths"]["tenant:t-metrics"] == 0
         latency = metrics["latency"]
         assert latency["count"] >= 1
         assert latency["p50_seconds"] <= latency["p99_seconds"]
@@ -383,8 +383,8 @@ class TestRetention:
         from repro.service.service import RETAINED_FINISHED
 
         config = ServerConfig(
-            options=ExecutionOptions(backend="thread", max_workers=2),
-            default_quota=TenantQuota(max_pending=400, max_inflight=4),
+            options=ExecutionOptions(backend="thread", max_workers=2,
+                                     queue_depth=400),
         )
         instance = ReproServer(db.catalog, config=config)
         with instance.running():
@@ -397,17 +397,7 @@ class TestRetention:
                 for _ in range(300)
             ]
             assert instance.scheduler.wait_all(timeout=120.0)
-            assert instance.service.wait_all(timeout=120.0)
-            # wait_all returns at the terminal transition; the bookkeeping
-            # of the last few completions may still be a beat behind.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if (len(instance.scheduler.queries()) <= RETAINED_FINISHED
-                        and len(instance.service.handles())
-                        <= RETAINED_FINISHED):
-                    break
-                time.sleep(0.01)
-            assert len(instance.scheduler.queries()) <= RETAINED_FINISHED
+            # A handle is retired before it turns terminal: nothing lags.
             assert len(instance.service.handles()) <= RETAINED_FINISHED
             # Forgotten means gone: 404 on status and on the stream.
             oldest, newest = submitted[0].query_id, submitted[-1].query_id

@@ -75,10 +75,8 @@ class TestServerMetricsLatency:
     def test_snapshot_percentiles(self):
         metrics = ServerMetrics(clock=lambda: 0.0)
         metrics.record_submitted("t")
-        metrics.record_dispatched("t")
         metrics.record_completed("t", "succeeded", latency_seconds=1.0)
         metrics.record_submitted("t")
-        metrics.record_dispatched("t")
         metrics.record_completed("t", "succeeded", latency_seconds=2.0)
         latency = metrics.snapshot()["latency"]
         assert latency["count"] == 2

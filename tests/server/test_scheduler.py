@@ -1,99 +1,57 @@
 """Fair scheduling: DRR weights, inflight caps, quotas, tenant events.
 
-These tests drive :class:`FairScheduler` against a fake service whose
-dispatch order and completion times the test controls exactly, so the
-deficit-round-robin arithmetic is observable deterministically.
+The tenant scheduler is the service's admission queue
+(:class:`repro.service.admission.AdmissionQueue`).  These tests play the
+workers themselves — ``take`` a query, ``complete`` it — so every order
+and every count is deterministic: no threads, no sleeps.
 """
 
 from __future__ import annotations
 
-import threading
-import time
+import queue as stdlib_queue
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import MemorySink
 from repro.errors import AdmissionError, ServiceError
-from repro.server import FairScheduler, TenantQuota, TenantThrottled
+from repro.server import TenantQuota, TenantThrottled
 from repro.server.metrics import ServerMetrics
+from repro.service import QueryService, QueryState
+from repro.service.admission import RETAINED_FINISHED, AdmissionQueue
+from repro.service.handle import QueryHandle
 
 
-class FakeState:
-    def __init__(self, value):
-        self.value = value
+class Recorder:
+    """The queue's emitter: ``(kind, handle, payload_extra)`` in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def __call__(self, kind, handle, extra=None):
+        self.events.append((kind, handle, dict(extra or {})))
+
+    def kinds(self):
+        return [kind for kind, _handle, _extra in self.events]
 
 
-class FakeReport:
-    profile = None
+def make_queue(default=None, clock=None, **quotas):
+    recorder = Recorder()
+    admission = AdmissionQueue(
+        default or TenantQuota(max_pending=32, max_inflight=32),
+        quotas, emit=recorder,
+        **({"clock": clock} if clock is not None else {}),
+    )
+    return admission, recorder
 
 
-class FakeHandle:
-    """Terminal-state plumbing the scheduler's done-callback path needs."""
-
-    def __init__(self, name):
-        self.name = name
-        self.state = FakeState("running")
-        self.error = None
-        self.done = False
-        self._callbacks = []
-
-    def add_done_callback(self, fn):
-        if self.done:
-            fn(self)
-        else:
-            self._callbacks.append(fn)
-
-    def complete(self):
-        self.done = True
-        self.state = FakeState("done")
-        for fn in self._callbacks:
-            fn(self)
-        self._callbacks = []
-
-    def result(self, timeout=None):
-        return FakeReport()
-
-    def progress(self):
-        return None
-
-    def cancel(self):
-        return False
+def submit(admission, tenant, name):
+    handle = QueryHandle(None, name, plan=None)
+    admission.put(handle, tenant)
+    return handle
 
 
-class FakeService:
-    """Records dispatch order; optionally gates the first dispatch."""
-
-    def __init__(self, gate=None):
-        self.dispatched = []
-        self.handles = {}
-        self.gate = gate
-        #: set once the dispatcher has entered submit (is parked on gate)
-        self.entered = threading.Event()
-        self._lock = threading.Lock()
-
-    def submit(self, query, *, name=None, deadline=None,
-               target_samples=None, sinks=(), block=True):
-        if self.gate is not None:
-            gate, self.gate = self.gate, None
-            self.entered.set()
-            gate.wait(timeout=10.0)
-        handle = FakeHandle(name)
-        with self._lock:
-            self.dispatched.append(name)
-            self.handles[name] = handle
-        return handle
-
-    def stats(self):
-        return {"pending": 0}
-
-
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.002)
-    return False
+def take_names(admission, count):
+    return [admission.take().name for _ in range(count)]
 
 
 class TestQuotaValidation:
@@ -114,228 +72,218 @@ class TestQuotaValidation:
 
 class TestDeficitRoundRobin:
     def test_weighted_interleave(self):
-        """Weight-2 'alice' earns two dispatch slots per 'bob' slot."""
-        gate = threading.Event()
-        service = FakeService(gate=gate)
-        scheduler = FairScheduler(service, quotas={
-            "alice": TenantQuota(max_pending=32, max_inflight=32,
-                                 weight=2.0),
-            "bob": TenantQuota(max_pending=32, max_inflight=32,
-                               weight=1.0),
-        })
-        try:
-            # A sentinel parks the dispatcher inside FakeService.submit,
-            # so the real workload below queues up in full before any DRR
-            # round sees it — the interleave becomes deterministic.
-            scheduler.submit("warmup", "q", name="s")
-            assert service.entered.wait(timeout=10.0)
-            for i in range(1, 7):
-                scheduler.submit("alice", "q", name="a%d" % i)
-            for i in range(1, 7):
-                scheduler.submit("bob", "q", name="b%d" % i)
-            gate.set()
-            assert wait_for(lambda: len(service.dispatched) == 13)
-            order = service.dispatched
-            assert order[0] == "s"
-            # Full queues drain at 2:1 until alice empties, then bob alone.
-            assert order[1:] == ["a1", "a2", "b1", "a3", "a4", "b2",
-                                 "a5", "a6", "b3", "b4", "b5", "b6"]
-        finally:
-            scheduler.shutdown()
+        """Weight-2 'alice' is served twice per 'bob' turn."""
+        admission, _ = make_queue(
+            alice=TenantQuota(max_pending=32, max_inflight=32, weight=2.0),
+            bob=TenantQuota(max_pending=32, max_inflight=32, weight=1.0),
+        )
+        for i in range(1, 7):
+            submit(admission, "alice", "a%d" % i)
+        for i in range(1, 7):
+            submit(admission, "bob", "b%d" % i)
+        # Full queues drain at 2:1 until alice empties, then bob alone.
+        assert take_names(admission, 12) == [
+            "a1", "a2", "b1", "a3", "a4", "b2",
+            "a5", "a6", "b3", "b4", "b5", "b6",
+        ]
 
     def test_equal_weights_round_robin(self):
-        gate = threading.Event()
-        service = FakeService(gate=gate)
-        scheduler = FairScheduler(service, default_quota=TenantQuota(
+        admission, _ = make_queue(TenantQuota(
             max_pending=32, max_inflight=32, weight=1.0,
         ))
-        try:
-            scheduler.submit("warmup", "q", name="s")
-            assert service.entered.wait(timeout=10.0)
-            scheduler.submit("t1", "q", name="x1")
-            scheduler.submit("t1", "q", name="x2")
-            scheduler.submit("t2", "q", name="y1")
-            scheduler.submit("t2", "q", name="y2")
-            gate.set()
-            assert wait_for(lambda: len(service.dispatched) == 5)
-            # Equal weights alternate tenants in ring order — t2 is never
-            # starved behind t1's whole queue.
-            assert service.dispatched == ["s", "x1", "y1", "x2", "y2"]
-        finally:
-            scheduler.shutdown()
+        submit(admission, "t1", "x1")
+        submit(admission, "t1", "x2")
+        submit(admission, "t2", "y1")
+        submit(admission, "t2", "y2")
+        # Equal weights alternate tenants in ring order — t2 is never
+        # starved behind t1's whole queue.
+        assert take_names(admission, 4) == ["x1", "y1", "x2", "y2"]
 
 
 class TestInflightCap:
     def test_cap_parks_tenant_until_completion(self):
-        service = FakeService()
-        scheduler = FairScheduler(service, default_quota=TenantQuota(
+        admission, _ = make_queue(TenantQuota(
             max_pending=32, max_inflight=2, weight=1.0,
         ))
-        try:
-            for i in range(1, 5):
-                scheduler.submit("t", "q", name="q%d" % i)
-            assert wait_for(lambda: len(service.dispatched) == 2)
-            # Capped: nothing more dispatches while both handles run.
-            time.sleep(0.05)
-            assert len(service.dispatched) == 2
-            service.handles["q1"].complete()
-            assert wait_for(lambda: len(service.dispatched) == 3)
-            service.handles["q2"].complete()
-            assert wait_for(lambda: len(service.dispatched) == 4)
-        finally:
-            scheduler.shutdown()
+        handles = [submit(admission, "t", "q%d" % i) for i in range(1, 5)]
+        assert take_names(admission, 2) == ["q1", "q2"]
+        # Capped: with both on workers, t's next query waits — a later
+        # tenant's query is taken first.
+        submit(admission, "u", "z1")
+        assert take_names(admission, 1) == ["z1"]
+        assert admission.load()["t"] == {"pending": 2, "inflight": 2}
+        admission.complete(handles[0], QueryState.DONE)
+        assert take_names(admission, 1) == ["q3"]
+        admission.complete(handles[1], QueryState.DONE)
+        assert take_names(admission, 1) == ["q4"]
 
 
 class TestThrottling:
     def test_pending_quota_throttles(self):
-        service = FakeService()
-        metrics = ServerMetrics()
-        sink = MemorySink()
-        scheduler = FairScheduler(
-            service, metrics=metrics, sinks=[sink],
-            default_quota=TenantQuota(max_pending=2, max_inflight=1),
+        admission, recorder = make_queue(
+            TenantQuota(max_pending=2, max_inflight=1),
         )
-        try:
-            scheduler.submit("t", "q", name="running")
-            assert wait_for(lambda: len(service.dispatched) == 1)
-            scheduler.submit("t", "q", name="p1")
-            scheduler.submit("t", "q", name="p2")
-            with pytest.raises(TenantThrottled) as excinfo:
-                scheduler.submit("t", "q", name="p3")
-            assert excinfo.value.tenant == "t"
-            assert excinfo.value.pending == 2
-            assert excinfo.value.max_pending == 2
-            snapshot = metrics.snapshot(
-                queue_depths=scheduler.queue_depths(),
-            )
-            assert snapshot["queries"]["throttled"] == 1
-            assert snapshot["queries"]["submitted"] == 3
-            assert snapshot["queue_depths"]["tenant:t"] == 2
-            kinds = [event.kind for event in sink.events]
-            assert "tenant_admitted" in kinds
-            assert "tenant_throttled" in kinds
-            throttled = [event for event in sink.events
-                         if event.kind == "tenant_throttled"][0]
-            assert throttled.payload["tenant"] == "t"
-            assert throttled.payload["max_pending"] == 2
-        finally:
-            scheduler.shutdown()
+        submit(admission, "t", "running")
+        assert admission.take().name == "running"
+        submit(admission, "t", "p1")
+        submit(admission, "t", "p2")
+        with pytest.raises(TenantThrottled) as excinfo:
+            submit(admission, "t", "p3")
+        assert excinfo.value.tenant == "t"
+        assert excinfo.value.pending == 2
+        assert excinfo.value.max_pending == 2
+        stats = admission.stats()
+        assert stats["rejected"] == 1
+        assert stats["submitted"] == 3
+        snapshot = ServerMetrics().snapshot(load=admission.load())
+        assert snapshot["queue_depths"]["tenant:t"] == 2
+        assert "tenant_admitted" in recorder.kinds()
+        assert "tenant_throttled" in recorder.kinds()
+        (throttled,) = [event for event in recorder.events
+                        if event[0] == "tenant_throttled"]
+        _kind, handle, extra = throttled
+        assert handle.tenant == "t"
+        assert extra == {"pending": 2, "max_pending": 2}
 
     def test_other_tenants_unaffected_by_throttle(self):
-        service = FakeService()
-        scheduler = FairScheduler(
-            service,
-            default_quota=TenantQuota(max_pending=1, max_inflight=1),
-        )
-        try:
-            scheduler.submit("noisy", "q", name="n1")
-            assert wait_for(lambda: len(service.dispatched) == 1)
-            scheduler.submit("noisy", "q", name="n2")
-            with pytest.raises(TenantThrottled):
-                scheduler.submit("noisy", "q", name="n3")
-            quiet = scheduler.submit("quiet", "q", name="quiet1")
-            assert wait_for(lambda: "quiet1" in service.dispatched)
-            assert quiet.state_name() == "running"
-        finally:
-            scheduler.shutdown()
+        admission, _ = make_queue(TenantQuota(max_pending=1, max_inflight=1))
+        submit(admission, "noisy", "n1")
+        assert admission.take().name == "n1"
+        submit(admission, "noisy", "n2")
+        with pytest.raises(TenantThrottled):
+            submit(admission, "noisy", "n3")
+        quiet = submit(admission, "quiet", "quiet1")
+        assert admission.take() is quiet
 
 
 class TestLifecycle:
     def test_cancel_queued_query(self):
-        service = FakeService()
-        scheduler = FairScheduler(
-            service,
-            default_quota=TenantQuota(max_pending=8, max_inflight=1),
+        admission, recorder = make_queue(
+            TenantQuota(max_pending=8, max_inflight=1),
         )
-        try:
-            scheduler.submit("t", "q", name="running")
-            assert wait_for(lambda: len(service.dispatched) == 1)
-            queued = scheduler.submit("t", "q", name="victim")
-            assert scheduler.cancel(queued.query_id)
-            assert queued.state_name() == "cancelled"
-            assert queued.done
-            # Completion of the runner must not resurrect the victim.
-            service.handles["running"].complete()
-            time.sleep(0.05)
-            assert "victim" not in service.dispatched
-        finally:
-            scheduler.shutdown()
+        running = submit(admission, "t", "running")
+        assert admission.take() is running
+        victim = submit(admission, "t", "victim")
+        assert victim.cancel()
+        assert victim.state is QueryState.CANCELLED
+        assert victim.done
+        # Completion of the runner must not resurrect the victim.
+        admission.complete(running, QueryState.DONE)
+        assert admission.load()["t"] == {"pending": 0, "inflight": 0}
+        assert [handle.name for kind, handle, _ in recorder.events
+                if kind == "tenant_admitted"] == ["running"]
+        assert admission.stats()["cancelled"] == 1
 
     def test_latency_is_measured_on_the_injected_clock(self):
         now = [100.0]
-        service = FakeService()
+        admission, _ = make_queue(clock=lambda: now[0])
+        handle = submit(admission, "t", "timed")
+        assert handle.submitted_at == 100.0
+        assert admission.take() is handle
+        now[0] = 102.5
+        admission.complete(handle, QueryState.DONE)
+        assert handle.finished_at == 102.5
         metrics = ServerMetrics()
-        scheduler = FairScheduler(
-            service, metrics=metrics, clock=lambda: now[0],
+        metrics.record_completed(
+            handle.tenant, handle.state.value,
+            latency_seconds=handle.finished_at - handle.submitted_at,
         )
-        try:
-            scheduled = scheduler.submit("t", "q", name="timed")
-            assert scheduled.created_at == 100.0
-            assert wait_for(lambda: "timed" in service.handles)
-            now[0] = 102.5
-            service.handles["timed"].complete()
-            assert scheduled.finished_at == 102.5
-            latency = metrics.snapshot()["latency"]
-            assert latency["count"] == 1
-            assert latency["p50_seconds"] == 2.5
-        finally:
-            scheduler.shutdown()
+        latency = metrics.snapshot()["latency"]
+        assert latency["count"] == 1
+        assert latency["p50_seconds"] == 2.5
 
     def test_finished_queries_beyond_the_cap_are_forgotten(self):
-        from repro.service.service import RETAINED_FINISHED
-
-        service = FakeService()
-        scheduler = FairScheduler(service, default_quota=TenantQuota(
-            max_pending=8, max_inflight=2,
-        ))
-        try:
-            parked = scheduler.submit("t", "q", name="parked")
-            assert wait_for(lambda: "parked" in service.handles)
-            for index in range(RETAINED_FINISHED + 44):
-                name = "short-%d" % index
-                scheduler.submit("t", "q", name=name)
-                assert wait_for(lambda: name in service.handles)
-                service.handles[name].complete()
-            known = scheduler.queries()
-            assert len(known) == RETAINED_FINISHED + 1  # + the in-flight one
-            assert parked in known
-            assert scheduler.get("q-2") is None  # the oldest finished
-            assert scheduler.get(known[-1].query_id) is known[-1]
-            assert not scheduler.cancel("q-2")
-        finally:
-            scheduler.shutdown()
+        admission, _ = make_queue(TenantQuota(max_pending=8, max_inflight=2))
+        parked = submit(admission, "t", "parked")
+        assert admission.take() is parked
+        shorts = []
+        for index in range(RETAINED_FINISHED + 44):
+            shorts.append(submit(admission, "t", "short-%d" % index))
+            admission.complete(admission.take(), QueryState.DONE)
+        known = admission.handles()
+        assert len(known) == RETAINED_FINISHED + 1  # + the in-flight one
+        assert parked in known
+        assert shorts[0].query_id == "q-2"
+        assert admission.get("q-2") is None  # the oldest finished
+        assert admission.get(known[-1].query_id) is known[-1]
+        assert not shorts[0].cancel()
 
     def test_cancel_unknown_id(self):
-        scheduler = FairScheduler(FakeService())
-        try:
-            assert not scheduler.cancel("q-404")
-        finally:
-            scheduler.shutdown()
+        admission, _ = make_queue()
+        assert admission.get("q-404") is None
 
     def test_shutdown_drains_pending_as_cancelled(self):
-        service = FakeService()
-        scheduler = FairScheduler(
-            service,
-            default_quota=TenantQuota(max_pending=8, max_inflight=1),
-        )
-        scheduler.submit("t", "q", name="running")
-        assert wait_for(lambda: len(service.dispatched) == 1)
-        stranded = scheduler.submit("t", "q", name="stranded")
-        scheduler.shutdown()
-        assert stranded.state_name() == "cancelled"
+        admission, _ = make_queue(TenantQuota(max_pending=8, max_inflight=1))
+        submit(admission, "t", "running")
+        admission.take()
+        stranded = submit(admission, "t", "stranded")
+        assert admission.close(cancel_pending=True)
+        assert stranded.state is QueryState.CANCELLED
         with pytest.raises(AdmissionError):
-            scheduler.submit("t", "q", name="late")
+            submit(admission, "t", "late")
 
     def test_dispatch_failure_marks_failed(self):
-        class ExplodingService(FakeService):
-            def submit(self, query, **kwargs):
-                raise RuntimeError("no workers")
+        def doomed_plan():
+            raise RuntimeError("no workers")
 
-        scheduler = FairScheduler(ExplodingService())
+        service = QueryService(max_workers=1)
         try:
-            scheduled = scheduler.submit("t", "q", name="doomed")
-            assert wait_for(lambda: scheduled.done)
-            assert scheduled.state_name() == "failed"
-            assert "no workers" in str(scheduled.pre_dispatch_error)
+            handle = service.submit(doomed_plan, tenant="t", name="doomed")
+            assert handle.wait(30.0)
+            assert handle.state is QueryState.FAILED
+            assert "no workers" in str(handle.error)
         finally:
-            scheduler.shutdown()
+            service.shutdown()
+
+
+#: one step of a single-tenant run: submit, take (one idle worker takes
+#: the next query) or complete the ``i``-th query on a worker
+STEPS = st.one_of(
+    st.just(("submit", 0)),
+    st.just(("take", 0)),
+    st.tuples(st.just("complete"), st.integers(0, 7)),
+)
+
+
+class TestOneTenantIsAFifo:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(STEPS, max_size=60),
+        workers=st.integers(1, 4),
+        depth=st.integers(1, 5),
+        headroom=st.integers(0, 3),
+    )
+    def test_matches_the_bounded_queue(self, steps, workers, depth, headroom):
+        """With ``max_inflight`` at least the worker count, any
+        interleaving admits, refuses and hands out queries exactly as a
+        ``queue.Queue(maxsize=depth)`` in front of the workers did."""
+        admission, _ = make_queue(TenantQuota(
+            max_pending=depth, max_inflight=workers + headroom,
+        ))
+        fifo = stdlib_queue.Queue(maxsize=depth)
+        on_workers, expected_on_workers = [], []
+        for number, (step, index) in enumerate(steps):
+            if step == "submit":
+                name = "s%d" % number
+                try:
+                    fifo.put_nowait(name)
+                    fits = True
+                except stdlib_queue.Full:
+                    fits = False
+                try:
+                    submit(admission, "t", name)
+                    admitted = True
+                except TenantThrottled:
+                    admitted = False
+                assert admitted == fits
+            elif step == "take":
+                if len(expected_on_workers) == workers or fifo.empty():
+                    continue  # no idle worker, or nothing to take
+                expected_on_workers.append(fifo.get_nowait())
+                on_workers.append(admission.take())
+                assert on_workers[-1].name == expected_on_workers[-1]
+            elif on_workers:
+                index %= len(on_workers)
+                expected_on_workers.pop(index)
+                admission.complete(on_workers.pop(index), QueryState.DONE)
+        assert admission.stats()["pending"] == fifo.qsize()

@@ -35,6 +35,7 @@ from repro.service import (
     CatalogSpec,
     QueryService,
     QueryState,
+    ServiceExecutionMonitor,
 )
 from repro.service.procpool import (
     DISPLAY_INTERVAL,
@@ -42,8 +43,7 @@ from repro.service.procpool import (
     _ProbeServer,
     _serve_request,
     _Wire,
-    _WorkerMonitor,
-    _WorkerQueryHandle,
+    _worker_control,
     decode_query,
     encode_query,
 )
@@ -585,7 +585,7 @@ class TestBatchedPipe:
         wire.sample("first")
         wire.sample("second")
         flag.value = 1
-        server.maybe_serve(monitor=None)
+        server.maybe_serve()
         assert conn.sent == [
             ("events", 7, ["first"]),
             ("events", 7, ["second"]),
@@ -596,12 +596,10 @@ class TestBatchedPipe:
         conn = _RecordingConn()
         clock = _FakeClock()
         wire = _Wire(conn, 7, clock=clock)
-        shim = _WorkerQueryHandle(
-            "quiet", multiprocessing.RawValue("b", 0), None
-        )
-        monitor = _WorkerMonitor(
-            shim, _ProbeServer(wire, multiprocessing.RawValue("q", 0))
-        )
+        monitor = ServiceExecutionMonitor(_worker_control(
+            wire, _ProbeServer(wire, multiprocessing.RawValue("q", 0)),
+            multiprocessing.RawValue("b", 0), "quiet", None,
+        ))
         wire.sample("first")
         wire.sample("second")
         monitor._check_control()

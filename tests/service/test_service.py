@@ -328,9 +328,12 @@ class TestMonitorControl:
     def _monitor(self):
         from repro.service import ServiceExecutionMonitor
         from repro.service.handle import QueryHandle
+        from repro.service.monitor import handle_control
 
         handle = QueryHandle(1, "controlled", plan=None)
-        return handle, ServiceExecutionMonitor(handle, clock=lambda: 10.0)
+        return handle, ServiceExecutionMonitor(
+            handle_control(handle, clock=lambda: 10.0)
+        )
 
     def test_finish_and_rewind_honour_cancel(self):
         handle, monitor = self._monitor()
