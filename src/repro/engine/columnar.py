@@ -56,7 +56,6 @@ from repro.engine.operators.aggregate import (
     AggregateKind,
     HashAggregate,
     StreamAggregate,
-    _Accumulator,
 )
 from repro.engine.operators.base import ExecutionContext, Operator
 from repro.engine.operators.filter import Filter
@@ -399,20 +398,16 @@ def _index_lookup(index) -> Tuple[_KeyedLookup, list]:
 
 
 def _spec_value_vcols(op, batch: _Batch) -> List[Optional[object]]:
-    """Per-spec evaluated argument vcols (None slot for COUNT(*))."""
-    vcols: List[Optional[object]] = []
-    for index, spec in enumerate(op.aggregates):
-        if spec.argument is None:
-            vcols.append(None)
-            continue
+    """Per-spec evaluated argument vcols (None for COUNT(*)); an argument
+    node shared by two specs is evaluated once, as on the row engines."""
+    vcols: List[object] = []
+    for index, argument in enumerate(op.layout.arguments):
         try:
-            vcols.append(
-                evaluate(spec.argument, batch.schema, batch.cols, batch.n)
-            )
+            vcols.append(evaluate(argument, batch.schema, batch.cols, batch.n))
         except Unvectorizable:
             fn = op._argument_fns[index]
             vcols.append([fn(row) for row in batch.rows()])
-    return vcols
+    return [None if a is None else vcols[a] for a in op.layout.argument_of]
 
 
 def _group_key_vcols(op, batch: _Batch) -> List[object]:
@@ -482,100 +477,104 @@ def _int_sum_in_range(arr) -> bool:
     return peak * len(arr) < 2 ** 63
 
 
-def _reduce_spec(values, order: Optional[List[int]], bounds: List[int]):
-    """Per-segment ``(counts, sums, mins, maxs)`` for one aggregate argument.
+def _spec_column(kind: AggregateKind, values, order: Optional[List[int]],
+                 bounds: List[int]) -> List[object]:
+    """Per-segment values of one aggregate over its argument column.
 
     ``order`` (None for already-clustered input) maps segment slots to row
     indices; ``bounds`` delimits the segments over the ordered rows, in row
-    order within each segment.  Bit-identical to per-row
-    ``_Accumulator.update``: counts ignore NULLs, sums add numeric non-bool
+    order within each segment.  Bit-identical to folding every row through
+    :meth:`GroupLayout.update_source` and finalizing, and like it computes
+    only what ``kind`` reads: counts ignore NULLs, sums add numeric non-bool
     values in row order, min/max keep the first extremal value.  Float sums
     left-fold with built-in ``sum`` over native values — ``np.add.reduceat``
     reassociates float additions and is deliberately NOT used for them;
     integer sums DO use ``reduceat`` (addition is associative) whenever
     :func:`_int_sum_in_range` rules out int64 wraparound.  The min/max
-    ``reduceat`` on NULL-free arrays is order-insensitive for totally
-    ordered values (the typed columns carry no NaNs, where NumPy's
-    propagate-NaN and Python's keep-first semantics would part ways).
+    ``reduceat`` runs on NULL-free int/bool arrays and on float arrays with
+    no NaN and no zero — the two places where NumPy (NaN propagates; ``0.0``
+    and ``-0.0`` tie either way) and keep-first Python part ways.
     """
     group_count = len(bounds) - 1
-    counts = [0] * group_count
-    sums: List[object] = [None] * group_count
-    mins: List[object] = [None] * group_count
-    maxs: List[object] = [None] * group_count
     if group_count == 0:
-        return counts, sums, mins, maxs
+        return []
+    want_count = kind is AggregateKind.COUNT or kind is AggregateKind.AVG
+    want_sum = kind is AggregateKind.SUM or kind is AggregateKind.AVG
+    counts: List[int] = [0] * group_count
+    sums: List[object] = [None] * group_count
+    extremes: List[object] = [None] * group_count
+    pick = min if kind is AggregateKind.MIN else max
     if _is_np(values):  # NULL-free by the packing invariant
         if order is None:
             arr = values
         else:
             arr = values[_np.asarray(order, dtype=_np.int64)]
-        kind = arr.dtype.kind
+        dtype = arr.dtype.kind
         starts = _np.asarray(bounds[:-1], dtype=_np.int64)
-        counts = _np.diff(_np.asarray(bounds, dtype=_np.int64)).tolist()
-        if kind in "bif":
-            mins = _np.minimum.reduceat(arr, starts).tolist()
-            maxs = _np.maximum.reduceat(arr, starts).tolist()
-        else:
-            native = arr.tolist()
-            for g in range(group_count):
-                segment = native[bounds[g]:bounds[g + 1]]
-                mins[g] = min(segment)
-                maxs[g] = max(segment)
-        if kind == "i" and _int_sum_in_range(arr):
-            sums = _np.add.reduceat(arr, starts).tolist()
-        elif kind in "if":
-            native = arr.tolist()
-            for g in range(group_count):
-                lo, hi = bounds[g], bounds[g + 1]
-                sums[g] = sum(native[lo + 1:hi], native[lo])
-        return counts, sums, mins, maxs
-    for g in range(group_count):
-        if order is None:
-            indices = range(bounds[g], bounds[g + 1])
-        else:
-            indices = order[bounds[g]:bounds[g + 1]]
-        present = [values[j] for j in indices if values[j] is not None]
-        if not present:
-            continue
-        counts[g] = len(present)
-        numeric = [
-            v
-            for v in present
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        ]
-        if numeric:
-            sums[g] = sum(numeric[1:], numeric[0])
-        mins[g] = min(present)
-        maxs[g] = max(present)
-    return counts, sums, mins, maxs
-
-
-def _finalized_spec_columns(op, sizes: List[int], reduced) -> List[object]:
-    """One output column per aggregate spec — ``finalize`` semantics."""
-    group_count = len(sizes)
-    cols: List[object] = []
-    for i, spec in enumerate(op.aggregates):
-        kind = spec.kind
-        if kind is AggregateKind.COUNT_STAR:
-            col: List[object] = list(sizes)
-        else:
-            counts, sums, mins, maxs = reduced[i]
-            if kind is AggregateKind.COUNT:
-                col = list(counts)
-            elif kind is AggregateKind.SUM:
-                col = list(sums)
-            elif kind is AggregateKind.AVG:
-                col = [
-                    None if counts[g] == 0 else sums[g] / counts[g]
-                    for g in range(group_count)
-                ]
-            elif kind is AggregateKind.MIN:
-                col = list(mins)
+        if want_count:
+            counts = _np.diff(_np.asarray(bounds, dtype=_np.int64)).tolist()
+        if want_sum:
+            if dtype == "i" and _int_sum_in_range(arr):
+                sums = _np.add.reduceat(arr, starts).tolist()
+            elif dtype in "if":
+                native = arr.tolist()
+                for g in range(group_count):
+                    lo, hi = bounds[g], bounds[g + 1]
+                    sums[g] = sum(native[lo + 1:hi], native[lo])
+        elif not want_count:
+            if dtype in "bi" or (
+                dtype == "f" and not _np.isnan(arr).any() and arr.all()
+            ):
+                reduce = _np.minimum if pick is min else _np.maximum
+                extremes = reduce.reduceat(arr, starts).tolist()
             else:
-                col = list(maxs)
-        cols.append(pack_values(col, None))
-    return cols
+                native = arr.tolist()
+                for g in range(group_count):
+                    extremes[g] = pick(native[bounds[g]:bounds[g + 1]])
+    else:
+        for g in range(group_count):
+            if order is None:
+                indices = range(bounds[g], bounds[g + 1])
+            else:
+                indices = order[bounds[g]:bounds[g + 1]]
+            present = [values[j] for j in indices if values[j] is not None]
+            if not present:
+                continue
+            if want_count:
+                counts[g] = len(present)
+            if want_sum:
+                numeric = [
+                    v
+                    for v in present
+                    if isinstance(v, (int, float)) and not isinstance(v, bool)
+                ]
+                if numeric:
+                    sums[g] = sum(numeric[1:], numeric[0])
+            elif not want_count:
+                extremes[g] = pick(present)
+    if kind is AggregateKind.COUNT:
+        return counts
+    if kind is AggregateKind.SUM:
+        return sums
+    if kind is AggregateKind.AVG:
+        return [
+            None if counts[g] == 0 else sums[g] / counts[g]  # type: ignore[operator]
+            for g in range(group_count)
+        ]
+    return extremes
+
+
+def _aggregate_columns(op, vcols, order: Optional[List[int]],
+                       bounds: List[int]) -> List[object]:
+    """One output column per aggregate spec over the group extents."""
+    return [
+        pack_values(
+            [bounds[g + 1] - bounds[g] for g in range(len(bounds) - 1)]
+            if vcol is None else _spec_column(spec.kind, vcol, order, bounds),
+            None,
+        )
+        for spec, vcol in zip(op.aggregates, vcols)
+    ]
 
 
 def _stable_argsort(values, descending: bool):
@@ -819,9 +818,8 @@ class _BlockSink:
         #: (None = input already clustered), plus the group extents over it
         self._order: Optional[object] = None
         self._bounds: List[int] = [0]
-        self._sizes: List[int] = []
         self._inserted = 0
-        self._placeholder: Optional[_Accumulator] = None
+        self._placeholder: Optional[list] = None
         self._emit: Optional[_Batch] = None
 
     def emitted_batch(self) -> Optional[_Batch]:
@@ -841,7 +839,6 @@ class _BlockSink:
             self._group_keys = [()]
             self._first_at = [0]
             self._bounds = [0, n]
-            self._sizes = [n]
             return
         self._key_vcols = _group_key_vcols(op, batch)
         clustered = _cluster_keys(self._key_vcols, n)
@@ -849,11 +846,7 @@ class _BlockSink:
             firsts, order, sizes = clustered
             self._first_at = firsts.tolist()
             self._order = order
-            self._sizes = sizes.tolist()
-            bounds = [0]
-            for size in self._sizes:
-                bounds.append(bounds[-1] + size)
-            self._bounds = bounds
+            self._bounds = [0] + _np.cumsum(sizes).tolist()
             self._group_keys = list(
                 zip(*[vcol[firsts].tolist() for vcol in self._key_vcols])
             )
@@ -871,10 +864,9 @@ class _BlockSink:
                 self._first_at.append(j)
             group_rows[group].append(j)
         self._order = [j for indices in group_rows for j in indices]
-        self._sizes = [len(indices) for indices in group_rows]
         bounds = [0]
-        for size in self._sizes:
-            bounds.append(bounds[-1] + size)
+        for indices in group_rows:
+            bounds.append(bounds[-1] + len(indices))
         self._bounds = bounds
 
     def advance(self, consumed: int) -> None:
@@ -887,13 +879,13 @@ class _BlockSink:
             return
         placeholder = self._placeholder
         if placeholder is None:
-            placeholder = self._placeholder = _Accumulator(len(op.aggregates))
+            placeholder = self._placeholder = op.layout.new_group()
         groups = op._groups
         group_keys = self._group_keys
         while inserted < len(first_at) and first_at[inserted] < consumed:
-            # One shared placeholder for every key: mid-build observers
-            # only ever read len(op._groups) (like a hash join's op._table,
-            # the per-key accumulators are never observed — the emitted
+            # One shared placeholder group for every key: mid-build
+            # observers only ever read len(op._groups) (like a hash join's
+            # op._table, the per-key slots are never observed — the emitted
             # values come from the reduced columns at commit).
             groups[group_keys[inserted]] = placeholder
             inserted += 1
@@ -984,16 +976,8 @@ class _BlockSink:
         return permutation
 
     def _commit_hash_aggregate(self, op: HashAggregate) -> None:
-        spec_count = len(op.aggregates)
         group_count = len(self._group_keys)
         if group_count:
-            order = self._order
-            bounds = self._bounds
-            sizes = self._sizes
-            reduced = [
-                None if vcol is None else _reduce_spec(vcol, order, bounds)
-                for vcol in self._spec_vcols
-            ]
             # Any group the replay's advance() did not reach yet (none, in
             # a fully drained chain) still gets its key registered: the
             # groups dict carries cardinality, nothing reads its values.
@@ -1001,21 +985,13 @@ class _BlockSink:
             emit_cols = [
                 _gather(vcol, self._first_at) for vcol in self._key_vcols
             ]
-            emit_cols += _finalized_spec_columns(op, sizes, reduced)
+            emit_cols += _aggregate_columns(
+                op, self._spec_vcols, self._order, self._bounds
+            )
             self._emit = _Batch(op.schema, emit_cols, group_count)
         if not op.group_by and not op._groups:
-            op._groups[()] = _Accumulator(spec_count)
+            op._groups[()] = op.layout.new_group()
         op._materialized = True
-        emit_batch = self._emit
-
-        def emitted_rows():
-            if emit_batch is not None:
-                yield from emit_batch.rows()
-            else:
-                for key, accumulator in op._groups.items():
-                    yield op._emit(key, accumulator)
-
-        op._output = emitted_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -1321,11 +1297,10 @@ class _VecRunner:
         self, op: StreamAggregate, child: _Batch
     ) -> _Stage:
         n = child.n
-        spec_count = len(op.aggregates)
         if n == 0:
             if op.group_by:
                 return _Stage(op, _rows_to_batch(op.schema, []), [1])
-            row = op._emit((), _Accumulator(spec_count))
+            row = op._emit((), op.layout.new_group())
             return _Stage(op, _rows_to_batch(op.schema, [row]), [1, 1])
         if op.group_by:
             key_vcols = _group_key_vcols(op, child)
@@ -1335,13 +1310,10 @@ class _VecRunner:
             starts = [0]
         bounds = starts + [n]
         group_count = len(starts)
-        sizes = [bounds[g + 1] - bounds[g] for g in range(group_count)]
-        reduced = [
-            None if vcol is None else _reduce_spec(vcol, None, bounds)
-            for vcol in _spec_value_vcols(op, child)
-        ]
         cols = [_gather(vcol, starts) for vcol in key_vcols]
-        cols += _finalized_spec_columns(op, sizes, reduced)
+        cols += _aggregate_columns(
+            op, _spec_value_vcols(op, child), None, bounds
+        )
         # Emitting a group consumes through the next group's first row
         # (the lookahead); the last group drains the child's sentinel.
         cons = [
@@ -1432,7 +1404,7 @@ class _ColumnarCompiler(_Compiler):
                 return op._rows is not None
             if kind is TopN:
                 return op._buffer is not None
-            return op._output is not None
+            return op._materialized
 
         emitted_cache: List[List[Row]] = []
 

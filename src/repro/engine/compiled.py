@@ -55,11 +55,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 from repro.engine.expressions import ColumnRef, reject_source, to_source
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext, Operator
-from repro.engine.operators.aggregate import (
-    HashAggregate,
-    StreamAggregate,
-    _Accumulator,
-)
+from repro.engine.operators.aggregate import HashAggregate, StreamAggregate
 from repro.engine.operators.filter import Filter
 from repro.engine.operators.hash_join import HashJoin
 from repro.engine.operators.merge_join import MergeJoin
@@ -87,7 +83,6 @@ _CODE: Dict[str, Callable] = {}
 _MAX_LOOPS = 12
 #: what generated functions see besides their argument
 _GLOBALS = {
-    "_Accumulator": _Accumulator,
     "ExecutionError": ExecutionError,
     "sort_rows": sort_rows,
 }
@@ -486,9 +481,10 @@ class _Compiler:
             g.emit(ind, "    %s._built = True" % (k,))
             self._produce(g, op.right, ind, probe, pulls, joins + 1)
         elif kind is HashAggregate:
-            groups, get, key, acc = g.tmp(), g.tmp(), g.tmp(), g.tmp()
-            fresh = "%s[%s] = _Accumulator(%d)" % (
-                groups, key if op.group_by else "()", len(op.aggregates)
+            layout = op.layout
+            groups, get, key, group = g.tmp(), g.tmp(), g.tmp(), g.tmp()
+            fresh = "%s = %s[%s] = %s" % (
+                group, groups, key if op.group_by else "()", layout.fresh_source
             )
 
             def accumulate(row: str, ind: str) -> None:
@@ -497,29 +493,32 @@ class _Compiler:
                     g.emit(ind, "%s = (%s,)" % (key, ", ".join(
                         [g.value(e, row, child.schema) for _, e in op.group_by]
                     )))
-                    g.emit(ind, "%s = %s(%s)" % (acc, get, key))
-                # a scalar aggregate keeps its one accumulator across rows
-                g.emit(ind, "if %s is None: %s = %s" % (acc, acc, fresh))
-                self._update(g, ind, op, acc, row)
+                    g.emit(ind, "%s = %s(%s)" % (group, get, key))
+                # a scalar aggregate keeps its one group across rows
+                g.emit(ind, "if %s is None: %s" % (group, fresh))
+                self._update(g, ind, op, group, row)
 
             # Accumulate into op._groups in place: mid-build observers read
             # groups_seen() exactly as under the interpreted engine.
-            g.emit(ind, "if %s._output is None:" % (k,))
+            g.emit(ind, "if not %s._materialized:" % (k,))
             g.emit(ind, "    %s = %s._groups; %s = %s.get; %s = None" % (
-                groups, k, get, groups, acc
+                groups, k, get, groups, group
             ))
             self._produce(g, child, ind + "    ", accumulate, False)
             if not op.group_by:  # one row even over empty input
-                g.emit(ind, "    if %s is None: %s" % (acc, fresh))
+                g.emit(ind, "    if %s is None: %s" % (group, fresh))
             g.emit(ind, "    %s._materialized = True" % (k,))
-            g.emit(ind, "    %s._output = iter([%s._emit(key, acc) "
-                   "for key, acc in %s.items()])" % (k, k, groups))
-            self._loop(g, ind, op, k, k + "._output", consume, pulls)
+            # Every pass (a ⋈NL rescan too) finalizes the kept groups.
+            key, group = g.tmp(), g.tmp()
+            rows = "[%s + %s for %s, %s in %s._groups.items()]" % (
+                key, layout.finalize_source(group), key, group, k,
+            )
+            self._loop(g, ind, op, k, rows, consume, pulls)
         elif kind is StreamAggregate:
-            acc, cur = g.tmp(), g.tmp()
-            fresh = "_Accumulator(%d)" % (len(op.aggregates),)
+            layout = op.layout
+            group, cur = g.tmp(), g.tmp()
 
-            def group(row: str, ind: str) -> None:
+            def accumulate(row: str, ind: str) -> None:
                 if op.group_by:
                     key, out = g.tmp(), g.tmp()
                     g.emit(ind, "%s = (%s,)" % (key, ", ".join(
@@ -530,30 +529,35 @@ class _Compiler:
                     # order).  The one-row loop keeps a ``continue`` in the
                     # parent's code from skipping the update below.
                     g.emit(ind, "if %s != %s:" % (key, cur))
-                    g.emit(ind, "    if %s is not None:" % (acc,))
-                    g.emit(ind, "        for %s in (%s._emit(%s, %s),):" % (
-                        out, k, cur, acc
+                    g.emit(ind, "    if %s is not None:" % (group,))
+                    g.emit(ind, "        for %s in (%s + %s,):" % (
+                        out, cur, layout.finalize_source(group)
                     ))
                     self._tick(g, ind + "            ", op, k)
                     consume(out, ind + "            ")
-                    g.emit(ind, "    %s = %s; %s = %s" % (cur, key, acc, fresh))
-                else:  # a scalar aggregate keeps its one accumulator
-                    g.emit(ind, "if %s is None: %s = %s" % (acc, acc, fresh))
-                self._update(g, ind, op, acc, row)
+                    g.emit(ind, "    %s = %s; %s = %s" % (
+                        cur, key, group, layout.fresh_source
+                    ))
+                else:  # a scalar aggregate keeps its one group
+                    g.emit(ind, "if %s is None: %s = %s" % (
+                        group, group, layout.fresh_source
+                    ))
+                self._update(g, ind, op, group, row)
 
-            g.emit(ind, "%s = %s = None" % (acc, cur))
-            self._produce(g, child, ind, group, pulls, joins + bool(op.group_by))
+            g.emit(ind, "%s = %s = None" % (group, cur))
+            self._produce(g, child, ind, accumulate, pulls, joins + bool(op.group_by))
             # The last group closes when the input ends — after the child's
             # finish events, in a pipeline of its own; the scalar form
             # emits its one row even over empty input.
             if op.group_by:
-                last = "() if %s is None else (%s._emit(%s, %s),)" % (
-                    acc, k, cur, acc
+                last = "() if %s is None else (%s + %s,)" % (
+                    group, cur, layout.finalize_source(group)
                 )
             else:
-                last = "(%s._emit((), %s if %s is None else %s),)" % (
-                    k, fresh, acc, acc
-                )
+                g.emit(ind, "if %s is None: %s = %s" % (
+                    group, group, layout.fresh_source
+                ))
+                last = "(%s,)" % (layout.finalize_source(group),)
             self._loop(g, ind, op, k, last, consume, pulls)
         elif kind is MergeJoin:
             right = self.compile(op.right)
@@ -660,65 +664,15 @@ class _Compiler:
         self._tick(g, ind, op, k)
         consume(joined, ind)
 
-    def _update(self, g: _Gen, ind: str, op, acc: str, row: str) -> None:
-        """Emit the per-row update of accumulator ``acc`` from ``row``.
-
-        ``_Accumulator.update`` loops over every spec maintaining
-        count/sum/min/max for each; ``finalize`` only ever reads the slot
-        matching the spec's kind, so the emitted code touches just those
-        slots and evaluates a shared argument expression object once (they
-        are pure; sharing is by identity — two structurally equal nodes are
-        evaluated twice).  Emitted rows are identical; the untouched slots
-        are not observable (progress bounds read ``groups_seen()``/
-        ``input_consumed``, never accumulator internals).
-        """
+    def _update(self, g: _Gen, ind: str, op, group: str, row: str) -> None:
+        """Emit the per-row update of the group list ``group`` from ``row``:
+        :meth:`GroupLayout.update_source` over the inlined arguments."""
         schema = op.child.schema
-        g.emit(ind, "%s.count_star += 1" % (acc,))
-        values: dict = {}  # id(argument expression) -> local holding its value
-        slots: set = set()
-
-        def slot(name: str) -> None:  # the slot list, loaded once per row
-            if name not in slots:
-                slots.add(name)
-                g.emit(ind, "%s = %s.%s" % (name, acc, name))
-
-        for index, spec in enumerate(op.aggregates):
-            if spec.argument is None:  # COUNT(*): only count_star, done above
-                continue
-            value = values.get(id(spec.argument))
-            if value is None:
-                value = values[id(spec.argument)] = g.tmp()
-                g.emit(ind, "%s = %s" % (
-                    value, g.value(spec.argument, row, schema)
-                ))
-            kind = spec.kind.name
-            if kind in ("COUNT", "AVG"):
-                slot("counts")
-            if kind == "COUNT":
-                g.emit(ind, "if %s is not None: counts[%d] += 1" % (
-                    value, index
-                ))
-            elif kind in ("SUM", "AVG"):
-                slot("sums")
-                g.emit(ind, "if %s is not None:" % (value,))
-                if kind == "AVG":
-                    g.emit(ind, "    counts[%d] += 1" % (index,))
-                # `cls is not bool and isinstance(...)` reproduces the
-                # reference's bool-excluding numeric guard with the common
-                # int/float case answered by two identity checks.
-                g.emit(ind, "    cls = %s.__class__" % (value,))
-                g.emit(ind, "    if cls is float or cls is int or (cls is not"
-                       " bool and isinstance(%s, (int, float))):" % (value,))
-                g.emit(ind, "        cur = sums[%d]" % (index,))
-                g.emit(ind, "        sums[%d] = %s if cur is None else cur + %s"
-                       % (index, value, value))
-            else:  # MIN keeps the smaller value, MAX the larger
-                name, test = ("mins", "<") if kind == "MIN" else ("maxs", ">")
-                slot(name)
-                g.emit(ind, "if %s is not None:" % (value,))
-                g.emit(ind, "    cur = %s[%d]" % (name, index))
-                g.emit(ind, "    if cur is None or %s %s cur: %s[%d] = %s"
-                       % (value, test, name, index, value))
+        for line in op.layout.update_source(group, [
+            (g.tmp(), g.value(argument, row, schema))
+            for argument in op.layout.arguments
+        ]):
+            g.emit(ind, line)
 
     # -- row sources: pull iterators over compiled children ---------------------
 

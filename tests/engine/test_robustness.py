@@ -8,11 +8,19 @@ from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators import (
     ExecutionContext,
     Filter,
+    HashAggregate,
     HashJoin,
     LeafOperator,
+    RowSource,
     Sort,
     SortKey,
+    StreamAggregate,
     TableScan,
+    agg_avg,
+    agg_max,
+    agg_min,
+    agg_sum,
+    count,
 )
 from repro.engine.plan import Plan
 from repro.errors import ExecutionError
@@ -268,3 +276,40 @@ class TestBoundsUnderFailure:
             plan.root.run(ExecutionContext())
         snapshot = tracker.snapshot()  # must not raise
         assert snapshot.lower >= 0
+
+
+#: every engine, the batch one included
+ENGINES = ("interpreted", "fused", "columnar")
+
+
+class TestAggregateFailureParity:
+    """A mixed ``str``/``int`` column (a mislabelled import, say): the
+    aggregates that never compare values agree on every engine, MIN/MAX
+    raise the same error everywhere."""
+
+    ROWS = [(1, "a"), (1, 3), (2, None), (3, 4), (3, "b")]
+
+    @classmethod
+    def _plan(cls, make_spec, stream):
+        source = RowSource(schema_of(None, "g:int", "x:int"), list(cls.ROWS))
+        kind = StreamAggregate if stream else HashAggregate
+        return Plan(kind(source, [("g", col("g"))], [make_spec(col("x"))]))
+
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_count_sum_avg_ignore_what_they_do_not_read(self, engine, stream):
+        expected = {
+            count: [(1, 2), (2, 0), (3, 2)],
+            agg_sum: [(1, 3), (2, None), (3, 4)],
+            agg_avg: [(1, 1.5), (2, None), (3, 2.0)],
+        }
+        for make_spec, rows in expected.items():
+            result = execute(self._plan(make_spec, stream), engine=engine).rows
+            assert repr(result) == repr(rows), make_spec.__name__
+
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_min_max_raise_the_same_error(self, engine, stream):
+        for make_spec in (agg_min, agg_max):
+            with pytest.raises(TypeError):
+                execute(self._plan(make_spec, stream), engine=engine)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.engine.expressions import col, lit
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators import (
@@ -20,6 +21,7 @@ from repro.engine.operators import (
     count_star,
 )
 from repro.errors import PlanError
+from repro.sql import plan_query, run_query
 from repro.storage import Table, schema_of
 
 
@@ -167,3 +169,55 @@ class TestStreamAggregate:
         stream = StreamAggregate(TableScan(table), [("g", col("g"))],
                                  [count_star("n")])
         assert not stream.is_blocking
+
+
+class TestAggregateTypes:
+    """What the output schema declares, and what it refuses to sum."""
+
+    @pytest.fixture
+    def typed(self):
+        return Table("t", schema_of(
+            "t", "g:int", "v:float", "s:str", "d:date", "b:bool",
+        ), [(1, 2.5, "x", "1995-01-01", True), (1, 0.5, "y", "1996-02-03", False)])
+
+    @pytest.mark.parametrize("column", ["s", "d", "b"])
+    @pytest.mark.parametrize("spec", [agg_sum, agg_avg])
+    @pytest.mark.parametrize("kind", [HashAggregate, StreamAggregate])
+    def test_sum_and_avg_refuse_a_non_numeric_column(self, typed, kind, spec, column):
+        with pytest.raises(PlanError, match="t.%s|%s" % (column, column)):
+            kind(TableScan(typed), [("g", col("g"))], [spec(col(column))])
+
+    def test_min_max_keep_a_plain_column_type(self, typed):
+        agg = HashAggregate(TableScan(typed), [], [
+            agg_min(col("d"), "lo"), agg_max(col("s"), "hi"),
+            agg_min(col("g"), "g"), agg_max(col("b"), "b"),
+            agg_min(col("v") * lit(2.0), "computed"), agg_sum(col("g"), "total"),
+        ])
+        types = [column.type.name for column in agg.schema.columns]
+        assert types == ["DATE", "STR", "INT", "BOOL", "FLOAT", "FLOAT"]
+        assert all(column.nullable for column in agg.schema.columns)
+        assert run(agg) == [("1995-01-01", "y", 1, True, 1.0, 2)]
+
+    def test_count_still_counts_any_column(self, typed):
+        agg = HashAggregate(TableScan(typed), [], [count(col("s"), "n")])
+        assert run(agg) == [(2,)]
+
+
+class TestAggregateTypesOverSql:
+    SQL = "SELECT AVG(o_orderstatus) FROM orders"
+
+    @pytest.mark.parametrize("engine", ["interpreted", "fused", "columnar"])
+    @pytest.mark.parametrize("sql", [SQL, "SELECT SUM(o_orderdate) FROM orders"])
+    def test_session_run_raises_a_typed_error_on_every_engine(self, tpch_db, engine, sql):
+        session = repro.connect(catalog=tpch_db.catalog)
+        with pytest.raises(PlanError, match="cannot be summed"):
+            session.run(sql, engine=engine)
+
+    def test_the_sql_path_raises_before_running(self, tpch_db):
+        with pytest.raises(PlanError, match="AVG\\(o_orderstatus\\)"):
+            plan_query(self.SQL, tpch_db.catalog)
+        with pytest.raises(PlanError):
+            run_query(self.SQL, tpch_db.catalog)
+        # MIN/MAX over the same column are fine and typed as the column
+        plan = plan_query("SELECT MIN(o_orderstatus) FROM orders", tpch_db.catalog)
+        assert plan.root.schema.columns[0].type.name == "STR"

@@ -250,6 +250,17 @@ class TestAdmission:
         assert status["state"] == "failed"
         assert "error" in status
 
+    def test_avg_over_a_text_column_fails_with_the_plan_error(self, client):
+        status, record = client.request("POST", "/queries", {
+            "sql": "SELECT AVG(o_orderstatus) FROM orders", "tenant": "t-avg",
+        })
+        assert status == 201
+        frames = client.stream_events(record["id"])
+        assert [frame["event"] for frame in frames] == ["queued", "end"]
+        assert frames[-1]["state"] == "failed"
+        assert "AVG(o_orderstatus)" in frames[-1]["error"]
+        assert "cannot be summed" in client.status(record["id"])["error"]
+
     def test_websocket_upgrade_required_on_events(self, client, server):
         record = client.submit("SELECT COUNT(*) FROM region",
                                tenant="t-up", target_samples=5)
