@@ -55,7 +55,7 @@ from repro.core.observe import (
     emit_to_all,
 )
 from repro.core.pipelines import Pipeline, PipelineState, decompose
-from repro.engine.executor import pipeline_boundary_operators
+from repro.engine.executor import pipeline_boundary_operators, run_root
 from repro.engine.monitor import EVENT_TICK, ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext
 from repro.engine.plan import Plan
@@ -528,17 +528,8 @@ class ProgressRunner:
         emit("run_start", 0.0, 0.0, {}, 0.0, 0.0)
         context = ExecutionContext(monitor)
         try:
-            if self.engine == "fused":
-                from repro.engine.compiled import run_fused
-
-                run_fused(self.plan.root, context)
-            elif self.engine == "columnar":
-                from repro.engine.columnar import run_columnar
-
-                run_columnar(self.plan.root, context)
-            else:
-                for _ in self.plan.root.iterate(context):
-                    pass
+            # The product of the run is its trace: the root keeps no rows.
+            run_root(self.plan.root, context, self.engine, keep_rows=False)
             final_curr = (
                 weighted.current() if weighted is not None
                 else float(monitor.total_ticks)

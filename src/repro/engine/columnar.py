@@ -667,7 +667,8 @@ def _chain_layout(stages: List[_Stage]) -> _ChainLayout:
             previous = _np.concatenate(
                 (_np.zeros(1, dtype=_np.int64), cons[:-1])
             )
-            sizes = child_csum[cons] - child_csum[previous]
+            sizes = child_csum[cons]
+            sizes -= child_csum[previous]
             sizes[:n_s] += 1
         else:
             sizes = []
@@ -697,16 +698,17 @@ def _chain_layout(stages: List[_Stage]) -> _ChainLayout:
         child_csum = csums[s - 1]
         reach = int(cons[pulled[s] - 1])
         if use_np:
-            items = _np.arange(reach, dtype=_np.int64)
-            owner = _np.searchsorted(cons, items, side="right")
+            # In place: every temporary here is as long as the chain, and
+            # the layout, not the rows, sets a columnar run's memory peak.
+            owner = _np.searchsorted(
+                cons, _np.arange(reach, dtype=_np.int64), side="right"
+            )
             previous = _np.concatenate(
                 (_np.zeros(1, dtype=_np.int64), cons[:-1])
             )
-            child_starts = (
-                _np.asarray(starts[s])[owner]
-                + child_csum[items]
-                - child_csum[previous[owner]]
-            )
+            child_starts = _np.asarray(starts[s])[owner]
+            child_starts += child_csum[:reach]
+            child_starts -= child_csum[previous[owner]]
         else:
             parent_starts = starts[s]
             child_starts = []
@@ -749,10 +751,13 @@ def _chain_layout(stages: List[_Stage]) -> _ChainLayout:
 
 
 class _RootSink:
-    """The driver: collects the plan's result rows."""
+    """The plan's root consumer: collects its result rows, or, when the
+    caller keeps none, leaves the last batch as columns (no
+    ``batch.rows()``)."""
 
-    def __init__(self) -> None:
-        self.rows: List[Row] = []
+    def __init__(self, keep_rows: bool) -> None:
+        self.keep_rows = keep_rows
+        self.rows: Optional[List[Row]] = None
 
     def prepare(self, batch: _Batch) -> None:
         pass
@@ -761,7 +766,8 @@ class _RootSink:
         pass
 
     def commit(self, batch: _Batch) -> None:
-        self.rows = list(batch.rows())
+        if self.keep_rows:
+            self.rows = list(batch.rows())
 
 
 class _JoinBuildSink:
@@ -1436,15 +1442,19 @@ class _ColumnarCompiler(_Compiler):
 
 
 def run_columnar(
-    root: Operator, context: Optional[ExecutionContext] = None
-) -> List[Row]:
+    root: Operator,
+    context: Optional[ExecutionContext] = None,
+    keep_rows: bool = True,
+) -> Optional[List[Row]]:
     """Open ``root``, execute it through the columnar engine, close it.
 
     Tick-for-tick equivalent to ``root.run(context)`` and to
-    :func:`repro.engine.compiled.run_fused`: same rows in the same order,
-    same per-operator counts, same observer firing instants, same
-    finish/rewind event stream (tick events coalesced per replay window on
-    the batch-listener channel).
+    :func:`repro.engine.compiled.run_fused`: same per-operator counts, same
+    observer firing instants, same finish/rewind event stream (tick events
+    coalesced per replay window on the batch-listener channel), and — with
+    ``keep_rows`` — the same rows in the same order.  Without it no row is
+    kept and None is returned: the vectorised root never transposes its
+    batch, and a fallback plan runs the fused engine's drained program.
     """
     context = context or ExecutionContext()
     monitor = context.monitor
@@ -1452,9 +1462,9 @@ def run_columnar(
     try:
         if _vec_supported(root):
             runner = _VecRunner(monitor)
-            sink = _RootSink()
+            sink = _RootSink(keep_rows)
             runner.run_pipeline(root, sink)
             return sink.rows
-        return _ColumnarCompiler(monitor).run(root)
+        return _ColumnarCompiler(monitor).run(root, keep_rows)
     finally:
         root.close()

@@ -44,7 +44,9 @@ operator's own ``_next`` while its children are temporarily shimmed to pull
 from their compiled generators.
 
 Entry point: :func:`run_fused`; callers normally go through
-``repro.engine.executor.execute(plan, engine="fused")``.
+``repro.engine.executor.execute(plan, engine="fused")``.  An instrumented
+run drains instead (``keep_rows=False``): the root sink is an empty
+statement, so the program builds no result list.
 """
 
 from __future__ import annotations
@@ -230,10 +232,12 @@ class _Gen:
         self.lines.append(ind + text)
 
     def sink(self, stage: str, statement: str):
-        """A consume that ends the pipeline in one statement over the row."""
+        """A consume that ends the pipeline in one statement over the row,
+        or in none when ``statement`` is empty."""
         def consume(row: str, ind: str) -> None:
             self.pipe.stages.append(stage)
-            self.emit(ind, statement % (row,))
+            if statement:
+                self.emit(ind, statement % (row,))
         return consume
 
     def value(self, expression, row: str, schema) -> str:
@@ -257,17 +261,28 @@ class _Compiler:
 
     # -- entry points ---------------------------------------------------------------
 
-    def program(self, root: Operator):
-        """The function that runs the whole tree, and its argument."""
+    def program(self, root: Operator, keep_rows: bool = True):
+        """The function that runs the whole tree, and its argument.
+
+        With ``keep_rows`` the root sink appends each row to the list the
+        function returns; without it the root sink emits nothing — every
+        operator, the root's own ticks and expressions included, still
+        runs, but no row is kept and the function returns None.  The two
+        texts differ, so :data:`_CODE` holds each once.
+        """
         g = _Gen(self.acct)
+        if not keep_rows:
+            self._produce(g, root, "    ", g.sink("drain", ""), False)
+            return self._function(g), g.consts
         g.emit("    ", "out = []; push = out.append")
         self._produce(g, root, "    ", g.sink("result", "push(%s)"), False)
         return self._function(g, "\n    return out"), g.consts
 
-    def run(self, root: Operator) -> List[Row]:
-        """Execute the opened tree under ``root``; its rows, in order."""
+    def run(self, root: Operator, keep_rows: bool = True) -> Optional[List[Row]]:
+        """Execute the opened tree under ``root``; its rows, in order, or
+        None when the caller keeps none (see :meth:`program`)."""
         try:
-            program, consts = self.program(root)
+            program, consts = self.program(root, keep_rows)
             self.acct.reset_budget()
             return program(consts)
         finally:
@@ -337,11 +352,14 @@ class _Compiler:
             body += "    "
         row = g.tmp()
         g.emit(body, "for %s in %s:" % (row, rows))
+        loop = len(g.lines)
         if op is None:
             pipe.stages.append(k)
         else:
             self._tick(g, body + "    ", op, k)
         consume(row, body + "    ")
+        if len(g.lines) == loop:  # a row source the root drains
+            g.emit(body + "    ", "pass")
         head = "%s# pipeline %d: %s" % (
             ind, g.pipelines, " -> ".join(pipe.stages)
         )
@@ -837,18 +855,24 @@ _SOURCES = {
 }
 
 
-def run_fused(root: Operator, context: Optional[ExecutionContext] = None) -> List[Row]:
+def run_fused(
+    root: Operator,
+    context: Optional[ExecutionContext] = None,
+    keep_rows: bool = True,
+) -> Optional[List[Row]]:
     """Open ``root``, execute it through the fused engine, close it.
 
-    Tick-for-tick equivalent to ``root.run(context)``: same rows in the
-    same order, same per-operator counts, same observer firing instants,
-    same finish/rewind event stream (tick events are coalesced on the
-    batch-listener channel).
+    Tick-for-tick equivalent to ``root.run(context)``: same per-operator
+    counts, same observer firing instants, same finish/rewind event stream
+    (tick events are coalesced on the batch-listener channel), and — with
+    ``keep_rows`` — the same rows in the same order.  Without it the root
+    consumer keeps no row and None is returned: an instrumented run's
+    product is its progress trace, not the answer.
     """
     context = context or ExecutionContext()
     root.open(context)
     try:
-        return _Compiler(context.monitor).run(root)
+        return _Compiler(context.monitor).run(root, keep_rows)
     finally:
         root.close()
 

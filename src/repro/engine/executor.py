@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.engine.operators.base import ExecutionContext
+from repro.engine.operators.base import ExecutionContext, Operator
 from repro.engine.plan import Plan
 from repro.options import ENGINES, ExecutionOptions
 from repro.storage.table import Row
@@ -65,6 +65,34 @@ class ExecutionResult:
         return len(self.rows)
 
 
+def run_root(
+    root: Operator, context: ExecutionContext, engine: str,
+    keep_rows: bool = True,
+) -> Optional[List[Row]]:
+    """Open, run and close ``root`` on the resolved ``engine``.
+
+    With ``keep_rows`` the root's rows come back in order.  Without it the
+    root consumer counts its rows and keeps none, and None comes back:
+    every operator still runs, so ticks, observer instants, events and
+    raised errors are the same either way.  Callers that only want the
+    work accounting (the progress runner, :func:`measure_total_work`)
+    drain.
+    """
+    if engine == "fused":
+        from repro.engine.compiled import run_fused
+
+        return run_fused(root, context, keep_rows)
+    if engine == "columnar":
+        from repro.engine.columnar import run_columnar
+
+        return run_columnar(root, context, keep_rows)
+    if keep_rows:
+        return root.run(context)
+    for _ in root.iterate(context):
+        pass
+    return None
+
+
 def execute(
     plan: Plan,
     context: Optional[ExecutionContext] = None,
@@ -74,16 +102,7 @@ def execute(
     engine = _engine_choice(engine)
     context = context or ExecutionContext()
     context.monitor.mark_pipeline_boundaries(pipeline_boundary_operators(plan))
-    if engine == "fused":
-        from repro.engine.compiled import run_fused
-
-        rows = run_fused(plan.root, context)
-    elif engine == "columnar":
-        from repro.engine.columnar import run_columnar
-
-        rows = run_columnar(plan.root, context)
-    else:
-        rows = plan.root.run(context)
+    rows = run_root(plan.root, context, engine)
     monitor = context.monitor
     per_operator = {
         monitor.label_for(operator_id): ticks
@@ -110,15 +129,5 @@ def measure_total_work(plan: Plan, engine: Optional[str] = None) -> int:
     engine = _engine_choice(engine)
     context = ExecutionContext()
     context.monitor.mark_pipeline_boundaries(pipeline_boundary_operators(plan))
-    if engine == "fused":
-        from repro.engine.compiled import run_fused
-
-        run_fused(plan.root, context)
-    elif engine == "columnar":
-        from repro.engine.columnar import run_columnar
-
-        run_columnar(plan.root, context)
-    else:
-        for _ in plan.root.iterate(context):
-            pass
+    run_root(plan.root, context, engine, keep_rows=False)
     return context.monitor.total_ticks

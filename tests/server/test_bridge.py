@@ -33,6 +33,7 @@ from repro.server import (
     TenantQuota,
     wsproto,
 )
+from repro.server import app as app_module
 from repro.server.bridge import stream_of
 from repro.service import ServiceExecutionMonitor
 from repro.service import monitor as monitor_module
@@ -431,20 +432,46 @@ def wait_until_done(client, query_id, timeout=30.0) -> dict:
     raise AssertionError("query %s did not finish" % query_id)
 
 
+class HeldStreamSink(StreamSink):
+    """A query's stream sink that holds its worker at the second sample
+    until ``release`` is set, so the query is running by construction —
+    however fast the engine gets through the table."""
+
+    def __init__(self, stream: EventStream, release: threading.Event) -> None:
+        super().__init__(stream)
+        self.release = release
+        self.samples = 0
+
+    def emit(self, event) -> None:
+        if event.kind == "sample":
+            self.samples += 1
+            if self.samples == 2:
+                self.release.wait(timeout=30.0)
+        super().emit(event)
+
+
 class TestFirstPaintOverTheWire:
-    def test_lowered_once_the_first_sample_is_painted(self, db):
+    def test_lowered_once_the_first_sample_is_painted(self, db, monkeypatch):
+        release = threading.Event()
+        monkeypatch.setattr(
+            app_module, "StreamSink",
+            lambda stream: HeldStreamSink(stream, release),
+        )
         server = one_worker_server(db)
         with server.running():
-            client = ServerClient(server.config.host, server.port)
-            assert pending_on_metrics(client) == 0
-            record = client.submit(BIG_SQL, target_samples=200)
-            events = client.iter_events(record["id"])
-            for received in events:
-                if received["event"] == "sample":
-                    break
-            # Painted: the count drops while the query is still running.
-            assert settles_to_zero(client)
-            assert not client.status(record["id"])["done"]
+            try:
+                client = ServerClient(server.config.host, server.port)
+                assert pending_on_metrics(client) == 0
+                record = client.submit(BIG_SQL, target_samples=200)
+                events = client.iter_events(record["id"])
+                for received in events:
+                    if received["event"] == "sample":
+                        break
+                # Painted: the count drops while the query is still running.
+                assert settles_to_zero(client)
+                assert not client.status(record["id"])["done"]
+            finally:
+                release.set()
             assert [f["event"] for f in events][-1] == "end"
             assert pending_on_metrics(client) == 0
 
