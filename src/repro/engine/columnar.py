@@ -46,6 +46,7 @@ comprehensions) with identical semantics.
 from __future__ import annotations
 
 import bisect
+from array import array
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -201,7 +202,9 @@ def _cons_from_indices(idx, sentinel: int):
         return _np.concatenate(
             (idx.astype(_np.int64) + 1, _np.array([sentinel], dtype=_np.int64))
         )
-    return [j + 1 for j in idx] + [sentinel]
+    cons = array("q", [j + 1 for j in idx])
+    cons.append(sentinel)
+    return cons
 
 
 def _excl_cumsum(values):
@@ -211,7 +214,7 @@ def _excl_cumsum(values):
         out[0] = 0
         _np.cumsum(values, out=out[1:])
         return out
-    return list(accumulate(values, initial=0))
+    return array("q", accumulate(values, initial=0))
 
 
 class _Batch:
@@ -644,8 +647,8 @@ def _chain_layout(stages: List[_Stage]) -> _ChainLayout:
         cons = stage.cons
         if use_np:
             cons = _np.asarray(cons, dtype=_np.int64)
-        elif _is_np(cons):
-            cons = cons.tolist()
+        elif type(cons) is not array:
+            cons = array("q", cons)
         conses.append(cons)
 
     # Bottom-up: tsizes[s][i] = ticks item i of stage s contributes (its own
@@ -656,7 +659,8 @@ def _chain_layout(stages: List[_Stage]) -> _ChainLayout:
         t0 = _np.ones(counts[0] + 1, dtype=_np.int64)
         t0[counts[0]] = 0
     else:
-        t0 = [1] * counts[0] + [0]
+        t0 = array("q", [1]) * counts[0]
+        t0.append(0)
     tsizes.append(t0)
     for s in range(1, stage_count):
         child_csum = _excl_cumsum(tsizes[s - 1])
@@ -671,7 +675,7 @@ def _chain_layout(stages: List[_Stage]) -> _ChainLayout:
             sizes -= child_csum[previous]
             sizes[:n_s] += 1
         else:
-            sizes = []
+            sizes = array("q")
             previous_cons = 0
             for i in range(n_s + 1):
                 consumed = cons[i]
@@ -711,7 +715,7 @@ def _chain_layout(stages: List[_Stage]) -> _ChainLayout:
             child_starts -= child_csum[previous[owner]]
         else:
             parent_starts = starts[s]
-            child_starts = []
+            child_starts = array("q")
             for j in range(reach):
                 owner = bisect.bisect_right(cons, j)
                 before = cons[owner - 1] if owner else 0
@@ -733,9 +737,9 @@ def _chain_layout(stages: List[_Stage]) -> _ChainLayout:
             # searchsorted, so the n-element tolist would be pure waste.
             positions = stage_starts[:real] + sizes[:real] - 1
         else:
-            positions = [
+            positions = array("q", [
                 stage_starts[i] + sizes[i] - 1 for i in range(real)
-            ]
+            ])
         ownpos.append(positions)
         if pulled[s] == n_s + 1:  # sentinel consumed -> the op finishes
             markers.append(
@@ -1193,8 +1197,7 @@ class _VecRunner:
             cons = _np.arange(1, n + 2, dtype=_np.int64)
             cons[n] = n + 1
         else:
-            cons = list(range(1, n + 2))
-            cons[n] = n + 1
+            cons = array("q", range(1, n + 2))
         return _Stage(op, batch, cons)
 
     def _join_output(
@@ -1340,7 +1343,7 @@ class _VecRunner:
                 first + 1, first + taken + 2, dtype=_np.int64
             )
         else:
-            cons = list(range(first + 1, first + taken + 2))
+            cons = array("q", range(first + 1, first + taken + 2))
         # The sentinel: the child's own sentinel is consumed only when the
         # child ran out before the limit was filled; otherwise the child is
         # abandoned mid-stream (and therefore never finishes).

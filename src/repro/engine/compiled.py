@@ -54,7 +54,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.engine.expressions import ColumnRef, reject_source, to_source
+from repro.engine.expressions import SourceContext, reject_source, to_source
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators.base import ExecutionContext, Operator
 from repro.engine.operators.aggregate import HashAggregate, StreamAggregate
@@ -205,28 +205,15 @@ class _Pipeline:
         self.sites: List[int] = []  # lines awaiting the write-back text
 
 
-class _Gen:
-    """One function while it is written: its lines and its constants.
-
-    Also the context :func:`repro.engine.expressions.to_source` emits
-    against (``row``, ``schema``, ``const``, ``tmp``).
-    """
+class _Gen(SourceContext):
+    """One function while it is written: its lines and its constants, and
+    the context :func:`repro.engine.expressions.to_source` emits against."""
 
     def __init__(self, acct: _Accounting) -> None:
+        super().__init__([acct.budget, acct.flush, acct.finish, acct.refill])
         self.lines: List[str] = []
-        self.consts: list = [acct.budget, acct.flush, acct.finish, acct.refill]
-        self.temps = 0
         self.pipelines = 0
         self.pipe: Optional[_Pipeline] = None
-        self.row = self.schema = None
-
-    def const(self, value: object) -> str:
-        self.consts.append(value)
-        return "k%d" % (len(self.consts) - 1,)
-
-    def tmp(self) -> str:
-        self.temps += 1
-        return "t%d" % (self.temps,)
 
     def emit(self, ind: str, text: str) -> None:
         self.lines.append(ind + text)
@@ -643,11 +630,8 @@ class _Compiler:
             )
             # Sort._materialize's loop: least significant key first.
             for key in reversed(op.keys):
-                plain = type(key.expression) is ColumnRef
                 g.emit(ind, "    %s = sort_rows(%s, %s, %r)" % (
-                    rows, rows,
-                    g.const(key.expression.bind(child.schema)) if plain else
-                    "lambda r: " + g.value(key.expression, "r", child.schema),
+                    rows, rows, g.const(key.expression.bind(child.schema)),
                     key.descending,
                 ))
             g.emit(ind, "    %s._rows = %s" % (k, rows))

@@ -1,23 +1,26 @@
 """Scalar expressions evaluated over rows, with SQL NULL semantics.
 
 Expressions form a small tree language (literals, column references,
-comparisons, boolean connectives, arithmetic, BETWEEN/IN/LIKE/CASE).  An
-expression is *bound* against a schema once (resolving column names to tuple
-positions), yielding a plain Python callable that is then applied per row —
-the Volcano operators never re-resolve names in their inner loops.
+comparisons, boolean connectives, arithmetic, BETWEEN/IN/LIKE/CASE).
 
 NULL handling follows SQL's three-valued logic: comparisons and arithmetic
 involving NULL yield NULL, AND/OR/NOT use Kleene logic, and a filter keeps a
 row only when its predicate is exactly ``True``.
 
-Beside ``bind`` every built-in node has a ``_source`` emitter, reached through
-:func:`to_source`: it returns the node as *Python source text* over a row
-variable, for the fused engine to inline into its generated pipeline loops
-(:mod:`repro.engine.compiled`).  The text mirrors ``bind`` exactly — the same
-literal folding, the same evaluation order, the same short-circuits, hence
-the same value or the same exception on every row — and a node type without
-an emitter (user-defined expressions, subclasses) is called through its bound
-closure, so coverage can grow node by node.
+Every built-in node has one specification: its ``_source`` emitter, reached
+through :func:`to_source`, which writes the node as *Python source text* over
+a row variable — its literal folding, evaluation order and short-circuits,
+hence its value or its exception on every row.  The fused engine inlines
+that text into its generated pipeline loops (:mod:`repro.engine.compiled`);
+:meth:`Expression.bind` compiles the same text into a function of the row
+for the interpreter's operators, sort keys and join keys; the columnar
+engine's batch evaluator (:mod:`repro.engine.vectorize`) replicates it a
+column at a time.  Literals, sets, regexes and closures reach the text as
+named constants, so a text depends only on expression shape and column
+positions, and :data:`_FACTORIES` compiles each text once per process.
+
+A node type without an emitter (a user-defined expression) overrides
+``bind``; the text of any tree containing it calls its closure.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import abc
 import re
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError
 from repro.storage.schema import Schema
@@ -34,53 +37,6 @@ BoundFn = Callable[[Sequence[object]], object]
 
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 ARITHMETIC_OPS = ("+", "-", "*", "/", "%")
-
-_COMPARE_FNS = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-_ARITHMETIC_FNS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: None if b == 0 else a / b,
-    "%": lambda a, b: None if b == 0 else a % b,
-}
-
-
-def _make_col_lit_factories():
-    """Per-operator closure factories for ``row[pos] <op> constant``.
-
-    The hottest comparison shape in every workload; generating the operator
-    inline (instead of calling a shared ``compare`` lambda) saves one
-    Python frame per evaluated row.
-    """
-    factories = {}
-    for op_name, symbol in (
-        ("=", "=="), ("<>", "!="), ("<", "<"),
-        ("<=", "<="), (">", ">"), (">=", ">="),
-    ):
-        namespace: dict = {}
-        exec(
-            "def factory(position, constant):\n"
-            "    def evaluate_col_lit(row):\n"
-            "        a = row[position]\n"
-            "        if a is None:\n"
-            "            return None\n"
-            "        return a %s constant\n"
-            "    return evaluate_col_lit\n" % (symbol,),
-            namespace,
-        )
-        factories[op_name] = namespace["factory"]
-    return factories
-
-
-_COL_LIT_COMPARE_FACTORIES = _make_col_lit_factories()
 
 #: ``str.format`` templates over two operand names, for :func:`to_source`
 _COMPARE_SOURCE = {
@@ -92,22 +48,46 @@ _ARITHMETIC_SOURCE = {
     "/": "(None if {1} == 0 else {0} / {1})",
     "%": "(None if {1} == 0 else {0} % {1})",
 }
-#: nodes nested deeper than this are called through their bound closure: the
-#: emitted text nests a parenthesis or two per level and CPython's tokenizer
-#: refuses more than 200
+#: nodes nested deeper than this are called through their own bound
+#: function: the emitted text nests a parenthesis or two per level and
+#: CPython's tokenizer refuses more than 200
 _MAX_SOURCE_DEPTH = 40
+#: ``bind`` factories by their text, shared by every expression of that
+#: shape in the process; cleared when full.  Unlocked, like
+#: ``compiled._CODE``: a lost race compiles a text twice and keeps either.
+_FACTORY_CACHE_LIMIT = 256
+_FACTORIES: Dict[str, Callable] = {}
 
 
-def to_source(expression: "Expression", g, depth: int = 0) -> str:
+class SourceContext:
+    """What :func:`to_source` emits against.
+
+    ``row`` names the row variable and ``schema`` is its schema;
+    :meth:`const` returns the name under which a constant reaches the
+    generated function (``consts[i]`` is ``k<i>``) and :meth:`tmp` a fresh
+    local name (sub-results are kept with ``:=``).
+    """
+
+    def __init__(self, consts: Optional[list] = None, row: Optional[str] = None,
+                 schema: Optional[Schema] = None) -> None:
+        self.consts: list = [] if consts is None else consts
+        self.temps = 0
+        self.row, self.schema = row, schema
+
+    def const(self, value: object) -> str:
+        self.consts.append(value)
+        return "k%d" % (len(self.consts) - 1,)
+
+    def tmp(self) -> str:
+        self.temps += 1
+        return "t%d" % (self.temps,)
+
+
+def to_source(expression: "Expression", g: SourceContext, depth: int = 0) -> str:
     """``expression`` as Python source over the row variable ``g.row``.
 
-    ``g`` is the code generator's context: ``g.row`` (name of the row
-    variable), ``g.schema`` (its schema), ``g.const(value)`` (name under
-    which a constant reaches the generated function — literals, sets,
-    regexes and closures never appear in the text, so it depends on
-    expression *shape* and column positions only) and ``g.tmp()`` (a fresh
-    local name; sub-results are kept with ``:=``).  Dispatch is on the exact
-    type: anything else is evaluated by ``bind``'s closure.
+    Dispatch is on the exact type; any other node, and a subtree deeper than
+    :data:`_MAX_SOURCE_DEPTH`, is called through its ``bind``.
     """
     emit = _SOURCE.get(type(expression))
     if emit is None or depth > _MAX_SOURCE_DEPTH:
@@ -115,12 +95,12 @@ def to_source(expression: "Expression", g, depth: int = 0) -> str:
     return emit(expression, g, depth + 1)
 
 
-def reject_source(expression: "Expression", g) -> str:
+def reject_source(expression: "Expression", g: SourceContext) -> str:
     """Source of a condition that holds when ``expression`` is not TRUE.
 
     What σ and join residuals need.  A conjunction skips building its
     three-valued result: it is not TRUE as soon as an operand is FALSE
-    (later operands are then not evaluated, as in ``And.bind``) or, all
+    (later operands are then not evaluated, as in its value text) or, all
     operands evaluated, one of them is NULL.
     """
     if type(expression) is And:
@@ -128,9 +108,11 @@ def reject_source(expression: "Expression", g) -> str:
     return "%s is not True" % (to_source(expression, g),)
 
 
-def _binary_source(node, g, depth: int, template: str) -> str:
-    """NULL-propagating binary node, folded and ordered as its ``bind``."""
+def _binary_source(node, g: SourceContext, depth: int) -> str:
+    """NULL-propagating binary node: a literal operand folds into the text
+    (a literal NULL makes the node NULL without evaluating the other)."""
     left, right = node.left, node.right
+    template = node._TEMPLATES[node.op]
     if isinstance(right, Literal):
         if right.value is None:
             return "None"
@@ -148,8 +130,9 @@ def _binary_source(node, g, depth: int, template: str) -> str:
             template.format(g.const(left.value), b),
         )
     a, b = g.tmp(), g.tmp()
-    # ``bind`` evaluates both operands before it looks for a NULL; only a
-    # bare column on the right can be skipped unobserved.
+    # Both operands are evaluated before the NULL test (a failing right
+    # operand fails even when the left is NULL); only a bare column on the
+    # right can be skipped unobserved.
     return "(None if ((%s := %s) is None) %s ((%s := %s) is None) else %s)" % (
         a, to_source(left, g, depth),
         "or" if type(right) is ColumnRef else "|",
@@ -160,16 +143,40 @@ def _binary_source(node, g, depth: int, template: str) -> str:
 class Expression(abc.ABC):
     """Base class for all scalar expression nodes."""
 
-    @abc.abstractmethod
     def bind(self, schema: Schema) -> BoundFn:
-        """Resolve column names against ``schema``; return an evaluator."""
+        """Resolve column names against ``schema``; return an evaluator.
+
+        The evaluator is this node's source text as ``lambda row: <text>``,
+        built by a factory over the text's constants that is compiled at
+        most once per text in the process.
+        """
+        emit = getattr(type(self), "_source", None)
+        if emit is None:
+            raise ExpressionError(
+                "%s has no source emitter and no bind of its own"
+                % (type(self).__name__,)
+            )
+        g = SourceContext(row="row", schema=schema)
+        body = emit(self, g, 1)
+        text = "def bind(%s):\n    return lambda row: %s\n" % (
+            ", ".join("k%d" % (i,) for i in range(len(g.consts))), body,
+        )
+        factory = _FACTORIES.get(text)
+        if factory is None:
+            namespace: dict = {}
+            exec(compile(text, "<expression>", "exec"), namespace)
+            if len(_FACTORIES) >= _FACTORY_CACHE_LIMIT:
+                _FACTORIES.clear()
+            factory = _FACTORIES[text] = namespace["bind"]
+        return factory(*g.consts)
 
     @abc.abstractmethod
     def references(self) -> Tuple[str, ...]:
         """Column names referenced anywhere in this expression tree."""
 
     def evaluate(self, row: Sequence[object], schema: Schema) -> object:
-        """Convenience one-shot evaluation (binds every call; tests only)."""
+        """One-shot evaluation for tests: binds on every call, which
+        generates the node's text each time (compiled once per text)."""
         return self.bind(schema)(row)
 
     # Operator sugar so plans read naturally: col("a") == lit(3), etc.
@@ -222,10 +229,6 @@ class Literal(Expression):
     def __init__(self, value: object) -> None:
         self.value = value
 
-    def bind(self, schema: Schema) -> BoundFn:
-        value = self.value
-        return lambda row: value
-
     def _source(self, g, depth: int) -> str:
         return g.const(self.value)
 
@@ -267,69 +270,8 @@ class Comparison(Expression):
         self.left = left
         self.right = right
 
-    def bind(self, schema: Schema) -> BoundFn:
-        compare = _COMPARE_FNS[self.op]
-        # Bind-time constant folding: a literal operand is evaluated here,
-        # not per row, and a literal NULL makes the whole comparison NULL.
-        # ``col <op> literal`` — the overwhelmingly common shape — collapses
-        # to a single closure with zero nested calls.
-        if isinstance(self.right, Literal):
-            b = self.right.value
-            if b is None:
-                return lambda row: None
-            if isinstance(self.left, ColumnRef):
-                position = schema.index_of(self.left.name)
-                return _COL_LIT_COMPARE_FACTORIES[self.op](position, b)
-            left = self.left.bind(schema)
-
-            def evaluate_lit_right(row: Sequence[object]) -> object:
-                a = left(row)
-                if a is None:
-                    return None
-                return compare(a, b)
-
-            return evaluate_lit_right
-        if isinstance(self.left, Literal):
-            a = self.left.value
-            if a is None:
-                return lambda row: None
-            right = self.right.bind(schema)
-
-            def evaluate_lit_left(row: Sequence[object]) -> object:
-                b = right(row)
-                if b is None:
-                    return None
-                return compare(a, b)
-
-            return evaluate_lit_left
-        if isinstance(self.left, ColumnRef) and isinstance(
-            self.right, ColumnRef
-        ):
-            left_pos = schema.index_of(self.left.name)
-            right_pos = schema.index_of(self.right.name)
-
-            def evaluate_col_col(row: Sequence[object]) -> object:
-                a = row[left_pos]
-                b = row[right_pos]
-                if a is None or b is None:
-                    return None
-                return compare(a, b)
-
-            return evaluate_col_col
-        left = self.left.bind(schema)
-        right = self.right.bind(schema)
-
-        def evaluate(row: Sequence[object]) -> object:
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            return compare(a, b)
-
-        return evaluate
-
-    def _source(self, g, depth: int) -> str:
-        return _binary_source(self, g, depth, _COMPARE_SOURCE[self.op])
+    _TEMPLATES = _COMPARE_SOURCE
+    _source = _binary_source
 
     def references(self) -> Tuple[str, ...]:
         return self.left.references() + self.right.references()
@@ -348,52 +290,8 @@ class Arithmetic(Expression):
         self.left = left
         self.right = right
 
-    def bind(self, schema: Schema) -> BoundFn:
-        # One closure per operator: string dispatch at bind time, not per
-        # row.  / and % keep their division-by-zero-is-NULL guard.  Literal
-        # operands fold at bind time (``1 - discount`` evaluates one nested
-        # call per row, not two).
-        arith = _ARITHMETIC_FNS[self.op]
-        if isinstance(self.right, Literal):
-            b = self.right.value
-            if b is None:
-                return lambda row: None
-            left = self.left.bind(schema)
-
-            def evaluate_lit_right(row: Sequence[object]) -> object:
-                a = left(row)
-                if a is None:
-                    return None
-                return arith(a, b)
-
-            return evaluate_lit_right
-        if isinstance(self.left, Literal):
-            a = self.left.value
-            if a is None:
-                return lambda row: None
-            right = self.right.bind(schema)
-
-            def evaluate_lit_left(row: Sequence[object]) -> object:
-                b = right(row)
-                if b is None:
-                    return None
-                return arith(a, b)
-
-            return evaluate_lit_left
-        left = self.left.bind(schema)
-        right = self.right.bind(schema)
-
-        def evaluate(row: Sequence[object]) -> object:
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            return arith(a, b)
-
-        return evaluate
-
-    def _source(self, g, depth: int) -> str:
-        return _binary_source(self, g, depth, _ARITHMETIC_SOURCE[self.op])
+    _TEMPLATES = _ARITHMETIC_SOURCE
+    _source = _binary_source
 
     def references(self) -> Tuple[str, ...]:
         return self.left.references() + self.right.references()
@@ -409,75 +307,6 @@ class And(Expression):
         if len(operands) < 2:
             raise ExpressionError("AND needs at least two operands")
         self.operands = tuple(operands)
-
-    def bind(self, schema: Schema) -> BoundFn:
-        bound = [operand.bind(schema) for operand in self.operands]
-        # Unrolled conjunctions for the common arities: no list iteration,
-        # no saw_null flag updates in the inner loop.  Semantics match the
-        # generic loop exactly (short-circuit on the first False, NULL only
-        # when no operand is False and at least one is NULL).
-        if len(bound) == 2:
-            f0, f1 = bound
-
-            def evaluate2(row: Sequence[object]) -> object:
-                a = f0(row)
-                if a is False:
-                    return False
-                b = f1(row)
-                if b is False:
-                    return False
-                return None if (a is None or b is None) else True
-
-            return evaluate2
-        if len(bound) == 3:
-            f0, f1, f2 = bound
-
-            def evaluate3(row: Sequence[object]) -> object:
-                a = f0(row)
-                if a is False:
-                    return False
-                b = f1(row)
-                if b is False:
-                    return False
-                c = f2(row)
-                if c is False:
-                    return False
-                return None if (a is None or b is None or c is None) else True
-
-            return evaluate3
-        if len(bound) == 4:
-            f0, f1, f2, f3 = bound
-
-            def evaluate4(row: Sequence[object]) -> object:
-                a = f0(row)
-                if a is False:
-                    return False
-                b = f1(row)
-                if b is False:
-                    return False
-                c = f2(row)
-                if c is False:
-                    return False
-                d = f3(row)
-                if d is False:
-                    return False
-                return None if (
-                    a is None or b is None or c is None or d is None
-                ) else True
-
-            return evaluate4
-
-        def evaluate(row: Sequence[object]) -> object:
-            saw_null = False
-            for fn in bound:
-                value = fn(row)
-                if value is False:
-                    return False
-                if value is None:
-                    saw_null = True
-            return None if saw_null else True
-
-        return evaluate
 
     def _tests(self, g, depth: int, decisive: str) -> Tuple[str, str]:
         """``(an operand is <decisive>, an operand is NULL)`` as two
@@ -513,51 +342,6 @@ class Or(Expression):
             raise ExpressionError("OR needs at least two operands")
         self.operands = tuple(operands)
 
-    def bind(self, schema: Schema) -> BoundFn:
-        bound = [operand.bind(schema) for operand in self.operands]
-        # Mirror of And.bind's unrolled fast paths.
-        if len(bound) == 2:
-            f0, f1 = bound
-
-            def evaluate2(row: Sequence[object]) -> object:
-                a = f0(row)
-                if a is True:
-                    return True
-                b = f1(row)
-                if b is True:
-                    return True
-                return None if (a is None or b is None) else False
-
-            return evaluate2
-        if len(bound) == 3:
-            f0, f1, f2 = bound
-
-            def evaluate3(row: Sequence[object]) -> object:
-                a = f0(row)
-                if a is True:
-                    return True
-                b = f1(row)
-                if b is True:
-                    return True
-                c = f2(row)
-                if c is True:
-                    return True
-                return None if (a is None or b is None or c is None) else False
-
-            return evaluate3
-
-        def evaluate(row: Sequence[object]) -> object:
-            saw_null = False
-            for fn in bound:
-                value = fn(row)
-                if value is True:
-                    return True
-                if value is None:
-                    saw_null = True
-            return None if saw_null else False
-
-        return evaluate
-
     _tests = And._tests
 
     def _source(self, g, depth: int) -> str:
@@ -577,17 +361,6 @@ class Not(Expression):
 
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
-
-    def bind(self, schema: Schema) -> BoundFn:
-        bound = self.operand.bind(schema)
-
-        def evaluate(row: Sequence[object]) -> object:
-            value = bound(row)
-            if value is None:
-                return None
-            return not value
-
-        return evaluate
 
     def _source(self, g, depth: int) -> str:
         name = g.tmp()
@@ -609,11 +382,6 @@ class IsNull(Expression):
         self.operand = operand
         self.negated = negated
 
-    def bind(self, schema: Schema) -> BoundFn:
-        bound = self.operand.bind(schema)
-        negated = self.negated
-        return lambda row: (bound(row) is not None) if negated else (bound(row) is None)
-
     def _source(self, g, depth: int) -> str:
         return "(%s is %sNone)" % (
             to_source(self.operand, g, depth), "not " if self.negated else ""
@@ -633,48 +401,6 @@ class Between(Expression):
         self.operand = operand
         self.low = low
         self.high = high
-
-    def bind(self, schema: Schema) -> BoundFn:
-        # Literal bounds (the usual case) fold at bind time, leaving a
-        # closure with a single nested call — or none when the operand is a
-        # bare column reference.
-        if isinstance(self.low, Literal) and isinstance(self.high, Literal):
-            lo = self.low.value
-            hi = self.high.value
-            if lo is None or hi is None:
-                return lambda row: None
-            if isinstance(self.operand, ColumnRef):
-                position = schema.index_of(self.operand.name)
-
-                def evaluate_col(row: Sequence[object]) -> object:
-                    value = row[position]
-                    if value is None:
-                        return None
-                    return lo <= value <= hi  # type: ignore[operator]
-
-                return evaluate_col
-            bound = self.operand.bind(schema)
-
-            def evaluate_lit(row: Sequence[object]) -> object:
-                value = bound(row)
-                if value is None:
-                    return None
-                return lo <= value <= hi  # type: ignore[operator]
-
-            return evaluate_lit
-        bound = self.operand.bind(schema)
-        low = self.low.bind(schema)
-        high = self.high.bind(schema)
-
-        def evaluate(row: Sequence[object]) -> object:
-            value = bound(row)
-            lo = low(row)
-            hi = high(row)
-            if value is None or lo is None or hi is None:
-                return None
-            return lo <= value <= hi  # type: ignore[operator]
-
-        return evaluate
 
     def _source(self, g, depth: int) -> str:
         literal = isinstance(self.low, Literal) and isinstance(self.high, Literal)
@@ -712,28 +438,6 @@ class InList(Expression):
         self.operand = operand
         self.values = tuple(values)
 
-    def bind(self, schema: Schema) -> BoundFn:
-        allowed = set(self.values)
-        if isinstance(self.operand, ColumnRef):
-            position = schema.index_of(self.operand.name)
-
-            def evaluate_col(row: Sequence[object]) -> object:
-                value = row[position]
-                if value is None:
-                    return None
-                return value in allowed
-
-            return evaluate_col
-        bound = self.operand.bind(schema)
-
-        def evaluate(row: Sequence[object]) -> object:
-            value = bound(row)
-            if value is None:
-                return None
-            return value in allowed
-
-        return evaluate
-
     def _source(self, g, depth: int) -> str:
         value = g.tmp()
         return "(None if (%s := %s) is None else %s in %s)" % (
@@ -759,18 +463,6 @@ class Like(Expression):
             for ch in pattern
         )
         self._compiled = re.compile("^%s$" % (regex,), re.DOTALL)
-
-    def bind(self, schema: Schema) -> BoundFn:
-        bound = self.operand.bind(schema)
-        compiled = self._compiled
-
-        def evaluate(row: Sequence[object]) -> object:
-            value = bound(row)
-            if value is None:
-                return None
-            return compiled.match(str(value)) is not None
-
-        return evaluate
 
     def _source(self, g, depth: int) -> str:
         value = g.tmp()
@@ -798,21 +490,6 @@ class Case(Expression):
             raise ExpressionError("CASE needs at least one WHEN branch")
         self.branches = tuple(branches)
         self.default = default if default is not None else Literal(None)
-
-    def bind(self, schema: Schema) -> BoundFn:
-        bound = [
-            (condition.bind(schema), value.bind(schema))
-            for condition, value in self.branches
-        ]
-        default = self.default.bind(schema)
-
-        def evaluate(row: Sequence[object]) -> object:
-            for condition, value in bound:
-                if condition(row) is True:
-                    return value(row)
-            return default(row)
-
-        return evaluate
 
     def _source(self, g, depth: int) -> str:
         return "(%s%s)" % (

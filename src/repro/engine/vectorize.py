@@ -2,12 +2,13 @@
 
 The columnar engine evaluates an :class:`~repro.engine.expressions.Expression`
 against a whole batch at once.  The contract is strict bit-identity with the
-bound-function path in ``expressions.py``: SQL NULL propagation, Kleene
-AND/OR with ``is False`` / ``is True`` identity checks, division by zero as
-NULL, bind-time folding of literal NULL operands — every rule is replicated
-here, and anything not replicated raises :class:`Unvectorizable` so the
-caller can fall back to the row-at-a-time bound function (always correct,
-just slower).
+row engines, which both run the node's source text from ``expressions.py``
+(inlined by the fused engine, compiled by ``bind`` for the interpreter):
+SQL NULL propagation, Kleene AND/OR with ``is False`` / ``is True`` identity
+checks, division by zero as NULL, folding of literal NULL operands — every
+rule of that text is replicated here, and anything not replicated raises
+:class:`Unvectorizable` so the caller can fall back to the row-at-a-time
+bound function (always correct, just slower).
 
 Value representation (a "vcol"):
 
@@ -28,8 +29,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.engine.expressions import (
-    _ARITHMETIC_FNS,
-    _COMPARE_FNS,
     And,
     Arithmetic,
     Between,
@@ -50,6 +49,25 @@ try:  # pragma: no cover - exercised via the no-NumPy CI job
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
+
+
+#: the row semantics of each operator, for the exact Python loops
+_COMPARE_FNS = {
+    "=": lambda a, b: a == b,
+    "<>": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+_ARITHMETIC_FNS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: None if b == 0 else a / b,
+    "%": lambda a, b: None if b == 0 else a % b,
+}
 
 
 class Unvectorizable(Exception):

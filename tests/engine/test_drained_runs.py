@@ -293,3 +293,20 @@ def test_a_drained_run_peaks_below_execute_by_the_result_list(
     )
     assert result.row_count >= 20000
     assert execute_peak - run_peak >= sys.getsizeof(result.rows)
+
+
+def test_the_list_kernels_replay_layout_stays_near_the_fused_peak(monkeypatch):
+    # Without NumPy the columnar engine's per-tick replay layout is plain
+    # integers; held as machine words it must not dwarf what the same
+    # drained run costs on the fused engine.  Fresh tables: no column view
+    # cached as a NumPy array by an earlier test.
+    monkeypatch.setattr(colstore, "HAVE_NUMPY", False)
+    workload = make_zipfian_join(n=20000, z=2.0, order="skew_last", seed=7)
+    peaks = {}
+    for engine in ("fused", "columnar"):
+        session = repro.connect(catalog=workload.catalog, engine=engine)
+        session.run(workload.hash_plan())  # warm
+        peaks[engine], _ = _traced_peak(
+            lambda: session.run(workload.hash_plan())
+        )
+    assert peaks["columnar"] <= 3.5 * peaks["fused"], peaks

@@ -278,3 +278,214 @@ def test_shared_argument_nodes_are_found_by_identity_not_by_shape():
     assert run(left, right) == rows
     # equal shape, two objects (q1 builds _revenue() twice): not merged
     assert (left.calls, right.calls) == (len(data), len(data))
+
+
+# -- an independent reference: a plain recursive evaluator -----------------------------
+#
+# Written from SQL's three-valued logic, node by node, not from the text the
+# engines run: NULL propagates through comparison, arithmetic, BETWEEN, IN
+# and LIKE; division or modulo by zero is NULL; AND/OR/NOT are Kleene logic
+# over identity tests (``is False`` / ``is True``: a non-boolean operand is
+# neither); both operands of a binary node are evaluated before the NULL
+# test, and a literal NULL operand (or BETWEEN bound) makes the node NULL
+# without evaluating the rest; IN tests membership in its literal list (a
+# NULL in the list matches nothing); LIKE matches the node's regex; CASE
+# takes the first branch whose condition is exactly TRUE.
+
+import operator  # noqa: E402
+
+from repro.engine import compiled  # noqa: E402
+from repro.engine import expressions as expression_module  # noqa: E402
+from repro.engine.expressions import ColumnRef, Literal  # noqa: E402
+from repro.errors import ExpressionError  # noqa: E402
+
+COMPARE = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "%": operator.mod}
+
+
+def _null_literal(node):
+    return isinstance(node, Literal) and node.value is None
+
+
+def reference(node, row, schema=WIDE):
+    kind = type(node)
+    if kind is Literal:
+        return node.value
+    if kind is ColumnRef:
+        return row[schema.index_of(node.name)]
+    if kind in (Comparison, Arithmetic):
+        if _null_literal(node.left) or _null_literal(node.right):
+            return None
+        a = reference(node.left, row, schema)
+        b = reference(node.right, row, schema)
+        if a is None or b is None:
+            return None
+        if kind is Comparison:
+            return COMPARE[node.op](a, b)
+        if node.op in ("/", "%") and b == 0:
+            return None
+        return ARITHMETIC[node.op](a, b)
+    if kind in (And, Or):
+        decisive = kind is Or
+        saw_null = False
+        for operand in node.operands:
+            value = reference(operand, row, schema)
+            if value is decisive:
+                return decisive
+            if value is None:
+                saw_null = True
+        return None if saw_null else not decisive
+    if kind is Not:
+        value = reference(node.operand, row, schema)
+        return None if value is None else not value
+    if kind is IsNull:
+        value = reference(node.operand, row, schema)
+        return (value is not None) if node.negated else (value is None)
+    if kind is Between:
+        if isinstance(node.low, Literal) and isinstance(node.high, Literal):
+            if _null_literal(node.low) or _null_literal(node.high):
+                return None
+        value, low, high = (
+            reference(part, row, schema)
+            for part in (node.operand, node.low, node.high)
+        )
+        if value is None or low is None or high is None:
+            return None
+        return low <= value <= high
+    if kind is InList:
+        value = reference(node.operand, row, schema)
+        return None if value is None else value in node.values
+    if kind is Like:
+        value = reference(node.operand, row, schema)
+        if value is None:
+            return None
+        return node._compiled.match(str(value)) is not None
+    if kind is Case:
+        for condition, value in node.branches:
+            if reference(condition, row, schema) is True:
+                return reference(value, row, schema)
+        return reference(node.default, row, schema)
+    raise TypeError("no reference for %r" % (node,))
+
+
+def reference_outcome(expression, data, keep_true):
+    """What a plan over ``data`` returns: π's ``(value,)`` rows, or the rows
+    σ keeps; the exception type of the first row that raises."""
+    try:
+        values = [reference(expression, row) for row in data]
+    except Exception as error:  # noqa: BLE001 — the type is the outcome
+        return type(error)
+    if keep_true:
+        return repr([row for row, value in zip(data, values) if value is True])
+    return repr([(value,) for value in values])
+
+
+def _value_plan(expression, data):
+    return lambda: Plan(Project(RowSource(WIDE, data), [("v", expression)]))
+
+
+def _filter_plan(expression, data):
+    return lambda: Plan(Filter(RowSource(WIDE, data), expression))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_expression(), wide_rows)
+def test_value_equals_the_reference_on_both_row_engines(expression, data):
+    expected = reference_outcome(expression, data, False)
+    for engine in ("interpreted", "fused"):
+        assert outcome(_value_plan(expression, data), engine) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_expression(), wide_rows)
+def test_rejection_equals_the_reference_on_both_row_engines(expression, data):
+    expected = reference_outcome(expression, data, True)
+    for engine in ("interpreted", "fused"):
+        assert outcome(_filter_plan(expression, data), engine) == expected
+
+
+# -- one evaluator: bind compiles the text the fused engine inlines ----------------
+
+DEEP_ROWS = [(1, 0.5, "a", None), (None, 2.0, "b", 3), (3, None, "c", 0),
+             (2, 1.5, "ab", 2), (-1, 0.0, "", -2)]
+
+
+def _deep_chain(levels):
+    expression = col("a")
+    for level in range(levels):
+        operand = col("d") if level % 7 == 0 else lit(level % 3)
+        expression = Arithmetic("+-*%"[level % 4], expression, operand)
+    return expression
+
+
+def _wide_and(width):
+    return And(*(
+        Comparison(">=", col("a") * lit(level) - col("d"), lit(-level))
+        for level in range(width)
+    ))
+
+
+def test_trees_past_the_depth_limit_equal_the_reference():
+    chain, conjunction = _deep_chain(300), _wide_and(60)
+    assert expression_module._MAX_SOURCE_DEPTH < 300
+    for expression in (chain, conjunction, Not(IsNull(chain))):
+        for keep_true, plan in ((False, _value_plan), (True, _filter_plan)):
+            expected = reference_outcome(expression, DEEP_ROWS, keep_true)
+            assert expected != ExpressionError
+            for engine in ("interpreted", "fused"):
+                assert outcome(plan(expression, DEEP_ROWS), engine) == expected
+
+
+def test_a_warm_second_bind_adds_no_cache_entry():
+    expression = And(Between(col("b"), lit(0.05), lit(0.07)),
+                     col("a") < lit(24), Like(col("c"), "a%"))
+    first = expression.bind(WIDE)
+    entries = len(expression_module._FACTORIES)
+    second = expression.bind(WIDE)
+    assert len(expression_module._FACTORIES) == entries
+    assert first.__code__ is second.__code__
+    for row in DEEP_ROWS:
+        assert repr(first(row)) == repr(second(row)) == repr(
+            reference(expression, row)
+        )
+
+
+def test_plans_that_differ_only_in_literals_share_one_text():
+    def plan(low, high, pattern, threshold):
+        predicate = And(Between(col("a"), lit(low), lit(high)),
+                        Like(col("c"), pattern), col("b") * lit(2) > threshold)
+        return Plan(Project(Filter(RowSource(WIDE, DEEP_ROWS), predicate),
+                            [("v", col("b") - lit(threshold))]))
+
+    one, two = plan(0, 2, "a%", 0.5), plan(-5, 9, "_", 7)
+    assert compiled.generated_source(one) == compiled.generated_source(two)
+    predicate = one.root.child.predicate
+    predicate.bind(WIDE)
+    entries = len(expression_module._FACTORIES)
+    assert two.root.child.predicate.bind(WIDE).__code__ is (
+        predicate.bind(WIDE).__code__
+    )
+    assert len(expression_module._FACTORIES) == entries
+
+
+class Bare(Expression):
+    """A user-defined node with neither a source emitter nor a bind."""
+
+    def references(self):
+        return ()
+
+
+def test_a_node_with_neither_an_emitter_nor_a_bind_raises_expression_error():
+    try:
+        Bare().bind(WIDE)
+    except ExpressionError:
+        pass
+    else:
+        raise AssertionError("bind did not raise")
+    for expression in (Bare(), And(col("a") > lit(0), Bare())):
+        for engine in ("interpreted", "fused"):
+            assert outcome(_filter_plan(expression, DEEP_ROWS), engine) is (
+                ExpressionError
+            )
