@@ -1,15 +1,16 @@
 """The paper's §5.1 cardinality-bound rules — the ``paper2005`` provider.
 
-This module is the single rule set both trackers execute, split three ways
-for the hot path but value-identical by construction:
+This module is the rule set both trackers execute, written out twice but
+value-identical by construction:
 
-* :func:`derive` spells every operator rule out once (the reference
-  tracker interprets it on every visit);
-* :func:`compile_derive` specializes one rule per node at construction
-  (the incremental tracker's general-context visitors);
-* :func:`compile_derive_std` additionally folds the standard execution
-  context ``(1.0, 1.0, True, True)`` into the closure for nodes that
-  provably always run under it.
+* :func:`_derive` spells every operator rule out once for any execution
+  context.  The reference tracker interprets it on every visit, and the
+  incremental tracker calls it for the few nodes that can run under a
+  non-standard context (below a LIMIT or inside a ⋈NL inner);
+* :func:`_compile_derive_std` specializes one rule per node at
+  construction with the standard execution context ``(1.0, 1.0, True,
+  True)`` folded in, for the nodes :func:`standard_flags` marks — on the
+  benchmark's plans, all but one of 236.
 
 Rules implemented (refined on every inspection):
 
@@ -37,6 +38,7 @@ Rules implemented (refined on every inspection):
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.engine.operators.aggregate import HashAggregate, StreamAggregate
@@ -77,35 +79,42 @@ _OTHER = 15
 
 def _classify(node: Operator) -> int:
     """Map an operator to its bounds-rule tag (mirrors the rule order)."""
-    if isinstance(node, (TableScan, RowSource)):
+    return _classify_type(type(node))
+
+
+@functools.lru_cache(maxsize=None)
+def _classify_type(cls: type) -> int:
+    # The tag depends on the class alone, and the isinstance chain over the
+    # operator ABCs costs ~2.5 µs a node: classify every class once.
+    if issubclass(cls, (TableScan, RowSource)):
         return _SCAN
-    if isinstance(node, IndexSeek):
+    if issubclass(cls, IndexSeek):
         return _SEEK
-    if isinstance(node, Filter):
+    if issubclass(cls, Filter):
         return _FILTER
-    if isinstance(node, Sort):
+    if issubclass(cls, Sort):
         return _SORT
-    if isinstance(node, Project):
+    if issubclass(cls, Project):
         return _PROJECT
-    if isinstance(node, TopN):
+    if issubclass(cls, TopN):
         return _TOPN
-    if isinstance(node, Distinct):
+    if issubclass(cls, Distinct):
         return _DISTINCT
-    if isinstance(node, HashAggregate):
+    if issubclass(cls, HashAggregate):
         return _AGG_HASH
-    if isinstance(node, StreamAggregate):
+    if issubclass(cls, StreamAggregate):
         return _AGG_STREAM
-    if isinstance(node, HashJoin):
+    if issubclass(cls, HashJoin):
         return _HASH_JOIN
-    if isinstance(node, MergeJoin):
+    if issubclass(cls, MergeJoin):
         return _MERGE_JOIN
-    if isinstance(node, IndexNestedLoopsJoin):
+    if issubclass(cls, IndexNestedLoopsJoin):
         return _INL_JOIN
-    if isinstance(node, NestedLoopsJoin):
+    if issubclass(cls, NestedLoopsJoin):
         return _NL_JOIN
-    if isinstance(node, Limit):
+    if issubclass(cls, Limit):
         return _LIMIT
-    if isinstance(node, UnionAll):
+    if issubclass(cls, UnionAll):
         return _UNION
     return _OTHER
 
@@ -115,8 +124,7 @@ def _static_payload(node: Operator, kind: int, catalog: Optional[Catalog]):
     runtime: base cardinalities, histogram bucket sums, inner-table sizes.
 
     The incremental tracker calls this once per node at construction; the
-    reference tracker re-resolves it on every visit (the seed behavior the
-    overhead benchmark measures against).
+    reference tracker, the oracle, re-resolves it on every visit.
     """
     if kind == _SCAN:
         return float(node.base_cardinality())
@@ -194,10 +202,11 @@ def _derive(
 ) -> Tuple[float, float]:
     """Per-pass output bounds for one (unfinished) node.
 
-    This is the single rule set both trackers execute, so their results are
-    bit-identical by construction.  ``visit`` recurses into a child with
-    explicit execution context; ``static`` is the payload of
-    :func:`_static_payload` for this node.
+    The reference tracker runs it for every node and the incremental
+    tracker for every node :func:`standard_flags` does not mark, so on
+    those nodes the two are bit-identical by construction.  ``visit``
+    recurses into a child with explicit execution context; ``static`` is
+    the payload of :func:`_static_payload` for this node.
     """
     if kind == _SCAN:
         n = static
@@ -377,305 +386,21 @@ def _derive(
     return float(produced), max(uppers, float(produced))
 
 
-def _compile_derive(node, kind, static, child_visits):
-    """Construction-time twin of :func:`_derive`.
-
-    Returns a closure ``derive(exec_lower, exec_upper, single_exec,
-    full_scan) -> (lower, upper)`` with this node's single rule
-    specialized: statics, child visitors and immutable flags are bound as
-    closure cells, so the per-sample hot path runs no dispatch, no adapter
-    hops and no array indexing.  Every float expression here must mirror
-    :func:`_derive` operation for operation — the equivalence suite asserts
-    the compiled tracker stays bit-identical to the reference at every
-    sampled instant.
-    """
-    if kind == _SCAN:
-        n = static
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            if full_scan:
-                return n, n
-            return (float(node.rows_produced) if single_exec else 0.0), n
-
-        return derive
-
-    if kind == _SEEK:
-        static_lower, static_upper = static
-        upper_f = float(static_upper)
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            produced = node.rows_produced if single_exec else 0
-            lower = static_lower if full_scan else 0
-            return max(float(lower), float(produced)), max(upper_f, float(produced))
-
-        return derive
-
-    if kind == _FILTER:
-        child = node.child
-        child_visit = child_visits[0]
-        if static is None:
-
-            def derive(exec_lower, exec_upper, single_exec, full_scan):
-                _, child_upper = child_visit(
-                    exec_lower, exec_upper, single_exec, full_scan
-                )
-                produced = node.rows_produced if single_exec else 0
-                consumed = child.rows_produced if single_exec else 0
-                remaining = max(0.0, child_upper - consumed)
-                in_flight = 1.0 if single_exec and consumed > produced else 0.0
-                return float(produced), float(produced) + remaining + in_flight
-
-            return derive
-        hist_lower, hist_upper = float(static[0]), float(static[1])
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, child_upper = child_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            consumed = child.rows_produced if single_exec else 0
-            remaining = max(0.0, child_upper - consumed)
-            in_flight = 1.0 if single_exec and consumed > produced else 0.0
-            lower = float(produced)
-            upper = float(produced) + remaining + in_flight
-            if single_exec and full_scan:
-                lower = max(lower, hist_lower)
-                upper = min(upper, max(hist_upper, lower))
-            return lower, upper
-
-        return derive
-
-    if kind == _SORT:
-        child_visit = child_visits[0]
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            child_lower, child_upper = child_visit(1.0, 1.0, True, True)
-            produced = node.rows_produced if single_exec else 0
-            materialized = node.materialized_count()
-            if materialized is not None:
-                if full_scan:
-                    return float(materialized), float(materialized)
-                return float(produced), float(materialized)
-            if not full_scan:
-                return float(produced), child_upper
-            return max(child_lower, float(produced)), child_upper
-
-        return derive
-
-    if kind == _PROJECT:
-        child_visit = child_visits[0]
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            child_lower, child_upper = child_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            if not full_scan:
-                return float(produced), child_upper
-            return max(child_lower, float(produced)), child_upper
-
-        return derive
-
-    if kind == _TOPN:
-        child_visit = child_visits[0]
-        limit_f = float(node.limit)
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            child_lower, child_upper = child_visit(1.0, 1.0, True, True)
-            produced = node.rows_produced if single_exec else 0
-            materialized = node.materialized_count()
-            if materialized is not None:
-                if full_scan:
-                    return float(materialized), float(materialized)
-                return float(produced), float(materialized)
-            upper = min(limit_f, child_upper)
-            lower = float(produced)
-            if full_scan:
-                lower = max(lower, min(limit_f, child_lower))
-            return lower, max(upper, lower)
-
-        return derive
-
-    if kind == _DISTINCT:
-        child_visit = child_visits[0]
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, child_upper = child_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            return float(produced), max(child_upper, float(produced))
-
-        return derive
-
-    if kind == _AGG_HASH or kind == _AGG_STREAM:
-        child_visit = child_visits[0]
-        grouped = bool(node.group_by)
-        hashed = kind == _AGG_HASH
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            if hashed:
-                _, child_upper = child_visit(1.0, 1.0, True, True)
-            else:
-                _, child_upper = child_visit(
-                    exec_lower, exec_upper, single_exec, full_scan
-                )
-            produced = node.rows_produced if single_exec else 0
-            if not grouped:
-                return (1.0 if full_scan else float(produced)), 1.0
-            groups = 0.0
-            if hashed:
-                if node.input_consumed:
-                    exact = float(node.groups_seen())
-                    if full_scan:
-                        return exact, exact
-                    return float(produced), exact
-                groups = float(node.groups_seen())
-            lower = max(groups, float(produced)) if full_scan else float(produced)
-            return lower, max(child_upper, lower, groups)
-
-        return derive
-
-    if kind == _HASH_JOIN:
-        build_visit, probe_visit = child_visits
-        linear = node.is_linear
-        preserve = node.preserve_probe
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, build_upper = build_visit(1.0, 1.0, True, True)
-            probe_lower, probe_upper = probe_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            if linear:
-                upper = max(build_upper, probe_upper)
-            else:
-                upper = build_upper * probe_upper
-            lower = float(produced)
-            upper = max(upper, lower)
-            if preserve:
-                if full_scan:
-                    lower = max(lower, probe_lower)
-                upper = upper + probe_upper
-            return lower, upper
-
-        return derive
-
-    if kind == _MERGE_JOIN:
-        left_visit, right_visit = child_visits
-        linear = node.is_linear
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, left_upper = left_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            _, right_upper = right_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            if linear:
-                upper = max(left_upper, right_upper)
-            else:
-                upper = left_upper * right_upper
-            return float(produced), max(upper, float(produced))
-
-        return derive
-
-    if kind == _INL_JOIN:
-        child_visit = child_visits[0]
-        inner_size = static
-        linear = node.is_linear
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, outer_upper = child_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            if linear:
-                upper = max(outer_upper, inner_size)
-            else:
-                upper = outer_upper * inner_size
-            return float(produced), max(upper, float(produced))
-
-        return derive
-
-    if kind == _NL_JOIN:
-        outer_visit, inner_visit = child_visits
-        linear = node.is_linear
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            outer_lower, outer_upper = outer_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            produced = node.rows_produced if single_exec else 0
-            guaranteed = outer_lower if full_scan else max(0.0, outer_lower - 1)
-            _, inner_upper = inner_visit(
-                exec_lower * guaranteed, exec_upper * outer_upper, False, True
-            )
-            if linear:
-                upper = max(outer_upper, inner_upper)
-            else:
-                upper = outer_upper * inner_upper
-            return float(produced), max(upper, float(produced))
-
-        return derive
-
-    if kind == _LIMIT:
-        child_visit = child_visits[0]
-        limit_f = float(node.limit)
-        offset = node.offset
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            _, child_upper = child_visit(
-                exec_lower, exec_upper, single_exec, False
-            )
-            produced = node.rows_produced if single_exec else 0
-            upper = min(limit_f, max(0.0, child_upper - offset))
-            return float(produced), max(upper, float(produced))
-
-        return derive
-
-    if kind == _UNION:
-
-        def derive(exec_lower, exec_upper, single_exec, full_scan):
-            lowers, uppers = 0.0, 0.0
-            for child_visit in child_visits:
-                child_lower, child_upper = child_visit(
-                    exec_lower, exec_upper, single_exec, full_scan
-                )
-                lowers += child_lower
-                uppers += child_upper
-            produced = node.rows_produced if single_exec else 0
-            return max(lowers, float(produced)), max(uppers, float(produced))
-
-        return derive
-
-    def derive(exec_lower, exec_upper, single_exec, full_scan):
-        lowers, uppers = 0.0, 0.0
-        for child_visit in child_visits:
-            child_lower, child_upper = child_visit(
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-            lowers += child_lower
-            uppers += child_upper
-        produced = node.rows_produced if single_exec else 0
-        return float(produced), max(uppers, float(produced))
-
-    return derive
-
-
 def _compile_derive_std(node, kind, static, child_visits):
-    """Like :func:`_compile_derive`, but for a node that provably always
-    executes under the standard context ``(exec_lower=1.0, exec_upper=1.0,
-    single_exec=True, full_scan=True)`` — the root's context, preserved by
-    every edge except a LIMIT's or a ⋈NL inner's (see
-    :meth:`BoundsTracker._build_visitor`).
+    """Construction-time twin of :func:`_derive` for a node that provably
+    always executes under the standard context ``(exec_lower=1.0,
+    exec_upper=1.0, single_exec=True, full_scan=True)`` — the root's
+    context, preserved by every edge except a LIMIT's or a ⋈NL inner's (see
+    :func:`standard_flags`).
 
-    Returns a zero-argument ``derive_std() -> (lower, upper)`` with the
-    context constants folded: ``x * 1.0 == x`` exactly under IEEE 754 and
-    ``single_exec``/``full_scan`` branches are resolved at compile time, so
-    every fold is value-preserving and the results stay bit-identical to
-    :func:`_derive`.
+    Returns a zero-argument ``derive_std() -> (lower, upper)`` with this
+    node's single rule specialized: statics, child visitors and immutable
+    flags are bound as closure cells, and the context constants are folded
+    (``x * 1.0 == x`` exactly under IEEE 754; ``single_exec``/``full_scan``
+    branches are resolved at compile time).  Every fold is value-preserving,
+    and every float expression must mirror :func:`_derive` operation for
+    operation: the equivalence suite asserts the incremental tracker stays
+    bit-identical to the reference at every sampled instant.
     """
     if kind == _SCAN:
         n = static
@@ -902,13 +627,13 @@ def _compile_derive_std(node, kind, static, child_visits):
 def standard_flags(root: Operator) -> Dict[int, bool]:
     """Which nodes provably always execute under the standard context.
 
-    Mirrors the compile-time ``standard`` propagation of
-    :meth:`BoundsTracker._build_visitor`: the root does; blocking drains
-    (sort, top-n, hash aggregate, hash-join build) re-impose it; a LIMIT's
-    child loses ``full_scan`` and a ⋈NL's inner loses ``single_exec``.
-    Extra bound providers only cap standard nodes — there a node's total
-    counted getnext calls equal its single full-scan output, so a sound
-    cardinality bound on the output is a sound bound on the total.
+    The root does; blocking drains (sort, top-n, hash aggregate, hash-join
+    build) re-impose it; a LIMIT's child loses ``full_scan`` and a ⋈NL's
+    inner loses ``single_exec``.  Two readers: the incremental tracker
+    gives a standard node the folded :func:`_compile_derive_std` visitor,
+    and extra bound providers only cap standard nodes — there a node's
+    total counted getnext calls equal its single full-scan output, so a
+    sound cardinality bound on the output is a sound bound on the total.
     """
     flags: Dict[int, bool] = {}
 

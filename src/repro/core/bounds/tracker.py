@@ -2,12 +2,13 @@
 
 Both trackers execute the ``paper2005`` rule set natively (see
 :mod:`repro.core.bounds.paper2005` — :func:`_derive` spells the rules out
-once, :func:`_compile_derive` specializes them per node):
+once for any context, :func:`_compile_derive_std` specializes them per
+node for the standard context):
 
 * :class:`BoundsTracker` — the production tracker.  It caches every static
   quantity at construction (catalog cardinalities, histogram bucket sums,
-  predicate shapes, dispatch tags), compiles one visitor closure per node
-  with its rule, statics and children bound in, and, once
+  predicate shapes, dispatch tags), builds one visitor closure per node
+  with its statics and children bound in, and, once
   :meth:`BoundsTracker.attach`\\ ed to an
   :class:`~repro.engine.monitor.ExecutionMonitor`, consumes the monitor's
   event stream to maintain a running ``Curr`` and a dirty set, so each
@@ -16,8 +17,7 @@ once, :func:`_compile_derive` specializes them per node):
 * :class:`ReferenceBoundsTracker` — the full-recompute oracle: it re-walks
   the whole plan and re-resolves every statistic on every call, exactly like
   the original implementation.  Equivalence tests assert the incremental
-  tracker is bit-identical to it at every sampled instant; the overhead
-  benchmark uses it as the per-sample cost baseline.
+  tracker is bit-identical to it at every sampled instant.
 
 Overlay providers (``bounds=["paper2005", "degree_seq"]``) plug in as a
 snapshot post-step: their per-node caps are composed once at construction
@@ -37,18 +37,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bounds.model import BoundRefinement, BoundsSnapshot, NodeBounds
 from repro.core.bounds.paper2005 import (
-    _AGG_HASH,
-    _HASH_JOIN,
-    _LIMIT,
-    _NL_JOIN,
-    _SCAN,
-    _SORT,
-    _TOPN,
     _classify,
-    _compile_derive,
     _compile_derive_std,
     _derive,
     _static_payload,
+    standard_flags,
 )
 from repro.core.bounds.providers import (
     apply_caps,
@@ -88,14 +81,14 @@ def _compose(
 class BoundsTracker:
     """Incremental :class:`BoundsSnapshot` producer for a plan.
 
-    Construction caches every static quantity and compiles one specialized
-    visitor closure per node (see :func:`_compile_derive`).  :meth:`attach`
+    Construction caches every static quantity and builds one visitor
+    closure per node (see :meth:`_build_visitor`).  :meth:`attach`
     subscribes to a monitor's event stream; from then on each
     tick/finish/rewind marks the event's operator and its ancestors dirty,
     and :meth:`snapshot` re-derives bounds only for dirty subtrees whose
     execution context changed — clean subtrees are answered from the memo in
     O(1).  Unattached, every snapshot is a full recompute (still benefiting
-    from the static caches and the compiled visitors).
+    from the static caches and the specialized visitors).
     """
 
     def __init__(
@@ -133,10 +126,11 @@ class BoundsTracker:
                 if descendant is not op
             ])
         self._root_idx = self._idx[plan.root.operator_id]
+        self._standard: Dict[int, bool] = standard_flags(plan.root)
         self._all_true = (True,) * self._count
         self._all_false = (False,) * self._count
         # -- incremental runtime state ------------------------------------------
-        # The compiled visitors capture these list/dict objects by reference:
+        # The visitors capture these list/dict objects by reference:
         # they must only ever be mutated in place, never rebound.
         self._monitor: Optional[ExecutionMonitor] = None
         self._curr = 0
@@ -185,9 +179,6 @@ class BoundsTracker:
         self._ctx_valid[:] = self._all_false
         self._node_bounds[:] = (None,) * self._count
         self._per_node.clear()
-
-    def _on_event(self, operator_id: int, event: str) -> None:
-        self._on_batch(operator_id, event, 1 if event == EVENT_TICK else 0)
 
     def _on_batch(self, operator_id: int, event: str, n: int) -> None:
         if event == EVENT_RESET:
@@ -277,53 +268,40 @@ class BoundsTracker:
     def restore_dirty(self, flags: Tuple[bool, ...]) -> None:
         """Restore a vector captured by :meth:`dirty_flags`.
 
-        The overhead benchmark uses this to re-run the exact per-sample
-        recompute several times at one paused instant: a second plain
-        :meth:`snapshot` would be answered from the memo and measure
-        nothing.
+        The end-to-end benchmark's snapshot-cost probe uses this to re-run
+        the exact per-sample recompute several times at one paused instant:
+        a second plain :meth:`snapshot` would be answered from the memo and
+        measure nothing.
         """
         if len(flags) != self._count:
             raise ValueError("dirty-flag vector does not match this plan")
         self._dirty[:] = flags
         self._any_dirty = True in flags
 
-    # -- compiled recursion --------------------------------------------------------
+    # -- visitors ------------------------------------------------------------------
 
-    def _build_visitor(self, node: Operator, standard: bool = True) -> Callable:
-        """Compile the visitor closure for ``node`` (children first).
+    def _build_visitor(self, node: Operator) -> Callable:
+        """Build the visitor closure for ``node`` (children first).
 
-        The visitor wraps the node's specialized derive rule with the memo
-        check, the finished-subtree freeze and the total-bounds
-        bookkeeping; all per-node state lives in closure cells or captured
-        lists, so a visit touches no ``self``.
+        The visitor wraps the node's derive rule with the memo check, the
+        finished-subtree freeze and the total-bounds bookkeeping; all
+        per-node state lives in closure cells or captured lists, so a visit
+        touches no ``self``.
 
-        ``standard`` tracks, at compile time, whether this node can only
-        ever be visited under the root context ``(1.0, 1.0, True, True)``.
-        The root is; blocking drains (sort, top-n, hash aggregate, hash-join
-        build) re-impose it on their child whatever their own context is;
-        streaming edges preserve it; only a LIMIT's child (loses
-        ``full_scan``) and a ⋈NL's inner (loses ``single_exec``) break it.
-        Standard nodes get a leaner visitor: the 4-field context memo
-        degenerates to the dirty bit and the derive rule comes from
-        :func:`_compile_derive_std` with the context constants folded.
+        A node that :func:`standard_flags` marks can only ever be visited
+        under the root context ``(1.0, 1.0, True, True)``.  Its visitor is
+        the lean one: the 4-field context memo degenerates to the dirty bit
+        and the rule comes from :func:`_compile_derive_std` with the context
+        constants folded.  Any other node (below a LIMIT, inside a ⋈NL
+        inner) memoizes its context too and runs :func:`_derive`, the
+        reference tracker's own rule set, reaching its children through
+        their visitors.
         """
         i = self._idx[node.operator_id]
         kind = self._kinds[i]
+        static = self._statics[i]
         children = node.children
-        if kind == _SORT or kind == _TOPN or kind == _AGG_HASH:
-            child_standard = [True] * len(children)
-        elif kind == _HASH_JOIN:
-            child_standard = [True, standard]
-        elif kind == _NL_JOIN:
-            child_standard = [standard, False]
-        elif kind == _LIMIT:
-            child_standard = [False] * len(children)
-        else:
-            child_standard = [standard] * len(children)
-        child_visits = [
-            self._build_visitor(child, child_std)
-            for child, child_std in zip(children, child_standard)
-        ]
+        child_visits = [self._build_visitor(child) for child in children]
         dirty = self._dirty
         ctx_valid = self._ctx_valid
         node_bounds = self._node_bounds
@@ -357,53 +335,8 @@ class BoundsTracker:
                 # can never wrongly reuse pre-freeze memos.
                 ctx_valid[j] = False
 
-        if standard and kind == _SCAN:
-            n = self._statics[i]
-            scan_memo = [0.0, 0.0]
-
-            def visit(
-                exec_lower: float,
-                exec_upper: float,
-                single_exec: bool,
-                full_scan: bool,
-            ) -> Tuple[float, float]:
-                # A scan is a leaf (nothing to freeze) and its standard
-                # per-pass bounds are the constant (n, n), so the whole
-                # derive step folds away.
-                if not dirty[i] and ctx_valid[i]:
-                    return scan_memo[0], scan_memo[1]
-                if node.finished:
-                    lower = upper = float(node.rows_produced)
-                else:
-                    lower = upper = n
-                ticks = float(node.rows_produced)
-                total_lower = lower if lower >= ticks else ticks
-                total_upper = upper if upper >= total_lower else total_lower
-                entry = node_bounds[i]
-                if (
-                    entry is None
-                    or entry.lower != total_lower
-                    or entry.upper != total_upper
-                ):
-                    entry = NodeBounds.__new__(NodeBounds)
-                    entry.__dict__["lower"] = total_lower
-                    entry.__dict__["upper"] = total_upper
-                    node_bounds[i] = entry
-                    per_node[op_id] = entry
-                total_lo[i] = total_lower
-                total_hi[i] = total_upper
-                ctx_valid[i] = True
-                scan_memo[0] = lower
-                scan_memo[1] = upper
-                return lower, upper
-
-            self._visitors[i] = visit
-            return visit
-
-        if standard:
-            derive_std = _compile_derive_std(
-                node, kind, self._statics[i], child_visits
-            )
+        if self._standard[op_id]:
+            derive_std = _compile_derive_std(node, kind, static, child_visits)
             # memoized per-pass return: lower, upper
             memo_std = [0.0, 0.0]
 
@@ -449,7 +382,22 @@ class BoundsTracker:
             self._visitors[i] = visit
             return visit
 
-        derive = _compile_derive(node, kind, self._statics[i], child_visits)
+        by_child = {
+            child.operator_id: child_visit
+            for child, child_visit in zip(children, child_visits)
+        }
+
+        def visit_child(
+            child: Operator,
+            exec_lower: float,
+            exec_upper: float,
+            single_exec: bool,
+            full_scan: bool,
+        ) -> Tuple[float, float]:
+            return by_child[child.operator_id](
+                exec_lower, exec_upper, single_exec, full_scan
+            )
+
         # memoized context and per-pass return: el, eu, se, fs, lower, upper
         memo = [0.0, 0.0, False, False, 0.0, 0.0]
 
@@ -475,8 +423,16 @@ class BoundsTracker:
                 freeze()
                 lower = upper = float(node.rows_produced)
             else:
-                lower, upper = derive(
-                    exec_lower, exec_upper, single_exec, full_scan
+                lower, upper = _derive(
+                    node,
+                    kind,
+                    static,
+                    node.rows_produced if single_exec else 0,
+                    single_exec,
+                    full_scan,
+                    exec_lower,
+                    exec_upper,
+                    visit_child,
                 )
             ticks = float(node.rows_produced)
             total_lower = max(lower * exec_lower, ticks)
@@ -511,8 +467,7 @@ class ReferenceBoundsTracker:
     """Full-recompute oracle: re-walks the plan and re-resolves statistics
     on every snapshot, exactly like the pre-incremental implementation.
 
-    Kept as the ground truth for equivalence tests and as the baseline the
-    sampling-overhead benchmark measures the incremental tracker against.
+    Kept as the ground truth for the equivalence tests.
     """
 
     def __init__(

@@ -13,8 +13,8 @@ instrumentation itself costs.  This module supplies that layer:
   JSON Lines (one object per line, append-friendly, ``tail -f``-able);
 * :class:`EstimatorProfile` / :class:`RunProfile` — wall-time accounting of
   the instrumentation itself: how long each estimator's ``estimate`` takes,
-  how much of the run went to sampling vs. executing the query.  This is
-  the measurement behind the sampling-overhead benchmark.
+  how much of the run went to sampling vs. executing the query (the
+  end-to-end benchmark's traced run reads ``runner.sample_us`` from it).
 
 Everything here is dependency-free and JSON-serializable by construction.
 """

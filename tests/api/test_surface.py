@@ -1,6 +1,6 @@
 """The documented surface stays true.
 
-Two contracts:
+Three contracts:
 
 * every fenced ``python`` block in ``docs/api.md`` executes verbatim, in
   order, in one shared namespace — the quickstart and examples cannot
@@ -8,11 +8,14 @@ Two contracts:
 * ``repro.api.__all__`` matches the list the document publishes (the doc
   itself asserts it, and we re-assert independently here), every name
   resolves, and the server package stays on the facade side of the
-  line — no engine internals.
+  line — no engine internals;
+* every module under ``src/repro/`` is imported by another module or has
+  a named role — no module survives on its tests alone.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -158,3 +161,86 @@ class TestServerStaysOnTheFacadeSide:
             if read_pattern.search(path.read_text())
         ]
         assert readers == ["options.py"]
+
+
+#: modules that earn their place by a role rather than (only) by a caller
+ROLES = {
+    "repro.__main__": "`python -m repro` entry point",
+    "repro.api": "the public facade; `repro/__init__` imports it lazily by name",
+    "repro.cli": "the `repro` command line behind `python -m repro`",
+    "repro.core.threshold": "the paper's (tau, delta) threshold interface",
+}
+
+
+def module_importers(src):
+    """``{module: names of the other modules importing it}`` for the
+    package rooted at ``src``, read with :mod:`ast`.
+
+    Importing ``a.b.c`` (or ``from a.b import c``) counts for ``a``,
+    ``a.b`` and ``a.b.c``: a package's ``__init__`` runs whenever one of
+    its modules is imported.
+    """
+    modules = {}
+    for path in sorted(src.rglob("*.py")):
+        parts = list(path.relative_to(src.parent).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        modules[".".join(parts)] = path
+    importers = {name: set() for name in modules}
+    for name, path in modules.items():
+        package = (
+            name if path.name == "__init__.py" else name.rpartition(".")[0]
+        )
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                stem = node.module
+                if node.level:
+                    base = package.split(".")
+                    base = base[: len(base) - node.level + 1]
+                    stem = ".".join(base + ([stem] if stem else []))
+                targets = [stem] + [
+                    stem + "." + alias.name for alias in node.names
+                ]
+            else:
+                continue
+            for target in targets:
+                parts = target.split(".")
+                for end in range(1, len(parts) + 1):
+                    prefix = ".".join(parts[:end])
+                    if prefix in importers and prefix != name:
+                        importers[prefix].add(name)
+    return importers
+
+
+class TestEveryModuleHasACallerOrARole:
+    def test_every_module_is_imported_or_has_a_role(self):
+        importers = module_importers(REPO / "src" / "repro")
+        orphans = sorted(
+            name for name, users in importers.items()
+            if not users and name not in ROLES
+        )
+        assert not orphans, (
+            "imported by no other module and listed in no role: %r — "
+            "wire it into the product or delete it with its tests"
+            % (orphans,)
+        )
+
+    def test_every_role_names_a_module(self):
+        importers = module_importers(REPO / "src" / "repro")
+        assert sorted(set(ROLES) - set(importers)) == []
+
+    def test_an_orphan_is_found(self, tmp_path):
+        package = tmp_path / "pkg"
+        (package / "sub").mkdir(parents=True)
+        (package / "__init__.py").write_text("from pkg.sub import used\n")
+        (package / "sub" / "__init__.py").write_text("")
+        (package / "sub" / "used.py").write_text("from . import helper\n")
+        (package / "sub" / "helper.py").write_text("")
+        (package / "sub" / "orphan.py").write_text("import pkg.sub.used\n")
+        importers = module_importers(package)
+        assert importers["pkg.sub.helper"] == {"pkg.sub.used"}
+        assert [name for name, users in importers.items() if not users] == [
+            "pkg.sub.orphan",
+        ]

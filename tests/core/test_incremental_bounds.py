@@ -10,27 +10,39 @@ two produce equal ``BoundsSnapshot``\\ s, float for float.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 
 from repro.core import BoundsTracker, ReferenceBoundsTracker, total_work
+from repro.core.bounds import paper2005
+from repro.engine.executor import run_root
 from repro.engine.expressions import col, lit
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators import (
+    Distinct,
     ExecutionContext,
     Filter,
+    HashAggregate,
+    HashJoin,
+    IndexNestedLoopsJoin,
+    IndexSeek,
     Limit,
     MergeJoin,
     NestedLoopsJoin,
+    Project,
+    RowSource,
     Sort,
     SortKey,
     StreamAggregate,
     TableScan,
     TopN,
+    UnaryOperator,
     UnionAll,
     count_star,
 )
 from repro.engine.plan import Plan
-from repro.storage import Table, schema_of
+from repro.stats import StatisticsManager
+from repro.storage import Catalog, HashIndex, Table, schema_of
 from repro.workloads import build_query, generate_tpch
 
 from tests.core.test_properties import plans
@@ -43,8 +55,9 @@ def assert_snapshots_identical(incremental, reference):
     assert incremental.per_node == reference.per_node
 
 
-def run_comparing(plan, catalog=None, every=1):
-    """Execute ``plan`` comparing the two trackers at every observer point."""
+def run_comparing(plan, catalog=None, every=1, engine="interpreted"):
+    """Execute ``plan`` on ``engine`` comparing the two trackers at every
+    observer point."""
     incremental = BoundsTracker(plan, catalog)
     reference = ReferenceBoundsTracker(plan, catalog)
     monitor = ExecutionMonitor()
@@ -56,8 +69,7 @@ def run_comparing(plan, catalog=None, every=1):
         compared[0] += 1
 
     monitor.add_observer(check, every=every)
-    for _ in plan.root.iterate(ExecutionContext(monitor)):
-        pass
+    run_root(plan.root, ExecutionContext(monitor), engine, keep_rows=False)
     # Terminal state, after close().
     assert_snapshots_identical(incremental.snapshot(), reference.snapshot())
     incremental.detach()
@@ -153,6 +165,116 @@ class TestHandWrittenShapes:
         left, _ = small_tables()
         plan = Plan(StreamAggregate(TableScan(left), [], [count_star("n")]))
         run_comparing(plan)
+
+
+class _Relay(UnaryOperator):
+    """An operator the bounds rules do not know: the conservative rule."""
+
+    name = "Relay"
+
+    def __init__(self, child):
+        super().__init__(child.schema, child)
+
+    def _open(self):
+        pass
+
+    def _next(self):
+        return self.child.get_next()
+
+
+def analyzed_tables():
+    """``small_tables`` in a catalog with statistics and a sorted index on
+    ``l.k``, so range filters and index seeks take their histogram rules."""
+    left, right = small_tables()
+    catalog = Catalog()
+    catalog.add_table(left)
+    catalog.add_table(right)
+    index = catalog.create_sorted_index("l", "k")
+    StatisticsManager(catalog).analyze_all()
+    return catalog, left, right, index
+
+
+def _sorted_scan(table):
+    return Sort(TableScan(table), [SortKey(col("%s.k" % (table.name,)))])
+
+
+#: one operator of every kind ``paper2005._classify`` tells apart (the
+#: hash join twice: inner and probe-preserving), over the analyzed tables
+KIND_SHAPES = {
+    "table_scan": lambda l, r, index: TableScan(l),
+    "row_source": lambda l, r, index: RowSource(
+        schema_of("v", "k:int"), [(1,), (2,), (3,)]),
+    "index_seek": lambda l, r, index: IndexSeek(index, low=2, high=6),
+    "filter_histogram": lambda l, r, index: Filter(
+        TableScan(l), col("l.k") <= lit(5)),
+    "filter": lambda l, r, index: Filter(
+        TableScan(l), col("l.k") % lit(2) == lit(0)),
+    "project": lambda l, r, index: Project(
+        TableScan(l), [("k2", col("l.k") + lit(1))]),
+    "sort": lambda l, r, index: _sorted_scan(l),
+    "topn": lambda l, r, index: TopN(TableScan(l), [SortKey(col("l.k"))], 3),
+    "distinct": lambda l, r, index: Distinct(TableScan(l)),
+    "hash_aggregate": lambda l, r, index: HashAggregate(
+        TableScan(l), [("k", col("l.k"))], [count_star("n")]),
+    "stream_aggregate": lambda l, r, index: StreamAggregate(
+        _sorted_scan(l), [("k", col("l.k"))], [count_star("n")]),
+    "hash_join": lambda l, r, index: HashJoin(
+        TableScan(r), TableScan(l), col("r.k"), col("l.k")),
+    "hash_join_preserve_probe": lambda l, r, index: HashJoin(
+        TableScan(r), TableScan(l), col("r.k"), col("l.k"),
+        preserve_probe=True),
+    "merge_join": lambda l, r, index: MergeJoin(
+        _sorted_scan(l), _sorted_scan(r), col("l.k"), col("r.k")),
+    "index_nested_loops": lambda l, r, index: IndexNestedLoopsJoin(
+        TableScan(r), HashIndex("hx", l, "k"), col("r.k")),
+    "nested_loops": lambda l, r, index: NestedLoopsJoin(
+        TableScan(l), TableScan(r), col("l.k") == col("r.k")),
+    "limit": lambda l, r, index: Limit(TableScan(l), 4, offset=1),
+    "union_all": lambda l, r, index: UnionAll(TableScan(l), TableScan(r)),
+    "unknown_operator": lambda l, r, index: _Relay(TableScan(l)),
+}
+
+
+def under_limit(node, outer):
+    return Limit(node, 3)
+
+
+def as_nested_loops_inner(node, outer):
+    return NestedLoopsJoin(TableScan(outer), node)
+
+
+class TestEveryKindUnderNonStandardContexts:
+    """Below a LIMIT and inside a ⋈NL inner, the incremental tracker runs
+    the general-context rules: every operator kind, placed there, must
+    stay bit-identical to the reference at every tick on both row engines.
+    """
+
+    def test_shapes_cover_every_rule(self):
+        catalog, left, right, index = analyzed_tables()
+        tags = {
+            value for name, value in vars(paper2005).items()
+            if name.startswith("_") and name[1:].isupper()
+        }
+        covered = {
+            paper2005._classify(make(left, right, index))
+            for make in KIND_SHAPES.values()
+        }
+        assert covered == tags
+        histogram_filter = KIND_SHAPES["filter_histogram"](left, right, index)
+        assert paper2005._static_payload(
+            histogram_filter, paper2005._FILTER, catalog
+        ) is not None
+
+    @pytest.mark.parametrize("engine", ["interpreted", "fused"])
+    @pytest.mark.parametrize("place", [under_limit, as_nested_loops_inner],
+                             ids=["under_limit", "nested_loops_inner"])
+    @pytest.mark.parametrize("kind", sorted(KIND_SHAPES))
+    def test_incremental_equals_reference(self, kind, place, engine):
+        catalog, left, right, index = analyzed_tables()
+        outer = Table("o", schema_of("o", "k:int"), [(1,), (2,), (3,)])
+        plan = Plan(place(KIND_SHAPES[kind](left, right, index), outer))
+        assert not all(paper2005.standard_flags(plan.root).values())
+        assert run_comparing(plan, catalog, every=1, engine=engine) > 0
 
 
 class TestTpchPlans:

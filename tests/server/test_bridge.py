@@ -43,6 +43,8 @@ from repro.stats import StatisticsManager
 from repro.storage import Table, schema_of
 from repro.workloads import build_query, generate_tpch
 
+from tests.server.held import HeldStreamSink, hold_streams
+
 
 class CountingLoop:
     """Delegates to a real loop, counting cross-thread wake-ups."""
@@ -432,24 +434,6 @@ def wait_until_done(client, query_id, timeout=30.0) -> dict:
     raise AssertionError("query %s did not finish" % query_id)
 
 
-class HeldStreamSink(StreamSink):
-    """A query's stream sink that holds its worker at the second sample
-    until ``release`` is set, so the query is running by construction —
-    however fast the engine gets through the table."""
-
-    def __init__(self, stream: EventStream, release: threading.Event) -> None:
-        super().__init__(stream)
-        self.release = release
-        self.samples = 0
-
-    def emit(self, event) -> None:
-        if event.kind == "sample":
-            self.samples += 1
-            if self.samples == 2:
-                self.release.wait(timeout=30.0)
-        super().emit(event)
-
-
 class TestFirstPaintOverTheWire:
     def test_lowered_once_the_first_sample_is_painted(self, db, monkeypatch):
         release = threading.Event()
@@ -492,32 +476,38 @@ class TestFirstPaintOverTheWire:
             assert status["state"] == "failed"
             assert pending_on_metrics(client) == 0
 
-    def test_queued_exits_subscriber_gone_cancel_and_429(self, db):
+    def test_queued_exits_subscriber_gone_cancel_and_429(self, db, monkeypatch):
+        # The running query is held at its second sample, so the two
+        # below stay queued behind it however fast the table is scanned.
+        release = hold_streams(monkeypatch)
         server = one_worker_server(db, max_pending=2, max_inflight=1)
         with server.running():
             client = ServerClient(server.config.host, server.port)
-            running = client.submit(BIG_SQL, target_samples=200)
-            for received in client.iter_events(running["id"]):
-                if received["event"] == "sample":
-                    break
-            assert settles_to_zero(client)
-            # Two queries parked behind the tenant's one inflight slot.
-            abandoned = client.submit(SMALL_SQL, target_samples=5)
-            victim = client.submit(SMALL_SQL, target_samples=5)
-            assert pending_on_metrics(client) == 2
-            # 429: the refused stream must not stay counted.
-            with pytest.raises(ServerClientError) as refused:
-                client.submit(SMALL_SQL, target_samples=5)
-            assert refused.value.status == 429
-            assert pending_on_metrics(client) == 2
-            # A subscriber that leaves after "queued", before any sample.
-            watcher = client.iter_events(abandoned["id"])
-            assert next(watcher)["event"] == "queued"
-            watcher.close()
-            assert pending_on_metrics(client) == 2
-            # Cancelled while queued.
-            assert client.cancel(victim["id"])["cancelled"] is True
-            assert pending_on_metrics(client) == 1
+            try:
+                running = client.submit(BIG_SQL, target_samples=200)
+                for received in client.iter_events(running["id"]):
+                    if received["event"] == "sample":
+                        break
+                assert settles_to_zero(client)
+                # Two queries parked behind the tenant's one inflight slot.
+                abandoned = client.submit(SMALL_SQL, target_samples=5)
+                victim = client.submit(SMALL_SQL, target_samples=5)
+                assert pending_on_metrics(client) == 2
+                # 429: the refused stream must not stay counted.
+                with pytest.raises(ServerClientError) as refused:
+                    client.submit(SMALL_SQL, target_samples=5)
+                assert refused.value.status == 429
+                assert pending_on_metrics(client) == 2
+                # A subscriber that leaves after "queued", before any sample.
+                watcher = client.iter_events(abandoned["id"])
+                assert next(watcher)["event"] == "queued"
+                watcher.close()
+                assert pending_on_metrics(client) == 2
+                # Cancelled while queued.
+                assert client.cancel(victim["id"])["cancelled"] is True
+                assert pending_on_metrics(client) == 1
+            finally:
+                release.set()
             # The abandoned query runs to completion with nobody watching.
             client.cancel(running["id"])
             assert wait_until_done(client, abandoned["id"])["done"]

@@ -28,6 +28,8 @@ from repro.stats import StatisticsManager
 from repro.storage import Table, schema_of
 from repro.workloads import generate_tpch
 
+from tests.server.held import hold_streams
+
 
 @pytest.fixture(scope="module")
 def db():
@@ -273,16 +275,24 @@ class TestAdmission:
 
 
 class TestLiveIteration:
-    def test_first_sample_is_yielded_while_the_query_runs(self, client):
-        record = client.submit(BIG_SQL, tenant="t-live",
-                               target_samples=200)
-        events = client.iter_events(record["id"])
-        assert next(events)["event"] == "queued"
-        first = next(events)
-        assert first["event"] == "sample"
-        assert first["actual"] is None
-        # Live means live: the estimate is in hand, the query is not done.
-        assert client.status(record["id"])["state"] == "running"
+    def test_first_sample_is_yielded_while_the_query_runs(self, client,
+                                                          monkeypatch):
+        # Held at its second sample: running by construction, not because
+        # the table outlasts the first round trip.
+        release = hold_streams(monkeypatch)
+        try:
+            record = client.submit(BIG_SQL, tenant="t-live",
+                                   target_samples=200)
+            events = client.iter_events(record["id"])
+            assert next(events)["event"] == "queued"
+            first = next(events)
+            assert first["event"] == "sample"
+            assert first["actual"] is None
+            # Live means live: the estimate is in hand, the query is not
+            # done.
+            assert client.status(record["id"])["state"] == "running"
+        finally:
+            release.set()
         rest = list(events)
         assert rest[-1]["event"] == "end"
         assert rest[-1]["state"] == "done"
