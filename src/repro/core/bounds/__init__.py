@@ -13,11 +13,9 @@ The package splits along the provider seam:
 
 * :mod:`repro.core.bounds.model` — :class:`NodeBounds`,
   :class:`BoundsSnapshot`, :class:`BoundRefinement`;
-* :mod:`repro.core.bounds.paper2005` — the paper's §5.1 rule set
-  (:func:`~repro.core.bounds.paper2005._derive` spells it out once for any
-  execution context; ``_compile_derive_std`` specializes it per node for
-  the standard context, which every node outside a LIMIT's subtree or a
-  ⋈NL inner runs under);
+* :mod:`repro.core.bounds.paper2005` — the paper's §5.1 rule set, one
+  function per operator kind for any execution context
+  (:data:`~repro.core.bounds.paper2005.RULES`), which both trackers call;
 * :mod:`repro.core.bounds.providers` — the :class:`BoundProvider`
   protocol, the registry (:func:`provider_names`, :func:`make_provider`,
   :func:`resolve_providers`) and the composition layer that intersects

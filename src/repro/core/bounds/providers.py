@@ -22,7 +22,7 @@ than silently produce stale bounds.
 
 Overlay bounds apply only to nodes that provably execute under the
 standard context (one full scan — see
-:func:`repro.core.bounds.paper2005.standard_flags`): there a node's total
+:func:`repro.engine.plan.standard_flags`): there a node's total
 equals its single-pass output, so a sound cardinality bound on the output
 is a sound bound on the total.  A provider with nothing sound to say about
 a node returns ``None`` ("no opinion") — never ``(0, inf)`` noise; if a
@@ -42,11 +42,10 @@ from repro.core.bounds.paper2005 import (
     _MERGE_JOIN,
     _NL_JOIN,
     _classify,
-    standard_flags,
 )
 from repro.core.observe import warn_once
 from repro.engine.operators.base import Operator
-from repro.engine.plan import Plan
+from repro.engine.plan import Plan, standard_flags
 from repro.errors import BoundsConfigError
 from repro.storage.catalog import Catalog
 

@@ -1,9 +1,7 @@
 """The two bounds trackers: incremental production + full-recompute oracle.
 
-Both trackers execute the ``paper2005`` rule set natively (see
-:mod:`repro.core.bounds.paper2005` — :func:`_derive` spells the rules out
-once for any context, :func:`_compile_derive_std` specializes them per
-node for the standard context):
+Both trackers call the ``paper2005`` rule table,
+:data:`repro.core.bounds.paper2005.RULES`, one function per operator kind:
 
 * :class:`BoundsTracker` — the production tracker.  It caches every static
   quantity at construction (catalog cardinalities, histogram bucket sums,
@@ -15,9 +13,9 @@ node for the standard context):
   :meth:`~BoundsTracker.snapshot` only re-derives bounds for subtrees
   whose runtime counters actually changed.
 * :class:`ReferenceBoundsTracker` — the full-recompute oracle: it re-walks
-  the whole plan and re-resolves every statistic on every call, exactly like
-  the original implementation.  Equivalence tests assert the incremental
-  tracker is bit-identical to it at every sampled instant.
+  the whole plan through the same rules and re-resolves every statistic on
+  every call.  Equivalence tests assert the incremental tracker is
+  bit-identical to it at every sampled instant.
 
 Overlay providers (``bounds=["paper2005", "degree_seq"]``) plug in as a
 snapshot post-step: their per-node caps are composed once at construction
@@ -32,17 +30,12 @@ incremental/reference equivalence guarantee survives with overlays active.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bounds.model import BoundRefinement, BoundsSnapshot, NodeBounds
-from repro.core.bounds.paper2005 import (
-    _classify,
-    _compile_derive_std,
-    _derive,
-    _static_payload,
-    standard_flags,
-)
+from repro.core.bounds.paper2005 import RULES, _classify, _static_payload
 from repro.core.bounds.providers import (
     apply_caps,
     compose_caps,
@@ -54,7 +47,7 @@ from repro.engine.monitor import (
     ExecutionMonitor,
 )
 from repro.engine.operators.base import Operator
-from repro.engine.plan import Plan
+from repro.engine.plan import Plan, standard_flags
 from repro.storage.catalog import Catalog
 
 
@@ -288,20 +281,18 @@ class BoundsTracker:
         per-node state lives in closure cells or captured lists, so a visit
         touches no ``self``.
 
-        A node that :func:`standard_flags` marks can only ever be visited
-        under the root context ``(1.0, 1.0, True, True)``.  Its visitor is
-        the lean one: the 4-field context memo degenerates to the dirty bit
-        and the rule comes from :func:`_compile_derive_std` with the context
-        constants folded.  Any other node (below a LIMIT, inside a ⋈NL
-        inner) memoizes its context too and runs :func:`_derive`, the
-        reference tracker's own rule set, reaching its children through
-        their visitors.
+        Both visitors call the node's rule from :data:`RULES` with the
+        children's visitors.  A node that :func:`standard_flags` marks can
+        only ever be visited under the root context ``(1.0, 1.0, True,
+        True)``, so its visitor passes that context as constants and its
+        memo degenerates to the dirty bit.  Any other node (below a LIMIT,
+        inside a ⋈NL inner) memoizes its context too.
         """
         i = self._idx[node.operator_id]
         kind = self._kinds[i]
         static = self._statics[i]
-        children = node.children
-        child_visits = [self._build_visitor(child) for child in children]
+        visits = tuple(self._build_visitor(child) for child in node.children)
+        rule = RULES[kind]
         dirty = self._dirty
         ctx_valid = self._ctx_valid
         node_bounds = self._node_bounds
@@ -336,7 +327,6 @@ class BoundsTracker:
                 ctx_valid[j] = False
 
         if self._standard[op_id]:
-            derive_std = _compile_derive_std(node, kind, static, child_visits)
             # memoized per-pass return: lower, upper
             memo_std = [0.0, 0.0]
 
@@ -354,7 +344,10 @@ class BoundsTracker:
                     freeze()
                     lower = upper = float(node.rows_produced)
                 else:
-                    lower, upper = derive_std()
+                    lower, upper = rule(
+                        node, static, node.rows_produced, True, True,
+                        1.0, 1.0, visits,
+                    )
                 ticks = float(node.rows_produced)
                 # Folded from max(lower * 1.0, ticks): `max` returns its
                 # first argument on ties, so the conditional is
@@ -382,22 +375,6 @@ class BoundsTracker:
             self._visitors[i] = visit
             return visit
 
-        by_child = {
-            child.operator_id: child_visit
-            for child, child_visit in zip(children, child_visits)
-        }
-
-        def visit_child(
-            child: Operator,
-            exec_lower: float,
-            exec_upper: float,
-            single_exec: bool,
-            full_scan: bool,
-        ) -> Tuple[float, float]:
-            return by_child[child.operator_id](
-                exec_lower, exec_upper, single_exec, full_scan
-            )
-
         # memoized context and per-pass return: el, eu, se, fs, lower, upper
         memo = [0.0, 0.0, False, False, 0.0, 0.0]
 
@@ -423,16 +400,9 @@ class BoundsTracker:
                 freeze()
                 lower = upper = float(node.rows_produced)
             else:
-                lower, upper = _derive(
-                    node,
-                    kind,
-                    static,
-                    node.rows_produced if single_exec else 0,
-                    single_exec,
-                    full_scan,
-                    exec_lower,
-                    exec_upper,
-                    visit_child,
+                lower, upper = rule(
+                    node, static, node.rows_produced if single_exec else 0,
+                    single_exec, full_scan, exec_lower, exec_upper, visits,
                 )
             ticks = float(node.rows_produced)
             total_lower = max(lower * exec_lower, ticks)
@@ -464,10 +434,11 @@ class BoundsTracker:
 
 
 class ReferenceBoundsTracker:
-    """Full-recompute oracle: re-walks the plan and re-resolves statistics
-    on every snapshot, exactly like the pre-incremental implementation.
+    """Full-recompute oracle: re-walks the plan through :data:`RULES` and
+    re-resolves statistics on every snapshot.
 
-    Kept as the ground truth for the equivalence tests.
+    It has no memo, dirty set or freeze, so the equivalence tests hold it
+    as the ground truth for the incremental tracker's.
     """
 
     def __init__(
@@ -485,7 +456,7 @@ class ReferenceBoundsTracker:
 
     def snapshot(self) -> BoundsSnapshot:
         per_node: Dict[int, NodeBounds] = {}
-        self._visit(self.plan.root, 1.0, 1.0, True, True, per_node)
+        self._visit(per_node, self.plan.root, 1.0, 1.0, True, True)
         curr = sum(op.rows_produced for op in self.plan.operators())
         if self._caps:
             self.last_refinements = apply_caps(
@@ -500,12 +471,12 @@ class ReferenceBoundsTracker:
 
     def _visit(
         self,
+        out: Dict[int, NodeBounds],
         node: Operator,
         exec_lower: float,
         exec_upper: float,
         single_exec: bool,
         full_scan: bool,
-        out: Dict[int, NodeBounds],
     ) -> Tuple[float, float]:
         produced = node.rows_produced if single_exec else 0
         if node.finished and single_exec:
@@ -517,33 +488,13 @@ class ReferenceBoundsTracker:
             lower = upper = float(produced)
         else:
             kind = _classify(node)
-
-            def visit(
-                child: Operator,
-                child_exec_lower: float,
-                child_exec_upper: float,
-                child_single_exec: bool,
-                child_full_scan: bool,
-            ) -> Tuple[float, float]:
-                return self._visit(
-                    child,
-                    child_exec_lower,
-                    child_exec_upper,
-                    child_single_exec,
-                    child_full_scan,
-                    out,
-                )
-
-            lower, upper = _derive(
-                node,
-                kind,
-                _static_payload(node, kind, self.catalog),
-                produced,
-                single_exec,
-                full_scan,
-                exec_lower,
-                exec_upper,
-                visit,
+            visits = tuple(
+                functools.partial(self._visit, out, child)
+                for child in node.children
+            )
+            lower, upper = RULES[kind](
+                node, _static_payload(node, kind, self.catalog), produced,
+                single_exec, full_scan, exec_lower, exec_upper, visits,
             )
         ticks = float(node.rows_produced)
         total_lower = max(lower * exec_lower, ticks)

@@ -7,13 +7,74 @@ scan-based classification per §5.4 of the paper) and a textual EXPLAIN.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Type, TypeVar
+import functools
+from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
+from repro.engine.operators.aggregate import HashAggregate
 from repro.engine.operators.base import LeafOperator, Operator
+from repro.engine.operators.hash_join import HashJoin
+from repro.engine.operators.misc import Limit
+from repro.engine.operators.nested_loops import NestedLoopsJoin
 from repro.engine.operators.scan import RowSource, TableScan
+from repro.engine.operators.sort import Sort
+from repro.engine.operators.topn import TopN
 from repro.errors import PlanError
 
 O = TypeVar("O", bound=Operator)
+
+
+@functools.lru_cache(maxsize=None)
+def _edges(cls: type) -> Tuple[Optional[bool], Optional[bool]]:
+    """How a ``cls`` node passes the standard context to its first child
+    and to the others: ``True`` imposes it, ``False`` clears it, ``None``
+    passes the node's own flag on.  Cached per class: the ``issubclass``
+    chain over the operator ABCs is the costly part of a plan walk.
+    """
+    if issubclass(cls, (Sort, TopN, HashAggregate)):
+        return True, True  # blocking: always drained
+    if issubclass(cls, HashJoin):
+        return True, None  # the build side is always drained
+    if issubclass(cls, NestedLoopsJoin):
+        return None, False  # the inner is rescanned per outer row
+    if issubclass(cls, Limit):
+        return False, False  # the child may be cut off mid-stream
+    return None, None
+
+
+@functools.lru_cache(maxsize=None)
+def _scans_table(cls: type) -> bool:
+    return issubclass(cls, (TableScan, RowSource))
+
+
+def _standard_walk(root: Operator) -> List[Tuple[Operator, bool]]:
+    """Every node in pre-order, with whether it is standard (see
+    :func:`standard_flags`)."""
+    walked: List[Tuple[Operator, bool]] = []
+
+    def walk(node: Operator, standard: bool) -> None:
+        walked.append((node, standard))
+        first, rest = _edges(type(node))
+        for i, child in enumerate(node.children):
+            imposed = first if i == 0 else rest
+            walk(child, standard if imposed is None else imposed)
+
+    walk(root, True)
+    return walked
+
+
+def standard_flags(root: Operator) -> Dict[int, bool]:
+    """Which nodes provably always execute under the standard context —
+    the root's: one execution, to the end of its input.
+
+    Blocking drains (sort, top-n, hash aggregate, hash-join build)
+    re-impose it; a LIMIT's child loses ``full_scan`` and a ⋈NL's inner
+    loses ``single_exec``.  On a standard node the total counted getnext
+    calls equal its single full-scan output, which the bounds tracker and
+    the bound-provider overlays rely on.
+    """
+    return {
+        node.operator_id: standard for node, standard in _standard_walk(root)
+    }
 
 
 class Plan:
@@ -35,40 +96,14 @@ class Plan:
     def scanned_leaves(self) -> List[Operator]:
         """Leaves guaranteed to be scanned exactly once — the paper's ``L_s``.
 
-        A table scan / row source qualifies unless it sits (a) under the
-        inner side of a ⋈NL (it is rescanned per outer row) or (b) under a
-        LIMIT with no intervening blocking operator (it may be cut off
-        mid-scan).  Blocking operators — sort, hash-γ, a hash join's build
-        side — always drain their input, so they restore the guarantee.
+        The table scans and row sources that :func:`standard_flags` marks:
+        not on a ⋈NL inner (rescanned per outer row) and not under a LIMIT
+        with no intervening blocking operator (possibly cut off mid-scan).
         """
-        from repro.engine.operators.aggregate import HashAggregate
-        from repro.engine.operators.hash_join import HashJoin
-        from repro.engine.operators.misc import Limit
-        from repro.engine.operators.nested_loops import NestedLoopsJoin
-        from repro.engine.operators.sort import Sort
-        from repro.engine.operators.topn import TopN
-
-        scanned: List[Operator] = []
-
-        def visit(node: Operator, once: bool) -> None:
-            if isinstance(node, (TableScan, RowSource)):
-                if once:
-                    scanned.append(node)
-                return
-            for i, child in enumerate(node.children):
-                child_once = once
-                if isinstance(node, NestedLoopsJoin) and i == 1:
-                    child_once = False  # rescanned per outer row
-                elif isinstance(node, Limit):
-                    child_once = False  # may be cut off mid-scan
-                elif isinstance(node, (Sort, HashAggregate, TopN)):
-                    child_once = True  # blocking: always drained
-                elif isinstance(node, HashJoin) and i == 0:
-                    child_once = True  # build side: always drained
-                visit(child, child_once)
-
-        visit(self.root, True)
-        return scanned
+        return [
+            node for node, standard in _standard_walk(self.root)
+            if standard and _scans_table(type(node))
+        ]
 
     def find(self, operator_type: Type[O]) -> List[O]:
         return [op for op in self.operators() if isinstance(op, operator_type)]

@@ -75,6 +75,13 @@ class TestInvariantAcrossOperators:
             Plan(Filter(TableScan(r1), col("a") % lit(3) == lit(0)))
         )
 
+    def test_filter_passing_its_last_input_row(self, r1):
+        # The observer fires inside the scan's get_next, before the filter
+        # has seen row 59: only the in-flight +1 keeps UB >= total there.
+        assert_invariant_throughout(
+            Plan(Filter(TableScan(r1), col("a") % lit(3) == lit(2)))
+        )
+
     def test_project_sort(self, r1):
         plan = Plan(Sort(Project(TableScan(r1), [("x", col("a") * lit(2))]),
                          [SortKey(col("x"), descending=True)]))
@@ -100,6 +107,18 @@ class TestInvariantAcrossOperators:
     def test_linear_hash_join(self, r1, r2):
         plan = Plan(HashJoin(TableScan(r1), TableScan(r2),
                              col("r1.a"), col("r2.b"), linear=True))
+        assert_invariant_throughout(plan)
+
+    def test_limit_over_outer_hash_join_with_an_empty_build_side(self, r1):
+        # |build| x |probe| is 0, yet every probe row emits a padded row,
+        # and under a LIMIT (one that never cuts) the probe's full-scan
+        # lower bound is gone: only the + probe_upper term keeps UB >= total.
+        empty = Table("e", schema_of("e", "k:int"), [])
+        plan = Plan(Limit(
+            HashJoin(TableScan(empty), TableScan(r1), col("e.k"),
+                     col("r1.a"), preserve_probe=True),
+            100,
+        ))
         assert_invariant_throughout(plan)
 
     def test_merge_join(self, r1, r2):

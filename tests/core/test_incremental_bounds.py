@@ -40,7 +40,7 @@ from repro.engine.operators import (
     UnionAll,
     count_star,
 )
-from repro.engine.plan import Plan
+from repro.engine.plan import Plan, standard_flags
 from repro.stats import StatisticsManager
 from repro.storage import Catalog, HashIndex, Table, schema_of
 from repro.workloads import build_query, generate_tpch
@@ -243,10 +243,15 @@ def as_nested_loops_inner(node, outer):
     return NestedLoopsJoin(TableScan(outer), node)
 
 
+def at_root(node, outer):
+    return node
+
+
 class TestEveryKindUnderNonStandardContexts:
     """Below a LIMIT and inside a ⋈NL inner, the incremental tracker runs
-    the general-context rules: every operator kind, placed there, must
-    stay bit-identical to the reference at every tick on both row engines.
+    its general-context visitor; at the root, its standard one.  Every
+    operator kind, placed in each, must stay bit-identical to the reference
+    at every tick on both row engines.
     """
 
     def test_shapes_cover_every_rule(self):
@@ -266,14 +271,16 @@ class TestEveryKindUnderNonStandardContexts:
         ) is not None
 
     @pytest.mark.parametrize("engine", ["interpreted", "fused"])
-    @pytest.mark.parametrize("place", [under_limit, as_nested_loops_inner],
-                             ids=["under_limit", "nested_loops_inner"])
+    @pytest.mark.parametrize(
+        "place", [under_limit, as_nested_loops_inner, at_root],
+        ids=["under_limit", "nested_loops_inner", "root"])
     @pytest.mark.parametrize("kind", sorted(KIND_SHAPES))
     def test_incremental_equals_reference(self, kind, place, engine):
         catalog, left, right, index = analyzed_tables()
         outer = Table("o", schema_of("o", "k:int"), [(1,), (2,), (3,)])
         plan = Plan(place(KIND_SHAPES[kind](left, right, index), outer))
-        assert not all(paper2005.standard_flags(plan.root).values())
+        if place is not at_root:
+            assert not all(standard_flags(plan.root).values())
         assert run_comparing(plan, catalog, every=1, engine=engine) > 0
 
 

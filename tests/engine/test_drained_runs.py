@@ -273,9 +273,9 @@ def _traced_peak(work):
     "fused",
     pytest.param("columnar", marks=pytest.mark.skipif(
         not colstore.HAVE_NUMPY,
-        # measured at n = 20 000: the list kernels' replay layout peaks at
-        # about 9 MB, above the 7 MB a collecting commit reaches, so the
-        # drain saves no peak there
+        # measured at n = 20 000: a drained run on the list kernels peaks
+        # at about 6 MB, set by the replay layout, as high as a collecting
+        # execute's peak, so the drain saves no peak there
         reason="without NumPy the replay layout, not the rows, sets the peak",
     )),
 ))
