@@ -271,9 +271,12 @@ class Session:
 
         ``sinks`` subscribe to this query's live cadence samples (the
         stream the network tier forwards over WebSockets).  ``estimators``
-        accepts registry names like :meth:`run`; note the process backend
-        hands each worker a pickled *copy* of the session's histories, so
-        cross-run learning through ``submit`` requires the thread backend.
+        accepts registry names like :meth:`run`.  Unlike :meth:`run`,
+        ``submit`` does not feed the sealed total back to history-backed
+        estimators on either backend: no service path calls
+        ``observe_result``, so queries run through ``submit`` do not teach
+        ``robust`` (call ``estimator.observe_result(plan,
+        handle.result().total)`` yourself if you need it).
         """
         plan = self._plan_for(query, name=name)
         return self.service.submit(

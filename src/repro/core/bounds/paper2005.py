@@ -79,8 +79,8 @@ def _classify(node: Operator) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _classify_type(cls: type) -> int:
-    # The tag depends on the class alone, and the isinstance chain over the
-    # operator ABCs costs ~2.5 µs a node: classify every class once.
+    # The tag depends on the class alone, and the isinstance chain costs
+    # more than a lookup: classify every class once.
     if issubclass(cls, (TableScan, RowSource)):
         return _SCAN
     if issubclass(cls, IndexSeek):

@@ -82,6 +82,12 @@ class BoundsTracker:
     execution context changed — clean subtrees are answered from the memo in
     O(1).  Unattached, every snapshot is a full recompute (still benefiting
     from the static caches and the specialized visitors).
+
+    A tracker outlives a run: the progress runner keeps one per plan (in
+    the plan's prepared analysis, :func:`repro.core.runner.prepare`) and
+    re-attaches it for every run, so its statics must depend only on the
+    plan, the catalog and the provider stack — which the prepared key
+    covers — and :meth:`attach` must reset everything else.
     """
 
     def __init__(

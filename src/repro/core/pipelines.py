@@ -80,7 +80,11 @@ class Pipeline:
 
         :func:`decompose` calls this once the decomposition is final; a
         hand-assembled pipeline binds itself on first use.  Operators or
-        drivers changed afterwards need a fresh ``bind()``.
+        drivers changed afterwards need a fresh ``bind()``.  The hints are
+        the leaves' exact sizes, so a bound pipeline stays valid for as
+        long as they do: the progress runner keeps a plan's pipelines
+        across runs (:func:`repro.core.runner.prepare`) and rebuilds them
+        when an input size or the catalog changes.
         """
         bound = self._bound = _BoundPipeline(
             tuple(_hint_entry(operator) for operator in self.operators),
@@ -172,8 +176,7 @@ class Pipeline:
         )
 
 
-#: small dispatch codes for :func:`runtime_output_hint`: ``isinstance``
-#: against ABC-backed operator classes is slow, so each operator is
+#: small dispatch codes for :func:`runtime_output_hint`: each operator is
 #: classified once, when its pipeline is bound, never per sample.
 _HINT_OTHER, _HINT_SORT, _HINT_TOPN, _HINT_AGG = range(4)
 

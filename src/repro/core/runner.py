@@ -33,18 +33,23 @@ pipeline-boundary hook, every estimator call is wall-time profiled into a
 :class:`~repro.core.observe.RunProfile`, and structured
 :class:`~repro.core.observe.ProgressEvent`\\ s stream to any attached sinks
 (e.g. a :class:`~repro.core.observe.JsonlTraceWriter`).
+
+What a run derives from the plan before its first tick — optimizer
+estimates, pipelines, the bounds tracker's static payloads and visitors,
+the scanned leaves, the pipeline-boundary set — is built once per plan
+object by :func:`prepare` and kept on the plan until the catalog, the
+bound-provider stack or the plan's input sizes change.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.bounds import BoundsTracker
 from repro.core.estimators.base import Observation, ProgressEstimator
 from repro.core.metrics import ProgressTrace, TraceSample
-from repro.core.model import mu as compute_mu
 from repro.core.model import scanned_input_cardinality
 from repro.core.observe import (
     EstimatorProfile,
@@ -164,6 +169,72 @@ class ProgressReport:
         return self.trace.summary()
 
 
+class PreparedPlan:
+    """Everything :meth:`ProgressRunner.run` derives from a plan before its
+    first tick that the run itself cannot change.
+
+    Built by :func:`prepare` and stored on the plan, so the next run of the
+    same plan object starts sampling without re-deriving it.  ``key``
+    names every input the analysis reads (see :func:`prepare`); the
+    tracker's runtime state is reset by :meth:`BoundsTracker.attach` at
+    the start of every run, and the pipelines read their operators' live
+    counters, so nothing here carries one run into the next.
+    """
+
+    __slots__ = (
+        "key", "estimates", "pipelines", "tracker", "scanned_leaf_ids",
+        "scanned_input", "boundaries",
+    )
+
+    def __init__(
+        self,
+        plan: Plan,
+        catalog: Optional[Catalog],
+        bounds: Tuple[str, ...],
+        key: Tuple[object, ...],
+    ) -> None:
+        self.key = key
+        #: optimizer estimates per operator id (None without a catalog)
+        self.estimates: Optional[Dict[int, float]] = (
+            CardinalityEstimator(catalog).estimate_plan(plan)
+            if catalog is not None
+            else None
+        )
+        self.pipelines: List[Pipeline] = decompose(plan)
+        self.tracker = BoundsTracker(plan, catalog, bounds=bounds)
+        self.scanned_leaf_ids: FrozenSet[int] = frozenset(
+            leaf.operator_id for leaf in plan.scanned_leaves()
+        )
+        #: µ's denominator and the seed of the sampling cadence
+        self.scanned_input: int = scanned_input_cardinality(plan)
+        self.boundaries: FrozenSet[int] = frozenset(
+            pipeline_boundary_operators(plan)
+        )
+
+
+def prepare(
+    plan: Plan, catalog: Optional[Catalog], bounds: Tuple[str, ...]
+) -> PreparedPlan:
+    """The plan's prepared analysis for a run over ``catalog`` with the
+    ``bounds`` stack: the one stored on the plan when its key still holds,
+    otherwise a fresh one, which replaces it.
+
+    The key is everything the analysis reads beyond the plan's structure:
+    the catalog's fingerprint (identity, statistics version, row counts),
+    the bound-provider stack, and the size of every row list the plan
+    reads (tables outside the catalog and row sources included).
+    """
+    key = (
+        catalog.fingerprint() if catalog is not None else None,
+        bounds,
+        plan.input_sizes(),
+    )
+    prepared = plan._prepared
+    if prepared is None or prepared.key != key:
+        prepared = plan._prepared = PreparedPlan(plan, catalog, bounds, key)
+    return prepared
+
+
 class RunnerProbe:
     """Live sampling surface over one in-flight instrumented run.
 
@@ -250,8 +321,10 @@ class RunnerProbe:
 class ProgressRunner:
     """Runs plans under progress instrumentation.
 
-    A runner is reusable: every :meth:`run` builds a fresh monitor, attaches
-    a fresh bounds tracker, and re-prepares the estimators.  ``clock`` is
+    A runner is reusable: every :meth:`run` builds a fresh monitor,
+    re-attaches the plan's bounds tracker (resetting its runtime state), and
+    re-prepares the estimators; the static analysis comes from
+    :func:`prepare`, built on a plan's first run.  ``clock`` is
     injectable (default :func:`time.perf_counter`) so profiling and the
     tick-rate/ETA gauges are deterministic under test.
     """
@@ -305,16 +378,11 @@ class ProgressRunner:
 
             weighted = WeightedWork(self.plan, self.work_model)
 
-        estimates = (
-            CardinalityEstimator(self.catalog).estimate_plan(self.plan)
-            if self.catalog is not None
-            else None
-        )
-        pipelines: List[Pipeline] = decompose(self.plan)
-        tracker = BoundsTracker(self.plan, self.catalog, bounds=self.bounds)
-        scanned_leaf_ids = {
-            leaf.operator_id for leaf in self.plan.scanned_leaves()
-        }
+        prepared = prepare(self.plan, self.catalog, self.bounds)
+        estimates = prepared.estimates
+        pipelines = prepared.pipelines
+        tracker = prepared.tracker
+        scanned_leaf_ids = prepared.scanned_leaf_ids
         for estimator in self.estimators:
             estimator.prepare(self.plan)
 
@@ -324,8 +392,7 @@ class ProgressRunner:
         # geometrically as the run outgrows it.
         builder = TraceBuilder(
             self.target_samples,
-            initial_cadence=scanned_input_cardinality(self.plan)
-            // self.target_samples,
+            initial_cadence=prepared.scanned_input // self.target_samples,
         )
         profile = RunProfile()
         clock = self.clock
@@ -506,7 +573,7 @@ class ProgressRunner:
             profile.sample_seconds += clock() - sample_started
 
         monitor = self.monitor_factory()
-        monitor.mark_pipeline_boundaries(pipeline_boundary_operators(self.plan))
+        monitor.mark_pipeline_boundaries(prepared.boundaries)
         monitor.add_batch_listener(on_tick)
         tracker.attach(monitor)
         monitor.add_observer(sample, every=builder.cadence)
@@ -559,10 +626,11 @@ class ProgressRunner:
             weighted.current() if weighted is not None else float(final_ticks)
         )
         trace = builder.seal(total)
-        try:
-            mu_value: Optional[float] = compute_mu(self.plan, total=final_ticks)
-        except ProgressError:
-            mu_value = None
+        # µ = total work per scanned input tuple; undefined with none.
+        mu_value: Optional[float] = (
+            final_ticks / prepared.scanned_input
+            if prepared.scanned_input else None
+        )
         profile.elapsed_seconds = clock() - started_at
         profile.ticks = final_ticks
         final = trace.samples[-1]

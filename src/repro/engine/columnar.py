@@ -1463,6 +1463,10 @@ def run_columnar(
     monitor = context.monitor
     root.open(context)
     try:
+        # The batch kernels fall back to the row functions per operator;
+        # bind them all now, as the row engines' first pull would.
+        for op in root.walk():
+            op._bind()
         if _vec_supported(root):
             runner = _VecRunner(monitor)
             sink = _RootSink(keep_rows)

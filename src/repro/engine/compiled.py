@@ -685,9 +685,10 @@ class _Compiler:
         cell = acct.cell(op)
         budget = acct.budget
         flush = acct.flush
+        op._bind()
+        predicate = op._bound
 
         def make() -> Iterator[Row]:
-            predicate = op._bound
             inner_rewind = partial(acct.rewind, op.right)
             inner_make = inner_node.make
             for outer_row in outer_node.make():

@@ -279,8 +279,8 @@ class _AggregateBase(UnaryOperator):
         self._group_fns: List[BoundFn] = []
         #: one per :attr:`GroupLayout.arguments` entry
         self._argument_fns: List[BoundFn] = []
-        # compiled functions: bound at open, dropped at close (a closed
-        # plan pickles)
+        # compiled functions: bound on the first _next, dropped at close (a
+        # closed plan pickles)
         self._update: Optional[Callable[[list, Row], None]] = None
         self._emit: Optional[Callable[[Tuple[object, ...], list], Row]] = None
 
@@ -329,7 +329,6 @@ class HashAggregate(_AggregateBase):
         )
 
     def _open(self) -> None:
-        self._bind()
         self._groups = {}
         self._materialized = False
         self._output = None
@@ -340,6 +339,8 @@ class HashAggregate(_AggregateBase):
         self._output = None
 
     def _materialize(self) -> None:
+        if self._update is None:
+            self._bind()
         groups = self._groups
         get = groups.get
         update = self._update
@@ -402,7 +403,6 @@ class StreamAggregate(_AggregateBase):
         )
 
     def _open(self) -> None:
-        self._bind()
         self._pending_row: Optional[Row] = None
         self._started = False
         self._exhausted = False
@@ -412,6 +412,8 @@ class StreamAggregate(_AggregateBase):
             return None
         if not self._started:
             self._started = True
+            if self._update is None:
+                self._bind()
             self._pending_row = self.child.get_next()
             if self._pending_row is None:
                 self._exhausted = True

@@ -19,7 +19,6 @@ object can be executed twice (the work model runs a plan once to measure
 
 from __future__ import annotations
 
-import abc
 import itertools
 from typing import Iterator, List, Optional, Sequence
 
@@ -38,8 +37,15 @@ class ExecutionContext:
         self.monitor = monitor or ExecutionMonitor()
 
 
-class Operator(abc.ABC):
-    """Base class for all physical operators."""
+class Operator:
+    """Base class for all physical operators.
+
+    A concrete operator defines :attr:`name`, :meth:`_open` and
+    :meth:`_next` (``tests/engine/test_operator_protocol.py`` checks
+    every class in the package).  The base is a plain class, not an
+    ``abc.ABC``: plan walks classify nodes with ``isinstance``, and an ABC
+    routes every such check through ``ABCMeta.__instancecheck__``.
+    """
 
     #: whether getnext calls on this node count toward the work model
     counted: bool = True
@@ -63,9 +69,9 @@ class Operator(abc.ABC):
     # -- identity ----------------------------------------------------------------
 
     @property
-    @abc.abstractmethod
     def name(self) -> str:
         """Short operator name for explain output, e.g. ``"HashJoin"``."""
+        raise NotImplementedError("%s defines no name" % (type(self).__name__,))
 
     def label(self) -> str:
         return "%s#%d" % (self.name, self.operator_id)
@@ -142,13 +148,23 @@ class Operator(abc.ABC):
 
     # -- subclass hooks --------------------------------------------------------------
 
-    @abc.abstractmethod
     def _open(self) -> None:
         """Initialize per-run state; children are already open."""
+        raise NotImplementedError("%s defines no _open" % (type(self).__name__,))
 
-    @abc.abstractmethod
     def _next(self) -> Optional[Row]:
         """Produce the next row or None; no counting concerns here."""
+        raise NotImplementedError("%s defines no _next" % (type(self).__name__,))
+
+    def _bind(self) -> None:
+        """Compile the expressions :meth:`_next` evaluates (optional).
+
+        An operator calls it from its first :meth:`_next` after
+        :meth:`open`, never from :meth:`_open`: the fused engine inlines the
+        same expression text and never pulls an inlined node, so binding at
+        open would be dead work there.  :meth:`_close` drops what it built
+        (a closed plan pickles); a rescan keeps it.
+        """
 
     def _close(self) -> None:
         """Release per-run state (optional)."""

@@ -25,15 +25,20 @@ class Filter(UnaryOperator):
         return "Filter(%r)" % (self.predicate,)
 
     def _open(self) -> None:
+        pass  # the predicate binds on the first _next
+
+    def _bind(self) -> None:
         self._bound = self.predicate.bind(self.child.schema)
 
     def _next(self) -> Optional[Row]:
-        assert self._bound is not None
+        if self._bound is None:
+            self._bind()
+        bound = self._bound
         while True:
             row = self.child.get_next()
             if row is None:
                 return None
-            if self._bound(row) is True:
+            if bound(row) is True:
                 return row
 
     def _close(self) -> None:

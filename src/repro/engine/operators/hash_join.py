@@ -80,11 +80,6 @@ class HashJoin(BinaryOperator):
         return self._built
 
     def _open(self) -> None:
-        self._build_fn = self.build_key.bind(self.left.schema)
-        self._probe_fn = self.probe_key.bind(self.right.schema)
-        self._residual_fn = (
-            self.residual.bind(self.schema) if self.residual is not None else None
-        )
         self._table = {}
         self._built = False
         self._probe_row = None
@@ -100,7 +95,16 @@ class HashJoin(BinaryOperator):
         self._match_cursor = 0
         self._emitted_for_probe = 0
 
+    def _bind(self) -> None:
+        self._build_fn = self.build_key.bind(self.left.schema)
+        self._probe_fn = self.probe_key.bind(self.right.schema)
+        self._residual_fn = (
+            self.residual.bind(self.schema) if self.residual is not None else None
+        )
+
     def _build(self) -> None:
+        if self._build_fn is None:
+            self._bind()
         assert self._build_fn is not None
         while True:
             row = self.left.get_next()

@@ -70,16 +70,19 @@ class IndexNestedLoopsJoin(UnaryOperator):
         return self.child
 
     def _open(self) -> None:
-        self._key_fn = self.outer_key.bind(self.child.schema)
-        self._residual_fn = (
-            self.residual.bind(self.schema) if self.residual is not None else None
-        )
         self._outer_row = None
         self._matches = []
         self._match_cursor = 0
 
+    def _bind(self) -> None:
+        self._key_fn = self.outer_key.bind(self.child.schema)
+        self._residual_fn = (
+            self.residual.bind(self.schema) if self.residual is not None else None
+        )
+
     def _next(self) -> Optional[Row]:
-        assert self._key_fn is not None
+        if self._key_fn is None:
+            self._bind()
         while True:
             while self._match_cursor < len(self._matches):
                 assert self._outer_row is not None

@@ -50,8 +50,6 @@ class MergeJoin(BinaryOperator):
         return "MergeJoin(%r = %r)" % (self.left_key, self.right_key)
 
     def _open(self) -> None:
-        self._left_fn = self.left_key.bind(self.left.schema)
-        self._right_fn = self.right_key.bind(self.right.schema)
         self._left_row = None
         self._right_row = None
         self._right_group = []
@@ -60,6 +58,10 @@ class MergeJoin(BinaryOperator):
         self._left_started = False
         self._last_left_key = None
         self._last_right_key = None
+
+    def _bind(self) -> None:
+        self._left_fn = self.left_key.bind(self.left.schema)
+        self._right_fn = self.right_key.bind(self.right.schema)
 
     def _advance_left(self) -> Optional[object]:
         assert self._left_fn is not None
@@ -99,9 +101,10 @@ class MergeJoin(BinaryOperator):
         self._group_key = key
 
     def _next(self) -> Optional[Row]:
-        assert self._left_fn is not None and self._right_fn is not None
         if not self._left_started:
             self._left_started = True
+            if self._left_fn is None:
+                self._bind()
             if self._advance_left() is None:
                 return None
             self._advance_right()

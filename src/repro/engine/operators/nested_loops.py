@@ -36,6 +36,8 @@ class NestedLoopsJoin(BinaryOperator):
         self.predicate = predicate
         self.is_linear = linear
         self._bound: Optional[BoundFn] = None
+        #: whether _bound must still be built (None is "no predicate")
+        self._unbound = True
         self._outer_row: Optional[Row] = None
 
     @property
@@ -46,12 +48,17 @@ class NestedLoopsJoin(BinaryOperator):
         return "NestedLoopsJoin(%r)" % (self.predicate,)
 
     def _open(self) -> None:
+        self._outer_row = None
+
+    def _bind(self) -> None:
         self._bound = (
             self.predicate.bind(self.schema) if self.predicate is not None else None
         )
-        self._outer_row = None
+        self._unbound = False
 
     def _next(self) -> Optional[Row]:
+        if self._unbound:
+            self._bind()
         while True:
             if self._outer_row is None:
                 self._outer_row = self.left.get_next()
@@ -68,3 +75,4 @@ class NestedLoopsJoin(BinaryOperator):
 
     def _close(self) -> None:
         self._bound = None
+        self._unbound = True

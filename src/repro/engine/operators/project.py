@@ -59,11 +59,14 @@ class Project(UnaryOperator):
         return "Project(%s)" % (", ".join(name for name, _ in self.outputs),)
 
     def _open(self) -> None:
+        pass  # the outputs bind on the first _next
+
+    def _bind(self) -> None:
         schema = self.child.schema
         self._bound = [
             expression.bind(schema) for _, expression in self.outputs
         ]
-        # Specialize the whole-row projector once per open: a pure column
+        # Specialize the whole-row projector once per run: a pure column
         # selection becomes a C-level itemgetter, small computed projections
         # an unrolled tuple build.  Both engines route rows through it.
         expressions = [expression for _, expression in self.outputs]
@@ -88,10 +91,11 @@ class Project(UnaryOperator):
             self._project = lambda row: tuple([fn(row) for fn in bound])
 
     def _next(self) -> Optional[Row]:
+        if self._project is None:
+            self._bind()
         row = self.child.get_next()
         if row is None:
             return None
-        assert self._project is not None
         return self._project(row)
 
     def _close(self) -> None:

@@ -3,16 +3,25 @@
 A :class:`Plan` names an operator tree and provides the structural queries
 the progress layer needs (leaves, blocking nodes, nested-iteration nodes,
 scan-based classification per §5.4 of the paper) and a textual EXPLAIN.
+
+A plan that has run under progress instrumentation also carries that run's
+*prepared* analysis (``Plan._prepared``, built and checked by
+:func:`repro.core.runner.prepare`): optimizer estimates, pipelines, bounds
+tracker and the other facts that do not change while the catalog and the
+plan's inputs do not.  It is a memo, never part of the plan's state: a
+pickled or copied plan leaves it behind.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from repro.engine.operators.aggregate import HashAggregate
 from repro.engine.operators.base import LeafOperator, Operator
 from repro.engine.operators.hash_join import HashJoin
+from repro.engine.operators.index_nested_loops import IndexNestedLoopsJoin
+from repro.engine.operators.index_seek import IndexSeek
 from repro.engine.operators.misc import Limit
 from repro.engine.operators.nested_loops import NestedLoopsJoin
 from repro.engine.operators.scan import RowSource, TableScan
@@ -28,7 +37,7 @@ def _edges(cls: type) -> Tuple[Optional[bool], Optional[bool]]:
     """How a ``cls`` node passes the standard context to its first child
     and to the others: ``True`` imposes it, ``False`` clears it, ``None``
     passes the node's own flag on.  Cached per class: the ``issubclass``
-    chain over the operator ABCs is the costly part of a plan walk.
+    chain is the costly part of a plan walk.
     """
     if issubclass(cls, (Sort, TopN, HashAggregate)):
         return True, True  # blocking: always drained
@@ -44,6 +53,19 @@ def _edges(cls: type) -> Tuple[Optional[bool], Optional[bool]]:
 @functools.lru_cache(maxsize=None)
 def _scans_table(cls: type) -> bool:
     return issubclass(cls, (TableScan, RowSource))
+
+
+@functools.lru_cache(maxsize=None)
+def _input_size(cls: type) -> Optional[Callable[[Operator], int]]:
+    """How to read a ``cls`` node's input size: the length of the table it
+    scans or seeks into, or of its literal rows; None for other nodes."""
+    if issubclass(cls, TableScan):
+        return lambda node: len(node.table)
+    if issubclass(cls, RowSource):
+        return lambda node: len(node.rows)
+    if issubclass(cls, (IndexSeek, IndexNestedLoopsJoin)):
+        return lambda node: len(node.index.table)
+    return None
 
 
 def _standard_walk(root: Operator) -> List[Tuple[Operator, bool]]:
@@ -80,10 +102,21 @@ def standard_flags(root: Operator) -> Dict[int, bool]:
 class Plan:
     """A named, validated physical plan."""
 
+    #: the last instrumented run's prepared analysis (see the module
+    #: docstring); dropped by pickling
+    _prepared: Optional[object] = None
+
     def __init__(self, root: Operator, name: str = "query") -> None:
         root.validate()
         self.root = root
         self.name = name
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The memo holds the bounds tracker's closures: it cannot cross a
+        # process boundary, and a worker builds its own on its first run.
+        state = self.__dict__.copy()
+        state.pop("_prepared", None)
+        return state
 
     # -- structure -------------------------------------------------------------
 
@@ -104,6 +137,20 @@ class Plan:
             node for node, standard in _standard_walk(self.root)
             if standard and _scans_table(type(node))
         ]
+
+    def input_sizes(self) -> Tuple[int, ...]:
+        """The current size of every row list the plan reads, in pre-order:
+        each table scan's and index's table, each row source's rows.
+
+        Together with the catalog's fingerprint this covers every input of
+        the static analysis, tables outside the catalog included.
+        """
+        sizes: List[int] = []
+        for node in self.operators():
+            size = _input_size(type(node))
+            if size is not None:
+                sizes.append(size(node))
+        return tuple(sizes)
 
     def find(self, operator_type: Type[O]) -> List[O]:
         return [op for op in self.operators() if isinstance(op, operator_type)]

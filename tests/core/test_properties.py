@@ -96,7 +96,7 @@ def plans(draw):
     return Plan(root, "prop-%s" % (shape,))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(plans())
 def test_bounds_invariant_at_every_tick(plan):
     total = total_work(plan)
@@ -116,7 +116,7 @@ def test_bounds_invariant_at_every_tick(plan):
     assert final.curr == total
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(plans())
 def test_estimator_guarantees_pointwise(plan):
     total = total_work(plan)
@@ -145,7 +145,7 @@ def test_estimator_guarantees_pointwise(plan):
             assert ratio <= bound * (1 + 1e-9)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(rows_strategy)
 def test_dne_exact_for_uniform_single_pipeline(values):
     """Scan-only pipeline: work per tuple is constant ⇒ dne is exact."""
@@ -156,7 +156,7 @@ def test_dne_exact_for_uniform_single_pipeline(values):
         assert sample.estimates["dne"] == sample.actual
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     st.lists(st.integers(0, 8), min_size=1, max_size=50),
     st.lists(st.integers(0, 8), min_size=1, max_size=50),
@@ -179,7 +179,7 @@ def test_join_algorithms_agree(left_values, right_values):
     assert results[0] == results[1] == results[2]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.lists(st.integers(-5, 5), min_size=0, max_size=60),
        st.integers(0, 6))
 def test_sort_output_sorted_and_permutation(values, _):
@@ -189,7 +189,7 @@ def test_sort_output_sorted_and_permutation(values, _):
     assert out == sorted(values)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.lists(st.integers(0, 3), min_size=0, max_size=60))
 def test_aggregate_counts_partition_input(values):
     table = Table("t", schema_of("t", "k:int"), [(v,) for v in values])
