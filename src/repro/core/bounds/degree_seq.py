@@ -29,21 +29,20 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.bounds.paper2005 import (
-    _HASH_JOIN,
-    _INL_JOIN,
-    _MERGE_JOIN,
-    _NL_JOIN,
-    _classify,
-)
 from repro.core.bounds.providers import BoundProvider
 from repro.core.observe import warn_once
 from repro.engine.expressions import ColumnRef, as_column_equality
-from repro.engine.operators.base import Operator
-from repro.engine.operators.filter import Filter
-from repro.engine.operators.index_seek import IndexSeek
+from repro.engine.operators.base import (
+    FILTER,
+    HASH_JOIN,
+    INL_JOIN,
+    MERGE_JOIN,
+    NL_JOIN,
+    SEEK,
+    SORT,
+    Operator,
+)
 from repro.engine.operators.scan import TableScan
-from repro.engine.operators.sort import Sort
 from repro.stats.degree import (
     DegreeStatistic,
     degree_sequence_join_bound,
@@ -68,11 +67,11 @@ def _ground_side(
     walk = node
     # σ removes rows (degree-dominated); sort reorders them (degree
     # multiset unchanged) — both are transparent to degree bounds.
-    while isinstance(walk, (Filter, Sort)):
+    while walk.kind in (FILTER, SORT):
         walk = walk.child
-    if isinstance(walk, TableScan):
+    if isinstance(walk, TableScan):  # a row source has no table
         table = walk.table
-    elif isinstance(walk, IndexSeek):
+    elif walk.kind == SEEK:
         table = walk.index.table
     else:
         return None
@@ -111,8 +110,8 @@ class DegreeSequenceProvider(BoundProvider):
     ) -> Optional[Tuple[Optional[float], Optional[float]]]:
         if catalog is None:
             return None
-        kind = _classify(node)
-        if kind == _HASH_JOIN:
+        kind = node.kind
+        if kind == HASH_JOIN:
             build = _ground_side(
                 node.build_child, _column_name(node.build_key), catalog
             )
@@ -128,13 +127,13 @@ class DegreeSequenceProvider(BoundProvider):
                     return None
                 upper += float(len(probe[0]))
             return None, upper
-        if kind == _MERGE_JOIN:
+        if kind == MERGE_JOIN:
             upper = self._pair_bound(
                 _ground_side(node.left, _column_name(node.left_key), catalog),
                 _ground_side(node.right, _column_name(node.right_key), catalog),
             )
             return None if upper is None else (None, upper)
-        if kind == _INL_JOIN:
+        if kind == INL_JOIN:
             index = node.index
             inner_stat = catalog.degree_statistic(
                 index.table.name, index.column
@@ -161,7 +160,7 @@ class DegreeSequenceProvider(BoundProvider):
                 (index.table, inner_stat),
             )
             return None if upper is None else (None, upper)
-        if kind == _NL_JOIN:
+        if kind == NL_JOIN:
             if node.predicate is None:
                 return None
             equality = as_column_equality(node.predicate)

@@ -1,11 +1,12 @@
 """The paper's §5.1 cardinality-bound rules — the ``paper2005`` provider.
 
 Each rule is written once, as one function per operator kind (:data:`RULES`,
-keyed by the :func:`_classify` tag), for any execution context.  The
-reference tracker recurses through that table; the incremental tracker's
-two visitors call the same functions, the standard one with the root's
-context ``(1.0, 1.0, True, True)`` (on the benchmark's plans, 235 of 236
-nodes — see :func:`repro.engine.plan.standard_flags`).
+keyed by :attr:`Operator.kind <repro.engine.operators.base.Operator.kind>`),
+for any execution context.  The reference tracker recurses through that
+table; the incremental tracker's two visitors call the same functions, the
+standard one with the root's context ``(1.0, 1.0, True, True)`` (on the
+benchmark's plans, 235 of 236 nodes — see
+:func:`repro.engine.plan.standard_flags`).
 
 Rules implemented (refined on every inspection):
 
@@ -33,97 +34,44 @@ Rules implemented (refined on every inspection):
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.engine.operators.aggregate import HashAggregate, StreamAggregate
-from repro.engine.operators.base import Operator
+from repro.engine.operators.base import (
+    AGG_HASH,
+    AGG_STREAM,
+    DISTINCT,
+    FILTER,
+    HASH_JOIN,
+    INL_JOIN,
+    LIMIT,
+    MERGE_JOIN,
+    NL_JOIN,
+    OTHER,
+    PROJECT,
+    SCAN,
+    SEEK,
+    SORT,
+    TOPN,
+    UNION,
+    Operator,
+)
 from repro.engine.operators.filter import Filter
-from repro.engine.operators.hash_join import HashJoin
-from repro.engine.operators.index_nested_loops import IndexNestedLoopsJoin
-from repro.engine.operators.index_seek import IndexSeek
-from repro.engine.operators.merge_join import MergeJoin
-from repro.engine.operators.misc import Distinct, Limit, UnionAll
-from repro.engine.operators.nested_loops import NestedLoopsJoin
-from repro.engine.operators.project import Project
-from repro.engine.operators.scan import RowSource, TableScan
-from repro.engine.operators.sort import Sort
-from repro.engine.operators.topn import TopN
+from repro.engine.operators.scan import TableScan
 from repro.stats.histogram import Histogram
 from repro.storage.catalog import Catalog
 
-# -- operator dispatch tags --------------------------------------------------------
 
-_SCAN = 0
-_SEEK = 1
-_FILTER = 2
-_PROJECT = 3
-_SORT = 4
-_TOPN = 5
-_DISTINCT = 6
-_AGG_HASH = 7
-_AGG_STREAM = 8
-_HASH_JOIN = 9
-_MERGE_JOIN = 10
-_INL_JOIN = 11
-_NL_JOIN = 12
-_LIMIT = 13
-_UNION = 14
-_OTHER = 15
-
-
-def _classify(node: Operator) -> int:
-    """Map an operator to its bounds-rule tag, its key in :data:`RULES`."""
-    return _classify_type(type(node))
-
-
-@functools.lru_cache(maxsize=None)
-def _classify_type(cls: type) -> int:
-    # The tag depends on the class alone, and the isinstance chain costs
-    # more than a lookup: classify every class once.
-    if issubclass(cls, (TableScan, RowSource)):
-        return _SCAN
-    if issubclass(cls, IndexSeek):
-        return _SEEK
-    if issubclass(cls, Filter):
-        return _FILTER
-    if issubclass(cls, Sort):
-        return _SORT
-    if issubclass(cls, Project):
-        return _PROJECT
-    if issubclass(cls, TopN):
-        return _TOPN
-    if issubclass(cls, Distinct):
-        return _DISTINCT
-    if issubclass(cls, HashAggregate):
-        return _AGG_HASH
-    if issubclass(cls, StreamAggregate):
-        return _AGG_STREAM
-    if issubclass(cls, HashJoin):
-        return _HASH_JOIN
-    if issubclass(cls, MergeJoin):
-        return _MERGE_JOIN
-    if issubclass(cls, IndexNestedLoopsJoin):
-        return _INL_JOIN
-    if issubclass(cls, NestedLoopsJoin):
-        return _NL_JOIN
-    if issubclass(cls, Limit):
-        return _LIMIT
-    if issubclass(cls, UnionAll):
-        return _UNION
-    return _OTHER
-
-
-def _static_payload(node: Operator, kind: int, catalog: Optional[Catalog]):
+def _static_payload(node: Operator, catalog: Optional[Catalog]):
     """Resolve everything about ``node``'s bounds that cannot change at
     runtime: base cardinalities, histogram bucket sums, inner-table sizes.
 
     The incremental tracker calls this once per node at construction; the
     reference tracker, the oracle, re-resolves it on every visit.
     """
-    if kind == _SCAN:
+    kind = node.kind
+    if kind == SCAN:
         return float(node.base_cardinality())
-    if kind == _SEEK:
+    if kind == SEEK:
         statistic = None
         if catalog is not None:
             statistic = catalog.statistic(node.index.table.name, node.index.column)
@@ -131,9 +79,9 @@ def _static_payload(node: Operator, kind: int, catalog: Optional[Catalog]):
             return statistic.range_bounds(node.low, node.high)
         exact = node.exact_match_count()
         return exact, exact
-    if kind == _FILTER:
+    if kind == FILTER:
         return _filter_histogram_bounds(node, catalog)
-    if kind == _INL_JOIN:
+    if kind == INL_JOIN:
         return float(len(node.index.table))
     return None
 
@@ -176,7 +124,7 @@ _Visit = Callable[[float, float, bool, bool], Tuple[float, float]]
 
 # -- the rules ---------------------------------------------------------------------
 #
-# One function per dispatch tag, all with the signature
+# One function per operator kind, all with the signature
 #
 #     rule(node, static, produced, single_exec, full_scan,
 #          exec_lower, exec_upper, visits) -> (lower, upper)
@@ -400,22 +348,22 @@ _Rule = Callable[
     Tuple[float, float],
 ]
 
-#: the rule for each dispatch tag
+#: the rule for each operator kind
 RULES: Dict[int, _Rule] = {
-    _SCAN: _scan_rule,
-    _SEEK: _seek_rule,
-    _FILTER: _filter_rule,
-    _PROJECT: _project_rule,
-    _SORT: _sort_rule,
-    _TOPN: _topn_rule,
-    _DISTINCT: _distinct_rule,
-    _AGG_HASH: _hash_aggregate_rule,
-    _AGG_STREAM: _stream_aggregate_rule,
-    _HASH_JOIN: _hash_join_rule,
-    _MERGE_JOIN: _merge_join_rule,
-    _INL_JOIN: _index_nested_loops_rule,
-    _NL_JOIN: _nested_loops_rule,
-    _LIMIT: _limit_rule,
-    _UNION: _union_rule,
-    _OTHER: _other_rule,
+    SCAN: _scan_rule,
+    SEEK: _seek_rule,
+    FILTER: _filter_rule,
+    PROJECT: _project_rule,
+    SORT: _sort_rule,
+    TOPN: _topn_rule,
+    DISTINCT: _distinct_rule,
+    AGG_HASH: _hash_aggregate_rule,
+    AGG_STREAM: _stream_aggregate_rule,
+    HASH_JOIN: _hash_join_rule,
+    MERGE_JOIN: _merge_join_rule,
+    INL_JOIN: _index_nested_loops_rule,
+    NL_JOIN: _nested_loops_rule,
+    LIMIT: _limit_rule,
+    UNION: _union_rule,
+    OTHER: _other_rule,
 }

@@ -36,15 +36,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bounds.model import BoundRefinement, NodeBounds
-from repro.core.bounds.paper2005 import (
-    _HASH_JOIN,
-    _INL_JOIN,
-    _MERGE_JOIN,
-    _NL_JOIN,
-    _classify,
-)
 from repro.core.observe import warn_once
-from repro.engine.operators.base import Operator
+from repro.engine.operators.base import (
+    HASH_JOIN,
+    INL_JOIN,
+    MERGE_JOIN,
+    NL_JOIN,
+    Operator,
+)
 from repro.engine.plan import Plan, standard_flags
 from repro.errors import BoundsConfigError
 from repro.storage.catalog import Catalog
@@ -55,8 +54,8 @@ DEFAULT_BOUNDS: Tuple[str, ...] = ("paper2005",)
 #: maintenance contracts the trackers understand
 MAINTENANCE_CONTRACTS = ("recursive", "static")
 
-#: dispatch tags of operators an overlay provider could possibly tighten
-_JOIN_KINDS = (_HASH_JOIN, _MERGE_JOIN, _INL_JOIN, _NL_JOIN)
+#: kinds of operators an overlay provider could possibly tighten
+_JOIN_KINDS = (HASH_JOIN, MERGE_JOIN, INL_JOIN, NL_JOIN)
 
 
 class BoundProvider:
@@ -171,9 +170,7 @@ def compose_caps(
     if not overlays:
         return {}
     flags = standard_flags(plan.root)
-    has_joins = any(
-        _classify(node) in _JOIN_KINDS for node in plan.operators()
-    )
+    has_joins = any(node.kind in _JOIN_KINDS for node in plan.operators())
     caps: Dict[int, Tuple[Optional[float], Optional[float], str]] = {}
     opinionated = set()
     for node in plan.operators():

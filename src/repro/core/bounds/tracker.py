@@ -5,9 +5,8 @@ Both trackers call the ``paper2005`` rule table,
 
 * :class:`BoundsTracker` — the production tracker.  It caches every static
   quantity at construction (catalog cardinalities, histogram bucket sums,
-  predicate shapes, dispatch tags), builds one visitor closure per node
-  with its statics and children bound in, and, once
-  :meth:`BoundsTracker.attach`\\ ed to an
+  predicate shapes), builds one visitor closure per node with its statics
+  and children bound in, and, once :meth:`BoundsTracker.attach`\\ ed to an
   :class:`~repro.engine.monitor.ExecutionMonitor`, consumes the monitor's
   event stream to maintain a running ``Curr`` and a dirty set, so each
   :meth:`~BoundsTracker.snapshot` only re-derives bounds for subtrees
@@ -35,7 +34,7 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bounds.model import BoundRefinement, BoundsSnapshot, NodeBounds
-from repro.core.bounds.paper2005 import RULES, _classify, _static_payload
+from repro.core.bounds.paper2005 import RULES, _static_payload
 from repro.core.bounds.providers import (
     apply_caps,
     compose_caps,
@@ -109,10 +108,8 @@ class BoundsTracker:
         self._idx: Dict[int, int] = {
             op.operator_id: i for i, op in enumerate(self._ops)
         }
-        self._kinds: List[int] = [_classify(op) for op in self._ops]
         self._statics: List[object] = [
-            _static_payload(op, kind, catalog)
-            for op, kind in zip(self._ops, self._kinds)
+            _static_payload(op, catalog) for op in self._ops
         ]
         self._parent_idx: List[int] = [-1] * self._count
         self._subtree_idx: List[List[int]] = []
@@ -295,10 +292,9 @@ class BoundsTracker:
         inside a ⋈NL inner) memoizes its context too.
         """
         i = self._idx[node.operator_id]
-        kind = self._kinds[i]
         static = self._statics[i]
         visits = tuple(self._build_visitor(child) for child in node.children)
-        rule = RULES[kind]
+        rule = RULES[node.kind]
         dirty = self._dirty
         ctx_valid = self._ctx_valid
         node_bounds = self._node_bounds
@@ -493,13 +489,12 @@ class ReferenceBoundsTracker:
                 out[descendant.operator_id] = NodeBounds(ticks, ticks)
             lower = upper = float(produced)
         else:
-            kind = _classify(node)
             visits = tuple(
                 functools.partial(self._visit, out, child)
                 for child in node.children
             )
-            lower, upper = RULES[kind](
-                node, _static_payload(node, kind, self.catalog), produced,
+            lower, upper = RULES[node.kind](
+                node, _static_payload(node, self.catalog), produced,
                 single_exec, full_scan, exec_lower, exec_upper, visits,
             )
         ticks = float(node.rows_produced)

@@ -8,7 +8,8 @@ reads.
 
 Decomposition rules for this engine's operators:
 
-* leaves (table scan, row source, index seek) start a pipeline as drivers;
+* leaves (table scan, row source, index seek, any childless operator)
+  start a pipeline as drivers;
 * σ, π, stream-γ, distinct, limit stay in their child's pipeline;
 * sort and hash-γ terminate their child's pipeline and *drive* a new one;
 * hash join's build child terminates its own pipeline at the join; the join
@@ -25,17 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.engine.operators.aggregate import HashAggregate
-from repro.engine.operators.base import LeafOperator, Operator
-from repro.engine.operators.hash_join import HashJoin
-from repro.engine.operators.index_nested_loops import IndexNestedLoopsJoin
-from repro.engine.operators.index_seek import IndexSeek
-from repro.engine.operators.merge_join import MergeJoin
-from repro.engine.operators.misc import UnionAll
-from repro.engine.operators.nested_loops import NestedLoopsJoin
-from repro.engine.operators.scan import RowSource, TableScan
-from repro.engine.operators.sort import Sort
-from repro.engine.operators.topn import TopN
+from repro.engine.operators.base import (
+    AGG_HASH,
+    HASH_JOIN,
+    INL_JOIN,
+    MERGE_JOIN,
+    NL_JOIN,
+    SCAN,
+    SEEK,
+    SORT,
+    TOPN,
+    UNION,
+    Operator,
+)
 from repro.engine.plan import Plan
 
 
@@ -176,15 +179,11 @@ class Pipeline:
         )
 
 
-#: small dispatch codes for :func:`runtime_output_hint`: each operator is
-#: classified once, when its pipeline is bound, never per sample.
-_HINT_OTHER, _HINT_SORT, _HINT_TOPN, _HINT_AGG = range(4)
-
-
 class _HintEntry(NamedTuple):
     """What :func:`runtime_output_hint` knows of an operator before it runs."""
 
     operator: Operator
+    #: the operator's :attr:`~repro.engine.operators.base.Operator.kind`
     kind: int
     #: the exact cardinality of a leaf or seek (catalog / index metadata)
     exact: Optional[float]
@@ -199,16 +198,13 @@ class _BoundPipeline(NamedTuple):
 
 
 def _hint_entry(operator: Operator) -> _HintEntry:
-    kind, exact, child = _HINT_OTHER, None, None
-    if isinstance(operator, (TableScan, RowSource)):
+    kind, exact, child = operator.kind, None, None
+    if kind == SCAN:
         exact = float(operator.base_cardinality())
-    elif isinstance(operator, IndexSeek):
+    elif kind == SEEK:
         exact = float(operator.exact_match_count())
-    elif isinstance(operator, (Sort, TopN)):
-        kind = _HINT_TOPN if isinstance(operator, TopN) else _HINT_SORT
+    elif kind in (SORT, TOPN):
         child = _hint_entry(operator.child)
-    elif isinstance(operator, HashAggregate):
-        kind = _HINT_AGG
     return _HintEntry(operator, kind, exact, child)
 
 
@@ -238,12 +234,12 @@ def _entry_hint(
         if materialized is not None:
             return float(materialized)
         child_hint = _entry_hint(child, estimates)
-        if kind == _HINT_TOPN:
+        if kind == TOPN:
             if child_hint is not None:
                 return min(float(operator.limit), child_hint)
             return float(operator.limit)
         return child_hint
-    if kind == _HINT_AGG:
+    if kind == AGG_HASH:
         if not operator.group_by:
             return 1.0
         if operator.input_consumed:
@@ -278,32 +274,33 @@ def decompose(plan: Plan) -> List[Pipeline]:
 
     def visit(node: Operator) -> Pipeline:
         """Return the pipeline that ``node``'s *output* ticks belong to."""
-        if isinstance(node, LeafOperator):
+        if not node.children:
             return new_pipeline(node)
-        if isinstance(node, (Sort, HashAggregate, TopN)):
+        kind = node.kind
+        if kind in (SORT, AGG_HASH, TOPN):
             child_pipeline = visit(node.children[0])
             child_pipeline.consumer = node
             return new_pipeline(node)
-        if isinstance(node, HashJoin):
+        if kind == HASH_JOIN:
             build_pipeline = visit(node.build_child)
             build_pipeline.consumer = node
             probe_pipeline = visit(node.probe_child)
             probe_pipeline.operators.append(node)
             return probe_pipeline
-        if isinstance(node, NestedLoopsJoin):
+        if kind == NL_JOIN:
             outer_pipeline = visit(node.left)
             swallow(outer_pipeline, node.right)
             outer_pipeline.operators.append(node)
             return outer_pipeline
-        if isinstance(node, IndexNestedLoopsJoin):
+        if kind == INL_JOIN:
             outer_pipeline = visit(node.child)
             outer_pipeline.operators.append(node)
             return outer_pipeline
-        if isinstance(node, MergeJoin):
+        if kind == MERGE_JOIN:
             left_pipeline = visit(node.left)
             right_pipeline = visit(node.right)
             return _merge(pipelines, left_pipeline, right_pipeline, node)
-        if isinstance(node, UnionAll):
+        if kind == UNION:
             merged = visit(node.children[0])
             for child in node.children[1:]:
                 merged = _merge(pipelines, merged, visit(child), None)

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.expressions import BoundFn, ColumnRef, Expression
-from repro.engine.operators.base import Operator, UnaryOperator
+from repro.engine.operators.base import (
+    AGG_HASH,
+    AGG_STREAM,
+    Operator,
+    UnaryOperator,
+)
 from repro.errors import PlanError
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Row
@@ -310,6 +315,7 @@ class HashAggregate(_AggregateBase):
     :meth:`groups_seen` at the same value everywhere.
     """
 
+    kind = AGG_HASH
     is_blocking = True
 
     def __init__(self, child, group_by, aggregates) -> None:
@@ -391,6 +397,8 @@ class StreamAggregate(_AggregateBase):
     Emits each group when the next key appears, so it does not end the
     pipeline it sits in.
     """
+
+    kind = AGG_STREAM
 
     @property
     def name(self) -> str:

@@ -10,7 +10,11 @@ base class owns the bookkeeping the progress-estimation layer reads:
 * ``is_nested_iteration`` — whether the node re-iterates an input per outer
   row (⋈NL, ⋈INL, index-seek); scan-based plans exclude these (§5.4);
 * ``is_linear`` — whether output cardinality is bounded by the largest input
-  (σ, π, γ, sort are linear; joins only when declared, e.g. FK joins).
+  (σ, π, γ, sort are linear; joins only when declared, e.g. FK joins);
+* ``kind`` — which of the tags below the operator is.  Every plan analysis
+  (pipelines, §5.1 bounds, scanned leaves, optimizer estimates) tells
+  nodes apart by this tag alone; a subclass inherits its base's kind, and
+  an operator the package does not know is ``OTHER``.
 
 Operators are *re-runnable*: ``open`` fully resets state, so the same plan
 object can be executed twice (the work model runs a plan once to measure
@@ -29,6 +33,25 @@ from repro.storage.table import Row
 
 _operator_ids = itertools.count(1)
 
+# -- operator kinds ------------------------------------------------------------------
+
+SCAN = 0  # table scan, row source: reads its whole input once
+SEEK = 1  # index seek
+FILTER = 2
+PROJECT = 3
+SORT = 4
+TOPN = 5
+DISTINCT = 6
+AGG_HASH = 7
+AGG_STREAM = 8
+HASH_JOIN = 9
+MERGE_JOIN = 10
+INL_JOIN = 11
+NL_JOIN = 12
+LIMIT = 13
+UNION = 14
+OTHER = 15
+
 
 class ExecutionContext:
     """Everything an operator needs at runtime besides its children."""
@@ -41,12 +64,13 @@ class Operator:
     """Base class for all physical operators.
 
     A concrete operator defines :attr:`name`, :meth:`_open` and
-    :meth:`_next` (``tests/engine/test_operator_protocol.py`` checks
-    every class in the package).  The base is a plain class, not an
-    ``abc.ABC``: plan walks classify nodes with ``isinstance``, and an ABC
-    routes every such check through ``ABCMeta.__instancecheck__``.
+    :meth:`_next`, and each class of the package sets its :attr:`kind`
+    (``tests/engine/test_operator_protocol.py`` checks every one).  The
+    base is a plain class, not an ``abc.ABC``.
     """
 
+    #: which operator this is, for every plan analysis (the tags above)
+    kind: int = OTHER
     #: whether getnext calls on this node count toward the work model
     counted: bool = True
     #: whether this node materializes input before producing output

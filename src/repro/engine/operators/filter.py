@@ -5,12 +5,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.engine.expressions import BoundFn, Expression
-from repro.engine.operators.base import Operator, UnaryOperator
+from repro.engine.operators.base import FILTER, Operator, UnaryOperator
 from repro.storage.table import Row
 
 
 class Filter(UnaryOperator):
     """Relational selection with SQL semantics (NULL predicate drops rows)."""
+
+    kind = FILTER
 
     def __init__(self, child: Operator, predicate: Expression) -> None:
         super().__init__(child.schema, child)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.engine.expressions import BoundFn, Expression
-from repro.engine.operators.base import BinaryOperator, Operator
+from repro.engine.operators.base import HASH_JOIN, BinaryOperator, Operator
 from repro.storage.table import Row
 
 
@@ -29,6 +29,7 @@ class HashJoin(BinaryOperator):
     pipeline decomposition sees a hash join.
     """
 
+    kind = HASH_JOIN
     is_blocking = True
 
     def __init__(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from repro.engine.expressions import BoundFn, ColumnRef, Expression
-from repro.engine.operators.base import Operator, UnaryOperator
+from repro.engine.operators.base import INL_JOIN, Operator, UnaryOperator
 from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.table import Row
 
@@ -29,6 +29,7 @@ class IndexNestedLoopsJoin(UnaryOperator):
     outer schema plus the inner table's schema qualified by ``inner_alias``.
     """
 
+    kind = INL_JOIN
     is_nested_iteration = True
 
     def __init__(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.engine.operators.base import LeafOperator
+from repro.engine.operators.base import SEEK, LeafOperator
 from repro.errors import PlanError
 from repro.storage.index import SortedIndex
 from repro.storage.table import Row
@@ -24,6 +24,7 @@ class IndexSeek(LeafOperator):
     end.  The output schema is the base table's, re-qualified by ``alias``.
     """
 
+    kind = SEEK
     is_nested_iteration = True
 
     def __init__(

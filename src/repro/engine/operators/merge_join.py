@@ -11,13 +11,15 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.engine.expressions import BoundFn, Expression
-from repro.engine.operators.base import BinaryOperator, Operator
+from repro.engine.operators.base import MERGE_JOIN, BinaryOperator, Operator
 from repro.errors import ExecutionError
 from repro.storage.table import Row
 
 
 class MergeJoin(BinaryOperator):
     """Sorted-input equality join; verifies input order as it consumes."""
+
+    kind = MERGE_JOIN
 
     def __init__(
         self,

@@ -10,13 +10,21 @@ from __future__ import annotations
 
 from typing import Optional, Set, Tuple
 
-from repro.engine.operators.base import Operator, UnaryOperator
+from repro.engine.operators.base import (
+    DISTINCT,
+    LIMIT,
+    UNION,
+    Operator,
+    UnaryOperator,
+)
 from repro.errors import PlanError
 from repro.storage.table import Row
 
 
 class Limit(UnaryOperator):
     """Return at most ``limit`` rows, after skipping ``offset``."""
+
+    kind = LIMIT
 
     def __init__(self, child: Operator, limit: int, offset: int = 0) -> None:
         if limit < 0 or offset < 0:
@@ -57,6 +65,8 @@ class Limit(UnaryOperator):
 class UnionAll(Operator):
     """Concatenate any number of schema-compatible inputs, in order."""
 
+    kind = UNION
+
     def __init__(self, *children: Operator) -> None:
         if len(children) < 2:
             raise PlanError("UNION ALL needs at least two inputs")
@@ -88,6 +98,8 @@ class UnionAll(Operator):
 
 class Distinct(UnaryOperator):
     """Streaming duplicate elimination (emit each distinct row once)."""
+
+    kind = DISTINCT
 
     def __init__(self, child: Operator) -> None:
         super().__init__(child.schema, child)

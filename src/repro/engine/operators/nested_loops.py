@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.engine.expressions import BoundFn, Expression
-from repro.engine.operators.base import BinaryOperator, Operator
+from repro.engine.operators.base import NL_JOIN, BinaryOperator, Operator
 from repro.storage.table import Row
 
 
@@ -23,6 +23,7 @@ class NestedLoopsJoin(BinaryOperator):
     output ≤ max(input) (the planner does this for FK joins).
     """
 
+    kind = NL_JOIN
     is_nested_iteration = True
 
     def __init__(

@@ -6,7 +6,7 @@ from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.expressions import BoundFn, ColumnRef, Expression
-from repro.engine.operators.base import Operator, UnaryOperator
+from repro.engine.operators.base import PROJECT, Operator, UnaryOperator
 from repro.errors import PlanError
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Row
@@ -33,6 +33,8 @@ class Project(UnaryOperator):
 
     The output schema is unqualified unless ``qualifier`` is given.
     """
+
+    kind = PROJECT
 
     def __init__(
         self,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.engine.operators.base import LeafOperator
+from repro.engine.operators.base import SCAN, LeafOperator
 from repro.storage.schema import Schema
 from repro.storage.table import Row, Table
 
@@ -20,6 +20,8 @@ class TableScan(LeafOperator):
     ``alias`` re-qualifies the output schema, so the same table can appear
     twice in a plan under different names.
     """
+
+    kind = SCAN
 
     def __init__(self, table: Table, alias: Optional[str] = None) -> None:
         qualifier = alias or table.name
@@ -52,6 +54,8 @@ class TableScan(LeafOperator):
 
 class RowSource(LeafOperator):
     """A leaf that yields a fixed list of rows (tests and VALUES clauses)."""
+
+    kind = SCAN
 
     def __init__(self, schema: Schema, rows: Sequence[Row]) -> None:
         super().__init__(schema)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.engine.expressions import Expression
-from repro.engine.operators.base import Operator, UnaryOperator
+from repro.engine.operators.base import SORT, Operator, UnaryOperator
 from repro.errors import PlanError
 from repro.storage.table import Row
 
@@ -57,6 +57,7 @@ def sort_rows(
 class Sort(UnaryOperator):
     """Full in-memory sort over one or more keys, in :func:`sort_rows` order."""
 
+    kind = SORT
     is_blocking = True
 
     def __init__(self, child: Operator, keys: Sequence[SortKey]) -> None:

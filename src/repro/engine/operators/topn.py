@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from typing import List, Optional, Sequence, Tuple
 
-from repro.engine.operators.base import Operator, UnaryOperator
+from repro.engine.operators.base import TOPN, Operator, UnaryOperator
 from repro.engine.operators.sort import SortKey, _null_first_key
 from repro.errors import PlanError
 from repro.storage.table import Row
@@ -40,6 +40,7 @@ class TopN(UnaryOperator):
     whatever its type.
     """
 
+    kind = TOPN
     is_blocking = True
 
     def __init__(self, child: Operator, keys: Sequence[SortKey], limit: int) -> None:

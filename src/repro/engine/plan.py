@@ -14,58 +14,35 @@ pickled or copied plan leaves it behind.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type, TypeVar
+from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
-from repro.engine.operators.aggregate import HashAggregate
-from repro.engine.operators.base import LeafOperator, Operator
-from repro.engine.operators.hash_join import HashJoin
-from repro.engine.operators.index_nested_loops import IndexNestedLoopsJoin
-from repro.engine.operators.index_seek import IndexSeek
-from repro.engine.operators.misc import Limit
-from repro.engine.operators.nested_loops import NestedLoopsJoin
-from repro.engine.operators.scan import RowSource, TableScan
-from repro.engine.operators.sort import Sort
-from repro.engine.operators.topn import TopN
+from repro.engine.operators.base import (
+    AGG_HASH,
+    HASH_JOIN,
+    INL_JOIN,
+    LIMIT,
+    NL_JOIN,
+    SCAN,
+    SEEK,
+    SORT,
+    TOPN,
+    Operator,
+)
 from repro.errors import PlanError
 
 O = TypeVar("O", bound=Operator)
 
-
-@functools.lru_cache(maxsize=None)
-def _edges(cls: type) -> Tuple[Optional[bool], Optional[bool]]:
-    """How a ``cls`` node passes the standard context to its first child
-    and to the others: ``True`` imposes it, ``False`` clears it, ``None``
-    passes the node's own flag on.  Cached per class: the ``issubclass``
-    chain is the costly part of a plan walk.
-    """
-    if issubclass(cls, (Sort, TopN, HashAggregate)):
-        return True, True  # blocking: always drained
-    if issubclass(cls, HashJoin):
-        return True, None  # the build side is always drained
-    if issubclass(cls, NestedLoopsJoin):
-        return None, False  # the inner is rescanned per outer row
-    if issubclass(cls, Limit):
-        return False, False  # the child may be cut off mid-stream
-    return None, None
-
-
-@functools.lru_cache(maxsize=None)
-def _scans_table(cls: type) -> bool:
-    return issubclass(cls, (TableScan, RowSource))
-
-
-@functools.lru_cache(maxsize=None)
-def _input_size(cls: type) -> Optional[Callable[[Operator], int]]:
-    """How to read a ``cls`` node's input size: the length of the table it
-    scans or seeks into, or of its literal rows; None for other nodes."""
-    if issubclass(cls, TableScan):
-        return lambda node: len(node.table)
-    if issubclass(cls, RowSource):
-        return lambda node: len(node.rows)
-    if issubclass(cls, (IndexSeek, IndexNestedLoopsJoin)):
-        return lambda node: len(node.index.table)
-    return None
+#: how a node of each kind passes the standard context to its first child
+#: and to the others: ``True`` imposes it, ``False`` clears it, ``None``
+#: passes the node's own flag on; a kind not listed passes it on to all
+_EDGES: Dict[int, Tuple[Optional[bool], Optional[bool]]] = {
+    SORT: (True, True),  # blocking: always drained
+    TOPN: (True, True),
+    AGG_HASH: (True, True),
+    HASH_JOIN: (True, None),  # the build side is always drained
+    NL_JOIN: (None, False),  # the inner is rescanned per outer row
+    LIMIT: (False, False),  # the child may be cut off mid-stream
+}
 
 
 def _standard_walk(root: Operator) -> List[Tuple[Operator, bool]]:
@@ -75,7 +52,7 @@ def _standard_walk(root: Operator) -> List[Tuple[Operator, bool]]:
 
     def walk(node: Operator, standard: bool) -> None:
         walked.append((node, standard))
-        first, rest = _edges(type(node))
+        first, rest = _EDGES.get(node.kind, (None, None))
         for i, child in enumerate(node.children):
             imposed = first if i == 0 else rest
             walk(child, standard if imposed is None else imposed)
@@ -123,8 +100,8 @@ class Plan:
     def operators(self) -> Iterator[Operator]:
         return self.root.walk()
 
-    def leaves(self) -> List[LeafOperator]:
-        return [op for op in self.operators() if isinstance(op, LeafOperator)]
+    def leaves(self) -> List[Operator]:
+        return [op for op in self.operators() if not op.children]
 
     def scanned_leaves(self) -> List[Operator]:
         """Leaves guaranteed to be scanned exactly once — the paper's ``L_s``.
@@ -135,7 +112,7 @@ class Plan:
         """
         return [
             node for node, standard in _standard_walk(self.root)
-            if standard and _scans_table(type(node))
+            if standard and node.kind == SCAN
         ]
 
     def input_sizes(self) -> Tuple[int, ...]:
@@ -147,9 +124,11 @@ class Plan:
         """
         sizes: List[int] = []
         for node in self.operators():
-            size = _input_size(type(node))
-            if size is not None:
-                sizes.append(size(node))
+            kind = node.kind
+            if kind == SCAN:
+                sizes.append(node.base_cardinality())
+            elif kind in (SEEK, INL_JOIN):
+                sizes.append(len(node.index.table))
         return tuple(sizes)
 
     def find(self, operator_type: Type[O]) -> List[O]:

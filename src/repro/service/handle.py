@@ -92,6 +92,9 @@ class QueryHandle:
         self._probe_lock: Optional[threading.RLock] = None
         # per-query run configuration, filled in by the service at admission
         self._factory: Optional[Callable[[], object]] = None
+        #: whether the service planned the query (SQL text or a factory)
+        #: rather than being handed a plan the caller may run again
+        self._owns_plan = False
         self._target_samples = 200
         self._estimators: Optional[List] = None
         #: per-query event sinks (cadence samples only); the network tier's

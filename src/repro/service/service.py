@@ -21,9 +21,9 @@ queries in flight, each observable while it runs.
   :class:`~repro.service.monitor.ServiceExecutionMonitor`: cancellation
   and deadlines are honoured at tick-batch boundaries — in one place,
   since there is only one pass.
-* **Backends** — ``backend="thread"`` (default) runs queries on in-process
-  worker threads: concurrent, but GIL-serialized.  ``backend="process"``
-  runs each query in a worker *process* (see
+* **Backends** — the ``backend`` option ``"thread"`` (default) runs queries
+  on in-process worker threads: concurrent, but GIL-serialized.
+  ``"process"`` runs each query in a worker *process* (see
   :mod:`repro.service.procpool`) for real CPU parallelism; handles,
   cancellation, deadlines, live sampling and traces behave identically.
   ``$REPRO_BACKEND`` overrides the default, mirroring ``$REPRO_ENGINE``.
@@ -97,30 +97,15 @@ class QueryService:
         catalog: Optional[Catalog] = None,
         *,
         options: Optional[ExecutionOptions] = None,
-        max_workers: Optional[int] = None,
-        queue_depth: Optional[int] = None,
         quotas: Optional[Dict[str, TenantQuota]] = None,
         toolkit_factory: Callable[[], List[ProgressEstimator]] = standard_toolkit,
-        engine: Optional[str] = None,
-        bounds: Optional[Sequence[str]] = None,
-        backend: Optional[str] = None,
-        start_method: Optional[str] = None,
         catalog_spec: Optional[CatalogSpec] = None,
-        target_samples: Optional[int] = None,
         default_deadline: Optional[float] = None,
         sinks: Sequence[ProgressEventSink] = (),
     ) -> None:
-        # One resolution step: an explicit keyword beats the base options
-        # object, which beats $REPRO_* and the built-in fallbacks.
-        self.options = (options or ExecutionOptions()).merged(
-            engine=engine,
-            bounds=bounds,
-            backend=backend,
-            start_method=start_method,
-            max_workers=max_workers,
-            queue_depth=queue_depth,
-            target_samples=target_samples,
-        ).resolve()
+        # Every execution knob arrives in ``options``; unset fields fall
+        # back to $REPRO_* and the built-in defaults.
+        self.options = (options or ExecutionOptions()).resolve()
         self.catalog = catalog
         self.toolkit_factory = toolkit_factory
         self.engine = self.options.engine
@@ -195,6 +180,7 @@ class QueryService:
         """
         plan = self._plan_for(query, name)
         handle = QueryHandle(None, name or (plan and plan.name), plan)
+        handle._owns_plan = plan is not query
         if plan is None:
             handle._factory = query
         elif self._pool is not None:
@@ -335,6 +321,10 @@ class QueryService:
             state, report, error = run_outcome(run)
         finally:
             handle._detach_probe()
+        if handle._owns_plan:
+            # Nothing re-runs a plan the service made itself: its prepared
+            # analysis would only ride along on the retained handle.
+            handle.plan._prepared = None
         self.admission.complete(handle, state, report=report, error=error)
 
     # -- observability -----------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import Dict, Optional
 from repro.engine.expressions import (
     And,
     Between,
+    ColumnRef,
     Comparison,
     Expression,
     InList,
@@ -30,17 +31,22 @@ from repro.engine.expressions import (
     as_column_range,
     conjuncts,
 )
-from repro.engine.operators.aggregate import HashAggregate, StreamAggregate
-from repro.engine.operators.base import Operator
-from repro.engine.operators.filter import Filter
-from repro.engine.operators.hash_join import HashJoin
-from repro.engine.operators.index_nested_loops import IndexNestedLoopsJoin
-from repro.engine.operators.index_seek import IndexSeek
-from repro.engine.operators.merge_join import MergeJoin
-from repro.engine.operators.misc import Distinct, Limit, UnionAll
-from repro.engine.operators.nested_loops import NestedLoopsJoin
-from repro.engine.operators.scan import RowSource, TableScan
-from repro.engine.operators.topn import TopN
+from repro.engine.operators.base import (
+    AGG_HASH,
+    AGG_STREAM,
+    DISTINCT,
+    FILTER,
+    HASH_JOIN,
+    INL_JOIN,
+    LIMIT,
+    MERGE_JOIN,
+    NL_JOIN,
+    SCAN,
+    SEEK,
+    TOPN,
+    UNION,
+    Operator,
+)
 from repro.engine.plan import Plan
 from repro.stats.base import ColumnStatistic
 from repro.storage.catalog import Catalog
@@ -125,8 +131,6 @@ class CardinalityEstimator:
 
     def _in_or_like_selectivity(self, predicate: Expression) -> float:
         if isinstance(predicate, InList):
-            from repro.engine.expressions import ColumnRef
-
             if isinstance(predicate.operand, ColumnRef):
                 statistic = self._statistic_for(predicate.operand.name)
                 if statistic is not None:
@@ -192,17 +196,16 @@ class CardinalityEstimator:
         return estimate
 
     def _node_estimate(self, node: Operator, children: list) -> float:
-        if isinstance(node, TableScan):
-            return float(len(node.table))
-        if isinstance(node, RowSource):
-            return float(len(node.rows))
-        if isinstance(node, IndexSeek):
+        kind = node.kind
+        if kind == SCAN:
+            return float(node.base_cardinality())
+        if kind == SEEK:
             # The index can answer exactly; a real system would use the
             # histogram, and so do we when asked for *bounds* (core.bounds).
             return float(node.exact_match_count())
-        if isinstance(node, Filter):
+        if kind == FILTER:
             return children[0] * self.selectivity(node.predicate)
-        if isinstance(node, (HashJoin, MergeJoin)):
+        if kind in (HASH_JOIN, MERGE_JOIN):
             left_key, right_key = _join_key_names(node)
             selectivity = (
                 self.join_selectivity(left_key, right_key)
@@ -210,9 +213,7 @@ class CardinalityEstimator:
                 else DEFAULT_EQUALITY_SELECTIVITY
             )
             return children[0] * children[1] * selectivity
-        if isinstance(node, IndexNestedLoopsJoin):
-            from repro.engine.expressions import ColumnRef
-
+        if kind == INL_JOIN:
             outer = children[0]
             inner_name = "%s.%s" % (node.inner_alias, node.index.column)
             outer_name = (
@@ -226,35 +227,32 @@ class CardinalityEstimator:
             if node.residual is not None:
                 estimate *= self.selectivity(node.residual)
             return estimate
-        if isinstance(node, NestedLoopsJoin):
+        if kind == NL_JOIN:
             estimate = children[0] * children[1]
             if node.predicate is not None:
                 estimate *= self.selectivity(node.predicate)
             return estimate
-        if isinstance(node, (HashAggregate, StreamAggregate)):
+        if kind in (AGG_HASH, AGG_STREAM):
             if not node.group_by:
                 return 1.0
             return max(1.0, children[0] * DEFAULT_GROUPING_FRACTION)
-        if isinstance(node, Distinct):
+        if kind == DISTINCT:
             return max(1.0, children[0] * DEFAULT_GROUPING_FRACTION)
-        if isinstance(node, (Limit, TopN)):
+        if kind in (LIMIT, TOPN):
             return min(children[0], float(node.limit))
-        if isinstance(node, UnionAll):
+        if kind == UNION:
             return float(sum(children))
         # Project, Sort and anything else that preserves cardinality.
         return children[0] if children else 0.0
 
 
 def _join_key_names(node: Operator):
-    """Column names of an equi-join's keys, when they are plain columns."""
-    from repro.engine.expressions import ColumnRef
-
-    if isinstance(node, HashJoin):
+    """Column names of a hash or merge join's keys, when they are plain
+    columns."""
+    if node.kind == HASH_JOIN:
         left, right = node.build_key, node.probe_key
-    elif isinstance(node, MergeJoin):
-        left, right = node.left_key, node.right_key
     else:
-        return None, None
+        left, right = node.left_key, node.right_key
     left_name = left.name if isinstance(left, ColumnRef) else None
     right_name = right.name if isinstance(right, ColumnRef) else None
     return left_name, right_name

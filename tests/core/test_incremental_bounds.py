@@ -18,6 +18,7 @@ from repro.core.bounds import paper2005
 from repro.engine.executor import run_root
 from repro.engine.expressions import col, lit
 from repro.engine.monitor import ExecutionMonitor
+from repro.engine.operators import base as operator_base
 from repro.engine.operators import (
     Distinct,
     ExecutionContext,
@@ -198,7 +199,7 @@ def _sorted_scan(table):
     return Sort(TableScan(table), [SortKey(col("%s.k" % (table.name,)))])
 
 
-#: one operator of every kind ``paper2005._classify`` tells apart (the
+#: one operator of every ``Operator.kind`` the §5.1 rules tell apart (the
 #: hash join twice: inner and probe-preserving), over the analyzed tables
 KIND_SHAPES = {
     "table_scan": lambda l, r, index: TableScan(l),
@@ -257,18 +258,16 @@ class TestEveryKindUnderNonStandardContexts:
     def test_shapes_cover_every_rule(self):
         catalog, left, right, index = analyzed_tables()
         tags = {
-            value for name, value in vars(paper2005).items()
-            if name.startswith("_") and name[1:].isupper()
+            value for name, value in vars(operator_base).items()
+            if name.isupper() and isinstance(value, int)
         }
         covered = {
-            paper2005._classify(make(left, right, index))
-            for make in KIND_SHAPES.values()
+            make(left, right, index).kind for make in KIND_SHAPES.values()
         }
         assert covered == tags
         histogram_filter = KIND_SHAPES["filter_histogram"](left, right, index)
-        assert paper2005._static_payload(
-            histogram_filter, paper2005._FILTER, catalog
-        ) is not None
+        assert histogram_filter.kind == operator_base.FILTER
+        assert paper2005._static_payload(histogram_filter, catalog) is not None
 
     @pytest.mark.parametrize("engine", ["interpreted", "fused"])
     @pytest.mark.parametrize(

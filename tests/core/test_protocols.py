@@ -31,6 +31,7 @@ from repro.engine.operators import (
     TableScan,
 )
 from repro.engine.plan import Plan
+from repro.options import ExecutionOptions
 from repro.storage import Table, schema_of
 from repro.workloads.tpch import build_query
 
@@ -201,8 +202,11 @@ class TestServiceParity:
         solo = run_once(lambda: build_query(tpch_db, 6),
                         catalog=tpch_db.catalog, target_samples=20)
         service = QueryService(
-            tpch_db.catalog, max_workers=2, queue_depth=4,
-            backend=backend, target_samples=20,
+            tpch_db.catalog,
+            options=ExecutionOptions(
+                max_workers=2, queue_depth=4, backend=backend,
+                target_samples=20,
+            ),
         )
         try:
             handle = service.submit(build_query(tpch_db, 6), name="Q6")

@@ -1,8 +1,10 @@
-"""The operator protocol without an ABC, and binding on the first pull.
+"""The operator protocol without an ABC, the kind tag, and binding on the
+first pull.
 
 ``Operator`` is a plain class: completeness (``name``, ``_open``,
-``_next``) is checked here over every operator class the package defines,
-and a user-defined subclass must still classify and run on every engine.
+``_next``, a ``kind`` the §5.1 rules know) is checked here over every
+operator class the package defines, and a user-defined subclass must
+still classify and run on every engine.
 Expressions bind on an operator's first interpreted ``_next``: nodes the
 fused engine inlines never bind, a rescan keeps its functions, and a
 closed plan drops them.
@@ -16,7 +18,8 @@ import pytest
 
 import repro.engine.columnar  # noqa: F401  (operator classes it may define)
 import repro.engine.compiled  # noqa: F401
-from repro.core.bounds.paper2005 import _FILTER, _OTHER, _classify
+from repro.core.bounds import BoundsTracker
+from repro.core.bounds.paper2005 import RULES
 from repro.core.estimators.safe import SafeEstimator
 from repro.core.pipelines import decompose
 from repro.core.runner import run_with_estimators
@@ -40,9 +43,11 @@ from repro.engine.operators import (
     UnaryOperator,
     count_star,
 )
+from repro.engine.operators import base
 from repro.engine.operators.aggregate import _AggregateBase
 from repro.engine.plan import Plan
-from repro.storage import Table, schema_of
+from repro.stats.estimate import CardinalityEstimator
+from repro.storage import Catalog, Table, schema_of
 from repro.storage.index import HashIndex
 
 #: the shared bases: not operators a plan can hold on their own
@@ -63,6 +68,13 @@ def test_operator_is_a_plain_class():
     assert type(Operator) is type
 
 
+#: every operator kind: the upper-case integer tags of the base module
+KINDS = {
+    value for name, value in vars(base).items()
+    if name.isupper() and isinstance(value, int)
+}
+
+
 def test_every_concrete_operator_defines_the_protocol():
     concrete = [
         cls for cls in set(_all_subclasses(Operator))
@@ -72,6 +84,12 @@ def test_every_concrete_operator_defines_the_protocol():
     for cls in concrete:
         for attribute in ("name", "_open", "_next"):
             assert _definer(cls, attribute) is not Operator, (cls, attribute)
+        assert cls.kind in KINDS and cls.kind != base.OTHER, cls
+
+
+def test_every_kind_has_a_bounds_rule():
+    assert len(KINDS) == 16
+    assert set(RULES) == KINDS
 
 
 def _table(name="t", n=30):
@@ -120,8 +138,8 @@ def test_an_incomplete_subclass_fails_clearly():
 def test_user_defined_subclasses_classify_and_run(engine):
     relay = _Relay(_EvenFilter(TableScan(_table())))
     plan = Plan(relay)
-    assert _classify(relay) == _OTHER
-    assert _classify(relay.child) == _FILTER
+    assert relay.kind == base.OTHER
+    assert relay.child.kind == base.FILTER
     (pipeline,) = decompose(plan)
     assert pipeline.operators == list(reversed(list(plan.operators())))
     assert len(execute(plan, engine=engine).rows) == 16
@@ -130,6 +148,53 @@ def test_user_defined_subclasses_classify_and_run(engine):
     for sample in report.trace.samples:
         assert sample.curr <= sample.lower_bound <= report.total
         assert report.total <= sample.upper_bound
+
+
+class _Countdown(LeafOperator):
+    """A user-defined leaf the package knows nothing of: kind ``OTHER``."""
+
+    name = "Countdown"
+
+    def __init__(self, n):
+        super().__init__(schema_of("c", "a:int", "b:int"))
+        self.n = n
+
+    def _open(self):
+        self._left = self.n
+
+    def _next(self):
+        if self._left == 0:
+            return None
+        self._left -= 1
+        return (self._left, self._left % 4)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_user_defined_leaf_drives_its_own_pipeline(engine):
+    countdown = _Countdown(20)
+    hashed = HashJoin(
+        countdown, TableScan(_table()), col("c.a"), col("t.a"),
+    )
+    plan = Plan(HashAggregate(hashed, [("k", col("t.b"))], [count_star("n")]))
+    assert countdown.kind == base.OTHER
+    assert plan.leaves() == [countdown, hashed.right]
+    build, probe, aggregated = decompose(plan)
+    assert build.drivers == [countdown] and build.consumer is hashed
+    assert probe.drivers == [hashed.right] and probe.consumer is plan.root
+    assert aggregated.drivers == [plan.root]
+    # the optimizer knows nothing of the leaf's size; the scan it knows
+    estimates = CardinalityEstimator(Catalog()).estimate_plan(plan)
+    assert estimates[countdown.operator_id] == 0.0
+    assert estimates[hashed.right.operator_id] == 30.0
+    assert BoundsTracker(plan).snapshot().upper >= 30
+    assert len(execute(plan, engine=engine).rows) == 4
+    report = run_with_estimators(plan, [SafeEstimator()], engine=engine)
+    assert report.total == 20 + 30 + 20 + 4
+    for sample in report.trace.samples:
+        assert sample.curr <= sample.lower_bound <= report.total
+    # an OTHER leaf's own upper bound is its output so far (docs/bounds.md),
+    # so only the last instant's upper bound is certain
+    assert report.trace.samples[-1].upper_bound == report.total
 
 
 def _every_binding_operator():

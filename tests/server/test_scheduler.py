@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AdmissionError, ServiceError
+from repro.options import ExecutionOptions
 from repro.server import TenantQuota, TenantThrottled
 from repro.server.metrics import ServerMetrics
 from repro.service import QueryService, QueryState
@@ -226,7 +227,7 @@ class TestLifecycle:
         def doomed_plan():
             raise RuntimeError("no workers")
 
-        service = QueryService(max_workers=1)
+        service = QueryService(options=ExecutionOptions(max_workers=1))
         try:
             handle = service.submit(doomed_plan, tenant="t", name="doomed")
             assert handle.wait(30.0)

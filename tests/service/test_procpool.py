@@ -82,10 +82,13 @@ def big_plan(db, name):
     return plan_query(BIG_SQL, db.catalog, name=name)
 
 
-def process_service(db, **kwargs):
-    kwargs.setdefault("max_workers", 2)
-    kwargs.setdefault("target_samples", 40)
-    return QueryService(db.catalog, backend="process", **kwargs)
+def process_service(db, sinks=(), **options):
+    options.setdefault("max_workers", 2)
+    options.setdefault("target_samples", 40)
+    return QueryService(
+        db.catalog, sinks=sinks,
+        options=ExecutionOptions(backend="process", **options),
+    )
 
 
 # Estimators shipped into worker processes must be importable there, so
@@ -152,7 +155,7 @@ class TestResolution:
         with pytest.raises(ServiceError):
             ExecutionOptions(backend="gevent").resolve()
         with pytest.raises(ServiceError):
-            QueryService(backend="gevent")
+            QueryService(options=ExecutionOptions(backend="gevent"))
 
     def test_unknown_start_method_rejected(self):
         with pytest.raises(ServiceError):
@@ -199,7 +202,10 @@ class TestTraceParity:
             target_samples=40,
         ).run().trace.samples
         service = QueryService(
-            db.catalog, backend=backend, max_workers=2, target_samples=40
+            db.catalog,
+            options=ExecutionOptions(
+                backend=backend, max_workers=2, target_samples=40,
+            ),
         )
         try:
             handle = service.submit(build_query(db, 6), name="Q6")
@@ -331,8 +337,11 @@ class TestDegradationAndCrash:
 
     def crash_fails_only_its_query(self, db, killer):
         service = QueryService(
-            db.catalog, backend="process", start_method="fork",
-            max_workers=1, target_samples=40,
+            db.catalog,
+            options=ExecutionOptions(
+                backend="process", start_method="fork", max_workers=1,
+                target_samples=40,
+            ),
         )
         try:
             sink = MemorySink()
@@ -501,8 +510,10 @@ class TestBatchedPipe:
         delivered = {}
         for backend in BACKENDS:
             service = QueryService(
-                db.catalog, backend=backend, max_workers=2,
-                target_samples=40,
+                db.catalog,
+                options=ExecutionOptions(
+                    backend=backend, max_workers=2, target_samples=40,
+                ),
             )
             try:
                 runs = []
@@ -641,8 +652,11 @@ class TestStartMethods:
     @needs_fork
     def test_fork_backend_completes(self, db):
         service = QueryService(
-            db.catalog, backend="process", start_method="fork",
-            max_workers=1, target_samples=40,
+            db.catalog,
+            options=ExecutionOptions(
+                backend="process", start_method="fork", max_workers=1,
+                target_samples=40,
+            ),
         )
         try:
             handle = service.submit(build_query(db, 6), name="forked")
@@ -652,8 +666,11 @@ class TestStartMethods:
 
     def test_spawn_backend_completes(self, db):
         service = QueryService(
-            db.catalog, backend="process", start_method="spawn",
-            max_workers=1, target_samples=40,
+            db.catalog,
+            options=ExecutionOptions(
+                backend="process", start_method="spawn", max_workers=1,
+                target_samples=40,
+            ),
         )
         try:
             handle = service.submit(build_query(db, 6), name="spawned")

@@ -26,6 +26,7 @@ from repro.errors import (
     QueryTimeout,
     ServiceError,
 )
+from repro.options import ExecutionOptions
 from repro.service import QueryService, QueryState, ResilientEstimator
 from repro.sql import plan_query
 from repro.stats import StatisticsManager
@@ -77,9 +78,9 @@ class TestStress:
     def test_concurrent_tpch_with_cancel_and_timeout(self, db):
         service = QueryService(
             db.catalog,
-            max_workers=8,
-            queue_depth=32,
-            target_samples=40,
+            options=ExecutionOptions(
+                max_workers=8, queue_depth=32, target_samples=40,
+            ),
         )
         try:
             handles = {
@@ -191,7 +192,9 @@ class TestStress:
             service.shutdown()
 
     def test_cancel_before_dequeue(self, db):
-        service = QueryService(db.catalog, max_workers=1, queue_depth=8)
+        service = QueryService(
+            db.catalog, options=ExecutionOptions(max_workers=1, queue_depth=8),
+        )
         try:
             first = service.submit(big_plan(db, "occupy"))
             queued = service.submit(build_query(db, 6), name="queued-q6")
@@ -205,7 +208,9 @@ class TestStress:
 
 class TestAdmission:
     def test_backpressure_raises_admission_error(self, db):
-        service = QueryService(db.catalog, max_workers=1, queue_depth=1)
+        service = QueryService(
+            db.catalog, options=ExecutionOptions(max_workers=1, queue_depth=1),
+        )
         try:
             running = service.submit(big_plan(db, "slow"))
             while running.state is QueryState.QUEUED:
@@ -220,7 +225,9 @@ class TestAdmission:
             service.shutdown()
 
     def test_same_plan_object_cannot_be_in_flight_twice(self, db):
-        service = QueryService(db.catalog, max_workers=1, queue_depth=4)
+        service = QueryService(
+            db.catalog, options=ExecutionOptions(max_workers=1, queue_depth=4),
+        )
         try:
             plan = big_plan(db, "dup")
             service.submit(plan)
@@ -232,7 +239,9 @@ class TestAdmission:
             service.shutdown()
 
     def test_sql_text_requires_catalog(self):
-        service = QueryService(catalog=None, max_workers=1)
+        service = QueryService(
+            catalog=None, options=ExecutionOptions(max_workers=1),
+        )
         try:
             with pytest.raises(AdmissionError):
                 service.submit("SELECT 1 FROM big")
@@ -240,19 +249,64 @@ class TestAdmission:
             service.shutdown()
 
     def test_submit_after_shutdown_is_rejected(self, db):
-        service = QueryService(db.catalog, max_workers=1)
+        service = QueryService(
+            db.catalog, options=ExecutionOptions(max_workers=1),
+        )
         service.shutdown()
         with pytest.raises(AdmissionError):
             service.submit(build_query(db, 6))
 
     def test_result_timeout_raises_service_error(self, db):
-        service = QueryService(db.catalog, max_workers=1)
+        service = QueryService(
+            db.catalog, options=ExecutionOptions(max_workers=1),
+        )
         try:
             handle = service.submit(big_plan(db, "slow-result"))
             with pytest.raises(ServiceError):
                 handle.result(timeout=0)
             handle.cancel()
             assert handle.wait(60.0)
+        finally:
+            service.shutdown()
+
+
+class TestPreparedAnalysis:
+    """A plan the service made itself (SQL text, a factory) never runs
+    again, so its prepared analysis goes when the query finishes; a plan
+    the caller passed in keeps it for the caller's next run."""
+
+    SQL = "SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag"
+
+    @staticmethod
+    def thread_service(db):
+        return QueryService(
+            db.catalog,
+            options=ExecutionOptions(backend="thread", max_workers=1),
+        )
+
+    def test_a_plan_the_service_made_drops_its_analysis(self, db):
+        service = self.thread_service(db)
+        try:
+            handles = [
+                service.submit(self.SQL),
+                service.submit(lambda: build_query(db, 6)),
+            ]
+            for handle in handles:
+                assert handle.result(timeout=60.0).trace.samples
+                assert handle.plan._prepared is None
+        finally:
+            service.shutdown()
+
+    def test_a_plan_the_caller_passed_keeps_its_analysis(self, db):
+        plan = build_query(db, 6)
+        service = self.thread_service(db)
+        try:
+            first = service.submit(plan).result(timeout=60.0)
+            prepared = plan._prepared
+            assert prepared is not None
+            again = service.submit(plan).result(timeout=60.0)
+            assert plan._prepared is prepared
+            assert again.trace.samples == first.trace.samples
         finally:
             service.shutdown()
 
@@ -278,7 +332,8 @@ class TestDegradation:
     def test_estimator_failure_degrades_instead_of_killing(self, db):
         sink = MemorySink()
         service = QueryService(
-            db.catalog, max_workers=1, target_samples=20, sinks=(sink,)
+            db.catalog, sinks=(sink,),
+            options=ExecutionOptions(max_workers=1, target_samples=20),
         )
         try:
             handle = service.submit(
@@ -303,7 +358,8 @@ class TestDegradation:
     def test_service_event_stream(self, db):
         sink = MemorySink()
         service = QueryService(
-            db.catalog, max_workers=2, target_samples=10, sinks=(sink,)
+            db.catalog, sinks=(sink,),
+            options=ExecutionOptions(max_workers=2, target_samples=10),
         )
         try:
             handle = service.submit(build_query(db, 6), name="observed")
@@ -366,7 +422,10 @@ class TestMonitorControl:
             ),
             name="nl-rewind-storm",
         )
-        service = QueryService(db.catalog, max_workers=1, target_samples=400)
+        service = QueryService(
+            db.catalog,
+            options=ExecutionOptions(max_workers=1, target_samples=400),
+        )
         try:
             handle = service.submit(plan)
             while handle.progress() is None and not handle.done:
@@ -453,7 +512,10 @@ class TestResilientEstimator:
         assert 0.0 <= value <= 1.0
 
     def test_prepare_failure_never_kills_the_query(self, db):
-        service = QueryService(db.catalog, max_workers=1, target_samples=10)
+        service = QueryService(
+            db.catalog,
+            options=ExecutionOptions(max_workers=1, target_samples=10),
+        )
         try:
             handle = service.submit(
                 build_query(db, 6),
