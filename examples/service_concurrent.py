@@ -44,11 +44,11 @@ def main() -> None:
     threading.Thread(target=cancel_once_started, daemon=True).start()
 
     # Poll from this thread while the pool works.  progress() is the last
-    # cadence sample; sample() takes a fresh lock-scoped one right now.
+    # cadence sample the query published: free to read from any thread.
     while not all(h.done for h in handles + [victim, hopeless]):
         cells = []
         for handle in handles + [victim, hopeless]:
-            live = handle.sample() or handle.progress()
+            live = handle.progress()
             if handle.done or live is None:
                 cells.append("%s:%s" % (handle.name, handle.state.value))
             else:

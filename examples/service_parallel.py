@@ -41,12 +41,15 @@ def run_batch(db, backend: str) -> float:
             for number in QUERIES
         ]
         # Handles behave identically on both backends: poll one mid-flight.
-        probe = handles[0].sample() or handles[0].progress()
-        if probe is not None:
+        live = handles[0].progress()
+        while live is None and not handles[0].done:
+            time.sleep(0.001)
+            live = handles[0].progress()
+        if live is not None and not handles[0].done:
             # actual is None while the query runs (single-pass protocol:
             # truth is labeled at completion); estimators answer live.
             print("  live sample while running: curr=%d, safe=%.1f%%"
-                  % (probe.curr, probe.estimates.get("safe", 0.0) * 100))
+                  % (live.curr, live.estimates.get("safe", 0.0) * 100))
         reports = [handle.result(timeout=600) for handle in handles]
         elapsed = time.perf_counter() - started
     traces = {n: r.trace.samples for n, r in zip(QUERIES, reports)}

@@ -34,6 +34,7 @@ Rules implemented (refined on every inspection):
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.engine.operators.base import (
@@ -336,6 +337,10 @@ def _union_rule(node, static, produced, single_exec, full_scan,
 def _other_rule(node, static, produced, single_exec, full_scan,
                 exec_lower, exec_upper, visits):
     # Unknown operator: be conservative.
+    if not visits:
+        # A user-defined leaf may produce any number of rows: nothing is
+        # known of its output until it finishes (and is frozen).
+        return float(produced), math.inf
     uppers = 0.0
     for visit in visits:
         _, child_upper = visit(exec_lower, exec_upper, single_exec, full_scan)

@@ -113,9 +113,6 @@ def driver_work_profile(plan: Plan, driver) -> DriverWorkProfile:
     monitor = ExecutionMonitor()
     boundaries: List[int] = []
 
-    def observe(m: ExecutionMonitor) -> None:
-        del m
-
     # Record the global tick count at each driver-row retrieval.
     driver_id = driver.operator_id
 
@@ -128,7 +125,6 @@ def driver_work_profile(plan: Plan, driver) -> DriverWorkProfile:
     context = ExecutionContext(monitor)
     for _ in plan.root.iterate(context):
         pass
-    del observe
     if not boundaries:
         return DriverWorkProfile([])
     work: List[int] = []

@@ -180,7 +180,7 @@ class Pipeline:
 
 
 class _HintEntry(NamedTuple):
-    """What :func:`runtime_output_hint` knows of an operator before it runs."""
+    """What :func:`_entry_hint` knows of an operator before it runs."""
 
     operator: Operator
     #: the operator's :attr:`~repro.engine.operators.base.Operator.kind`
@@ -206,19 +206,6 @@ def _hint_entry(operator: Operator) -> _HintEntry:
     elif kind in (SORT, TOPN):
         child = _hint_entry(operator.child)
     return _HintEntry(operator, kind, exact, child)
-
-
-def runtime_output_hint(
-    operator: Operator, estimates: Optional[Dict[int, float]]
-) -> Optional[float]:
-    """Best current guess of an operator's final output cardinality.
-
-    Exact for finished operators, leaves and materialized blocking
-    operators; live for aggregates (groups seen so far grow during the
-    build — execution feedback the estimators are allowed to use); the
-    optimizer estimate otherwise.  No guarantee attaches to the last case.
-    """
-    return _entry_hint(_hint_entry(operator), estimates)
 
 
 def _entry_hint(

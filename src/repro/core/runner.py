@@ -52,7 +52,6 @@ from repro.core.estimators.base import Observation, ProgressEstimator
 from repro.core.metrics import ProgressTrace, TraceSample
 from repro.core.model import scanned_input_cardinality
 from repro.core.observe import (
-    EstimatorProfile,
     PipelineSnapshot,
     ProgressEvent,
     ProgressEventSink,
@@ -235,89 +234,6 @@ def prepare(
     return prepared
 
 
-class RunnerProbe:
-    """Live sampling surface over one in-flight instrumented run.
-
-    Handed to the ``on_probe`` hook just before execution begins.  A probe
-    can assemble a :class:`TraceSample` *on demand* — outside the runner's
-    cadence — from the incremental bounds tracker and a toolkit of
-    estimators.  Truth is unknown mid-run, so live samples carry
-    ``actual=None``.  The probe performs no locking itself: it touches the
-    same tracker memo the executor's cadence observer mutates, so
-    cross-thread callers must hold whatever lock serializes the monitor
-    (the query service scopes both paths under its monitor's lock).
-    """
-
-    def __init__(
-        self,
-        plan: Plan,
-        monitor: ExecutionMonitor,
-        tracker: BoundsTracker,
-        pipelines: List[Pipeline],
-        estimates,
-        estimators: Sequence[ProgressEstimator],
-        weighted,
-        leaf_consumed: List[int],
-    ) -> None:
-        self.plan = plan
-        self.monitor = monitor
-        self.tracker = tracker
-        self.pipelines = pipelines
-        self.estimates = estimates
-        self.estimators = list(estimators)
-        self._weighted = weighted
-        self._leaf_consumed = leaf_consumed
-
-    def observe(
-        self,
-        estimators: Sequence[ProgressEstimator],
-        profiles: Optional[Sequence[EstimatorProfile]] = None,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> Tuple[Observation, Dict[str, float]]:
-        """This instant's :class:`Observation` and every estimator's answer.
-
-        The one place a sample is assembled — the runner's cadence observer
-        and :meth:`live_sample` both come through here.  A fresh observation
-        per call: its memoised pipeline state must not outlive the instant.
-        ``profiles`` (one per estimator) receive each call's wall time by
-        ``clock`` when the caller accounts for it.
-        """
-        snapshot = self.tracker.snapshot()
-        if self._weighted is not None:
-            curr = self._weighted.current()
-            snapshot = self._weighted.weighted_bounds(snapshot)
-        else:
-            curr = self.monitor.total_ticks
-        observation = Observation(
-            curr=curr,
-            bounds=snapshot,
-            pipelines=self.pipelines,
-            estimates=self.estimates,
-            leaf_input_consumed=self._leaf_consumed[0],
-        )
-        values: Dict[str, float] = {}
-        if profiles is None:
-            for estimator in estimators:
-                values[estimator.name] = estimator.estimate(observation)
-        else:
-            for estimator, estimator_profile in zip(estimators, profiles):
-                call_started = clock()
-                values[estimator.name] = estimator.estimate(observation)
-                estimator_profile.record(clock() - call_started)
-        return observation, values
-
-    def live_sample(self) -> TraceSample:
-        """One on-demand sample at the current instant (not thread-safe)."""
-        observation, values = self.observe(self.estimators)
-        return TraceSample(
-            curr=observation.curr,
-            actual=None,
-            estimates=values,
-            lower_bound=observation.bounds.lower,
-            upper_bound=observation.bounds.upper,
-        )
-
-
 class ProgressRunner:
     """Runs plans under progress instrumentation.
 
@@ -340,8 +256,6 @@ class ProgressRunner:
         clock: Callable[[], float] = time.perf_counter,
         engine: Optional[str] = None,
         monitor_factory: Optional[Callable[[], ExecutionMonitor]] = None,
-        on_probe: Optional[Callable[["RunnerProbe"], None]] = None,
-        probe_estimators: Optional[Sequence[ProgressEstimator]] = None,
         bounds: Optional[Sequence[str]] = None,
     ) -> None:
         if not estimators:
@@ -362,14 +276,8 @@ class ProgressRunner:
         #: bound-provider stack for the runtime bounds tracker
         self.bounds = options.bounds
         #: builds the run's monitor; the service injects one whose
-        #: record/record_batch check cancellation and deadlines under a lock
+        #: recording entry points check cancellation and deadlines
         self.monitor_factory = monitor_factory or ExecutionMonitor
-        #: called with a :class:`RunnerProbe` right before execution starts
-        self.on_probe = on_probe
-        #: estimators the probe samples with (defaults to the trace toolkit;
-        #: pass fresh instances when stateful estimators must not see
-        #: out-of-cadence observations)
-        self.probe_estimators = probe_estimators
 
     def run(self) -> ProgressReport:
         weighted = None
@@ -536,12 +444,30 @@ class ProgressRunner:
         def sample(monitor: ExecutionMonitor, final: bool = False) -> None:
             sample_started = clock()
             tick = monitor.total_ticks
-            observation, estimate_values = probe.observe(
-                self.estimators, estimator_profiles, clock
+            snapshot = tracker.snapshot()
+            if weighted is not None:
+                curr = weighted.current()
+                snapshot = weighted.weighted_bounds(snapshot)
+            else:
+                curr = tick
+            # A fresh observation per sample: its memoised pipeline state
+            # must not outlive the instant.
+            observation = Observation(
+                curr=curr,
+                bounds=snapshot,
+                pipelines=pipelines,
+                estimates=estimates,
+                leaf_input_consumed=leaf_consumed[0],
             )
-            curr = observation.curr
-            lower = observation.bounds.lower
-            upper = observation.bounds.upper
+            estimate_values: Dict[str, float] = {}
+            for estimator, estimator_profile in estimator_profiles:
+                call_started = clock()
+                estimate_values[estimator.name] = (
+                    estimator.estimate(observation)
+                )
+                estimator_profile.record(clock() - call_started)
+            lower = snapshot.lower
+            upper = snapshot.upper
             # Truth is unknown until the run completes; seal() labels the
             # retained samples from the final counter.
             actual = 1.0 if final else None
@@ -577,21 +503,10 @@ class ProgressRunner:
         monitor.add_batch_listener(on_tick)
         tracker.attach(monitor)
         monitor.add_observer(sample, every=builder.cadence)
-        probe_estimators = self.estimators
-        if self.on_probe is not None and self.probe_estimators is not None:
-            probe_estimators = list(self.probe_estimators)
-            for estimator in probe_estimators:
-                estimator.prepare(self.plan)
-        probe = RunnerProbe(
-            self.plan, monitor, tracker, pipelines, estimates,
-            probe_estimators, weighted, leaf_consumed,
-        )
         estimator_profiles = [
-            profile.profile_for(estimator.name)
+            (estimator, profile.profile_for(estimator.name))
             for estimator in self.estimators
         ]
-        if self.on_probe is not None:
-            self.on_probe(probe)
         emit("run_start", 0.0, 0.0, {}, 0.0, 0.0)
         context = ExecutionContext(monitor)
         try:
@@ -613,8 +528,8 @@ class ProgressRunner:
             raise
         finally:
             # Success or abort, the run lets go of the monitor: a monitor
-            # that outlives it (a service's, a probe's) must not keep this
-            # run's closures alive.  The operators dropped their context —
+            # that outlives it (one the caller's factory keeps) must not
+            # keep this run's closures alive.  The operators dropped their context —
             # their way to the monitor — when the engine closed them.
             tracker.detach()
             monitor.remove_batch_listener(on_tick)

@@ -12,9 +12,9 @@ nest that pushes straight into the state of the blocking operator ending it
 (``HashJoin._table``, ``HashAggregate._groups``, ``Sort._rows``, the ``TopN``
 buffer, the result list), with predicates, keys and aggregate arguments
 inlined by :func:`repro.engine.expressions.to_source`.  A plan is one
-function; a subtree some consumer must *pull* from (the child of ``Limit``,
-⋈NL, ``UnionAll`` or the generic adapter, the right input of ⋈merge) is a
-generator function whose top pipeline ends in ``yield``.
+function; a subtree some consumer must *pull* from (a child of the generic
+adapter, the right input of ⋈merge) is a generator function whose top
+pipeline ends in ``yield``.
 :func:`generated_source` shows the text.
 
 The text depends only on plan shape and schema positions: operators,
@@ -38,10 +38,10 @@ ticks too.  Tick events reach listeners coalesced per batch; that is exact
 for the listener channel's consumers (the bounds tracker and the runner)
 because their per-event work is additive or idempotent.
 
-Operators without a translation (index seeks, random-order scans,
-user-defined operators) run through a generic adapter that drives the
-operator's own ``_next`` while its children are temporarily shimmed to pull
-from their compiled generators.
+Operators without a translation (``Limit``, ⋈NL, ``UnionAll``, index
+seeks, random-order scans, user-defined operators) run through one generic
+adapter that drives the operator's own ``_next`` while its children are
+temporarily shimmed to pull from their compiled generators.
 
 Entry point: :func:`run_fused`; callers normally go through
 ``repro.engine.executor.execute(plan, engine="fused")``.  An instrumented
@@ -56,14 +56,19 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.engine.expressions import SourceContext, reject_source, to_source
 from repro.engine.monitor import ExecutionMonitor
-from repro.engine.operators.base import ExecutionContext, Operator
+from repro.engine.operators.base import (
+    LIMIT,
+    NL_JOIN,
+    UNION,
+    ExecutionContext,
+    Operator,
+)
 from repro.engine.operators.aggregate import HashAggregate, StreamAggregate
 from repro.engine.operators.filter import Filter
 from repro.engine.operators.hash_join import HashJoin
 from repro.engine.operators.merge_join import MergeJoin
 from repro.engine.operators.index_nested_loops import IndexNestedLoopsJoin
-from repro.engine.operators.misc import Distinct, Limit, UnionAll
-from repro.engine.operators.nested_loops import NestedLoopsJoin
+from repro.engine.operators.misc import Distinct
 from repro.engine.operators.project import Project
 from repro.engine.operators.scan import RowSource, TableScan
 from repro.engine.operators.sort import Sort, sort_rows
@@ -316,7 +321,7 @@ class _Compiler:
             kind is HashJoin and op.preserve_probe and op.residual is not None
         ):
             return None
-        return _SOURCES.get(kind, _Compiler._compile_adapter)(self, op)
+        return self._compile_adapter(op)
 
     # -- produce / consume ---------------------------------------------------------
 
@@ -676,91 +681,6 @@ class _Compiler:
         ]):
             g.emit(ind, line)
 
-    # -- row sources: pull iterators over compiled children ---------------------
-
-    def _compile_nl(self, op: NestedLoopsJoin) -> _Node:
-        outer_node = self.compile(op.left)
-        inner_node = self.compile(op.right)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-        op._bind()
-        predicate = op._bound
-
-        def make() -> Iterator[Row]:
-            inner_rewind = partial(acct.rewind, op.right)
-            inner_make = inner_node.make
-            for outer_row in outer_node.make():
-                inner_rewind()
-                for inner_row in inner_make():
-                    joined = outer_row + inner_row
-                    if predicate is None or predicate(joined) is True:
-                        op.rows_produced += 1
-                        cell[0] += 1
-                        budget[0] -= 1
-                        if budget[0] <= 0:
-                            flush()
-                        yield joined
-            acct.finish(op)
-
-        return _Node(op, make, "rescanned inner")
-
-    def _compile_limit(self, op: Limit) -> _Node:
-        child_node = self.compile(op.child)
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            child_iter = child_node.make()
-            skipped = 0
-            offset = op.offset
-            limit = op.limit
-            while skipped < offset:
-                if next(child_iter, None) is None:
-                    acct.finish(op)
-                    return
-                skipped += 1
-            returned = 0
-            while returned < limit:
-                row = next(child_iter, None)
-                if row is None:
-                    break
-                returned += 1
-                op.rows_produced += 1
-                cell[0] += 1
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    flush()
-                yield row
-            # Once the limit is reached the child is simply abandoned,
-            # like the interpreted engine: no finish event for it.
-            acct.finish(op)
-
-        return _Node(op, make, "stops early")
-
-    def _compile_union(self, op: UnionAll) -> _Node:
-        child_nodes = [self.compile(child) for child in op.children]
-        acct = self.acct
-        cell = acct.cell(op)
-        budget = acct.budget
-        flush = acct.flush
-
-        def make() -> Iterator[Row]:
-            for child_node in child_nodes:
-                for row in child_node.make():
-                    op.rows_produced += 1
-                    cell[0] += 1
-                    budget[0] -= 1
-                    if budget[0] <= 0:
-                        flush()
-                    yield row
-            acct.finish(op)
-
-        return _Node(op, make, "concatenated inputs")
-
     # -- generic adapter -------------------------------------------------------------
 
     def _compile_adapter(self, op: Operator) -> _Node:
@@ -769,8 +689,10 @@ class _Compiler:
         The children's ``get_next``/``rewind`` methods are shadowed with
         instance attributes that pull from their compiled generators, so
         the operator's exact row logic runs unchanged while everything
-        below it stays fused.  Used for index seeks, random-order scans,
-        user-defined operators and outer hash joins with a residual.
+        below it stays fused.  Used for every operator without a
+        translation: ``Limit``, ⋈NL, ``UnionAll``, index seeks,
+        random-order scans, user-defined operators and outer hash joins
+        with a residual.
         """
         child_nodes = [self.compile(child) for child in op.children]
         for child, node in zip(op.children, child_nodes):
@@ -800,7 +722,7 @@ class _Compiler:
                 yield row
             acct.finish(op)
 
-        return _Node(op, make, "adapter")
+        return _Node(op, make, _WHY.get(op.kind, "adapter"))
 
     def _install_shim(self, child: Operator, node: _Node) -> None:
         def shim_get_next() -> Optional[Row]:
@@ -828,15 +750,16 @@ class _Compiler:
 
 
 #: operator kinds whose code is generated inline; every other kind is a row
-#: source — one of the pull iterators below, or the generic adapter
+#: source driven by the generic adapter
 _INLINED = frozenset((
     TableScan, RowSource, Filter, Project, Distinct, IndexNestedLoopsJoin,
     HashJoin, MergeJoin, HashAggregate, StreamAggregate, Sort, TopN,
 ))
-_SOURCES = {
-    NestedLoopsJoin: _Compiler._compile_nl,
-    Limit: _Compiler._compile_limit,
-    UnionAll: _Compiler._compile_union,
+#: why :func:`generated_source` shows these kinds as row sources
+_WHY = {
+    LIMIT: "stops early",
+    NL_JOIN: "rescanned inner",
+    UNION: "concatenated inputs",
 }
 
 

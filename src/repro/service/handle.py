@@ -2,20 +2,17 @@
 
 A :class:`QueryHandle` is created at admission and crosses three threads:
 the submitter (cancel, wait, poll), the worker that executes the query, and
-any number of monitor threads sampling progress.  Its life cycle is
+any number of monitor threads reading progress.  Its life cycle is
 
     QUEUED -> RUNNING -> DONE | CANCELLED | FAILED | TIMED_OUT
 
 with exactly one transition into a terminal state (a query cancelled while
 queued goes straight to CANCELLED and never reaches a worker);
 ``wait``/``result`` park on an event that fires at that transition.
-Progress is exposed two ways:
-
-* :meth:`progress` — the most recent cadence sample the executor published
-  (free to read);
-* :meth:`sample` — a *fresh* sample taken right now, lock-scoped against
-  the executor so the incremental bounds tracker and the estimator toolkit
-  are never raced (see ``repro.service.monitor``).
+Progress is read one way, :meth:`progress`: the most recent cadence sample
+the executor published (free to read).  The paper defines progress at the
+getnext instants where the estimators are sampled, and those are exactly
+the samples published here.
 
 Truth is labeled at completion, so samples observed *while the query runs*
 carry ``actual=None`` (estimator answers and bounds are live; the
@@ -31,7 +28,7 @@ import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.metrics import TraceSample
-from repro.core.runner import ProgressReport, RunnerProbe
+from repro.core.runner import ProgressReport
 from repro.errors import QueryCancelled, QueryTimeout, ServiceError
 
 
@@ -88,8 +85,6 @@ class QueryHandle:
         self._error: Optional[BaseException] = None
         self._latest: Optional[TraceSample] = None
         self._samples_published = 0
-        self._probe: Optional[RunnerProbe] = None
-        self._probe_lock: Optional[threading.RLock] = None
         # per-query run configuration, filled in by the service at admission
         self._factory: Optional[Callable[[], object]] = None
         #: whether the service planned the query (SQL text or a factory)
@@ -103,11 +98,10 @@ class QueryHandle:
         self._callbacks: List[Callable[["QueryHandle"], None]] = []
         #: pickled (plan, estimators) wire payload — process backend only
         self._wire: Optional[bytes] = None
-        # backend hooks: while queued, ``_on_cancel`` leaves the admission
+        # backend hook: while queued, ``_on_cancel`` leaves the admission
         # queue; on a worker the process backend binds its own (the thread
-        # backend reads cancel_requested and samples through the probe)
+        # backend reads cancel_requested)
         self._on_cancel: Optional[Callable[[], None]] = None
-        self._remote_sampler: Optional[Callable[[], Optional[TraceSample]]] = None
 
     # -- state -----------------------------------------------------------------
 
@@ -203,61 +197,20 @@ class QueryHandle:
     def samples_published(self) -> int:
         return self._samples_published
 
-    def sample(self) -> Optional[TraceSample]:
-        """Take a fresh progress sample *now*, from any thread.
-
-        Lock-scoped against the executor: the sample sees a consistent
-        bounds-tracker state even while the query is ticking.  Returns None
-        unless the query is RUNNING.  The probe uses its own toolkit
-        instances, so out-of-cadence sampling never perturbs the recorded
-        trace.
-        """
-        sampler = self._remote_sampler
-        if sampler is not None:
-            # Process backend: the probe lives in the worker process; ask it
-            # for a lock-scoped sample at its next tick-batch boundary.
-            if self._state is not QueryState.RUNNING:
-                return None
-            return sampler()
-        probe, lock = self._probe, self._probe_lock
-        if probe is None or lock is None or self._state is not QueryState.RUNNING:
-            return None
-        with lock:
-            # Re-check under the lock: the worker detaches the probe before
-            # finalizing, so a probe observed here is still wired.
-            if self._probe is None:
-                return None
-            return probe.live_sample()
-
     # -- worker-side hooks (not public API) --------------------------------------
 
-    def _bind_backend(
-        self,
-        on_cancel: Optional[Callable[[], None]],
-        sampler: Optional[Callable[[], Optional[TraceSample]]],
-    ) -> None:
-        """Wire (or, with Nones, unwire) process-backend cancel/sample hooks.
+    def _bind_backend(self, on_cancel: Optional[Callable[[], None]]) -> None:
+        """Wire (or, with None, unwire) the process backend's cancel hook.
 
         A cancel that raced the hand-over — requested after a worker took
-        the query but before its slot bound these hooks — is replayed into
+        the query but before its slot bound this hook — is replayed into
         the fresh hook so the shared flag is never left unset.
         """
         with self._state_lock:
             self._on_cancel = on_cancel
-            self._remote_sampler = sampler
             replay = self.cancel_requested and on_cancel is not None
         if replay:
             on_cancel()
-
-    def _attach_probe(self, probe: RunnerProbe, lock: threading.RLock) -> None:
-        self._probe_lock = lock
-        self._probe = probe
-
-    def _detach_probe(self) -> None:
-        lock = self._probe_lock
-        if lock is not None:
-            with lock:
-                self._probe = None
 
     def _publish(self, event, count: int = 1) -> None:
         """``event`` is the newest of ``count`` cadence samples (the

@@ -14,13 +14,11 @@ those must not stretch the cancel bound.  Both backends run this one
 class; only the control callable differs (:func:`handle_control` here, a
 worker process's own in :mod:`repro.service.procpool`).
 
-The same subclass provides the *sampling lock*: all monitor entry points
-that mutate progress state (ticks, finishes, rewinds, resets — and the
-cadence observers they trigger, which walk the incremental bounds tracker)
-run under one re-entrant lock.  A monitor thread that takes the same lock
-can therefore snapshot the tracker and run estimators mid-flight without
-racing the executor.  The lock is re-entrant because a boundary ``finish``
-forces an observer round from inside ``record_finish``.
+The monitor holds no lock.  Only the thread executing the query records
+on it, and only that thread's cadence observer reads the bounds tracker
+and the estimators; other threads read progress from the samples the
+observer publishes (:meth:`~repro.service.handle.QueryHandle.progress`),
+never from the tracker itself.
 
 The control check is also where a CPU-bound worker thread gives way to a
 waiting client.  Under the GIL every hand-off to another thread (event
@@ -67,12 +65,11 @@ class FirstPaintPending:
 
 
 class ServiceExecutionMonitor(ExecutionMonitor):
-    """An :class:`ExecutionMonitor` with a control check and a lock.
+    """An :class:`ExecutionMonitor` with a control check.
 
-    ``control`` runs at every recording entry point, before the lock is
-    taken, and raises :class:`repro.errors.QueryCancelled` /
-    :class:`repro.errors.QueryTimeout` to stop the query.  All recording,
-    plus the observer rounds it triggers, is serialized under :attr:`lock`.
+    ``control`` runs at every recording entry point and raises
+    :class:`repro.errors.QueryCancelled` /
+    :class:`repro.errors.QueryTimeout` to stop the query.
 
     Each query has exactly one monitored execution, so this is the *only*
     place control is checked.
@@ -81,19 +78,16 @@ class ServiceExecutionMonitor(ExecutionMonitor):
     def __init__(self, control: Callable[[], None]) -> None:
         super().__init__()
         self._check_control = control
-        self.lock = threading.RLock()
 
-    # -- recording entry points, control-checked and lock-scoped -----------------
+    # -- recording entry points, control-checked ----------------------------------
 
     def record(self, operator_id: int) -> None:
         self._check_control()
-        with self.lock:
-            super().record(operator_id)
+        super().record(operator_id)
 
     def record_batch(self, operator_id: int, n: int) -> None:
         self._check_control()
-        with self.lock:
-            super().record_batch(operator_id, n)
+        super().record_batch(operator_id, n)
 
     def record_finish(self, operator_id: int) -> None:
         # Finish events are control-checked too: a rewind-heavy ⋈NL rescan
@@ -101,21 +95,11 @@ class ServiceExecutionMonitor(ExecutionMonitor):
         # skipping the check there would defer a cancel past the documented
         # one-tick/one-batch bound.
         self._check_control()
-        with self.lock:
-            super().record_finish(operator_id)
+        super().record_finish(operator_id)
 
     def record_rewind(self, operator_id: int) -> None:
         self._check_control()
-        with self.lock:
-            super().record_rewind(operator_id)
-
-    def notify_now(self) -> None:
-        with self.lock:
-            super().notify_now()
-
-    def reset(self) -> None:
-        with self.lock:
-            super().reset()
+        super().record_rewind(operator_id)
 
 
 def handle_control(

@@ -16,19 +16,17 @@ time), with every observable behaving identically at the parent:
   query (pickled plan + per-query toolkit, with catalog tables interned by
   name so table rows never cross per-submit) down a duplex pipe; the
   worker answers through one writer (:class:`_Wire`) with ``events``
-  (cadence samples, batched at display rate), ``degraded``, ``probe`` and
-  a final ``done`` message carrying the pickled
+  (cadence samples, batched at display rate), ``degraded`` and a final
+  ``done`` message carrying the pickled
   :class:`~repro.core.runner.ProgressReport` — so completed traces are
   bit-identical to solo runs (floats pickle exactly);
-* **control** — cancellation and the probe request counter travel the
-  *other* way through shared memory (:func:`multiprocessing.RawValue`),
-  checked by the thread backend's own monitor class at the same
-  tick-batch boundaries, so cancel/deadline latency bounds are unchanged;
-* **live sampling** — ``handle.sample()`` increments the probe counter and
-  parks until the worker answers with a fresh lock-scoped
-  :class:`~repro.core.metrics.TraceSample` taken at its next boundary
-  (one extra tick batch of staleness versus the thread backend's
-  shared-lock probe — the price of the process boundary);
+* **control** — cancellation travels the *other* way through shared
+  memory (:func:`multiprocessing.RawValue`), checked by the thread
+  backend's own monitor class at the same tick-batch boundaries, so
+  cancel/deadline latency bounds are unchanged;
+* **live progress** — ``handle.progress()`` answers the newest cadence
+  sample that has crossed the pipe: at most one display interval plus one
+  tick batch behind the worker;
 * **robustness** — a worker that dies mid-query fails only that query
   (the handle finalizes FAILED with a :class:`ServiceError`) and the slot
   respawns its worker for the next one.
@@ -53,7 +51,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.core.metrics import TraceSample
 from repro.core.observe import ForwardingSink, emit_to_all
 from repro.core.runner import ProgressRunner
 from repro.errors import ServiceError
@@ -288,9 +285,9 @@ class _Wire:
     nothing), afterwards when a display interval has passed since the last
     flush — looked at when a sample arrives and, through :meth:`poll`, at
     every control check, so a phase that produces no samples cannot strand
-    one.  :meth:`send` flushes before it writes, so a ``degraded``,
-    ``probe`` or ``done`` message never overtakes a sample emitted before
-    it.  One pickle per batch also means objects the events share (a
+    one.  :meth:`send` flushes before it writes, so a ``degraded`` or
+    ``done`` message never overtakes a sample emitted before it.  One
+    pickle per batch also means objects the events share (a
     :class:`~repro.core.observe.PipelineSnapshot` reused while its
     pipeline is idle) arrive shared.
     """
@@ -325,50 +322,17 @@ class _Wire:
         self.conn.send((kind, self.query_id) + fields)
 
 
-class _ProbeServer:
-    """Answers the parent's on-demand sample requests at tick boundaries.
-
-    The parent increments a shared counter; the worker's control check
-    calls :meth:`maybe_serve`, which notices the counter moved, takes a
-    :meth:`~repro.core.runner.RunnerProbe.live_sample` under the monitor's
-    lock and ships it back tagged with the counter value.  Before the probe
-    attaches (runner setup) it answers ``None`` immediately so the parent's
-    ``sample()`` never blocks on a phase that cannot sample."""
-
-    def __init__(self, wire: _Wire, flag) -> None:
-        self.wire = wire
-        self.flag = flag
-        self.probe = None
-        self._served = flag.value
-
-    def attach(self, probe) -> None:
-        self.probe = probe
-
-    def maybe_serve(self) -> None:
-        request = self.flag.value
-        if request == self._served:
-            return
-        probe = self.probe
-        sample = None
-        if probe is not None:
-            with probe.monitor.lock:
-                sample = probe.live_sample()
-        self._served = request
-        self.wire.send("probe", request, sample)
-
-
-def _worker_control(wire: _Wire, probe_server: _ProbeServer, cancel_flag,
-                    name: str, deadline_seconds: Optional[float]):
-    """The worker process's control check for one query: serve probe
-    requests, let the pipe flush a quiet phase, then honour the shared
-    cancel flag and the deadline (which starts now)."""
+def _worker_control(wire: _Wire, cancel_flag, name: str,
+                    deadline_seconds: Optional[float]):
+    """The worker process's control check for one query: let the pipe
+    flush a quiet phase, then honour the shared cancel flag and the
+    deadline (which starts now)."""
     deadline_at = (
         None if deadline_seconds is None
         else time.monotonic() + deadline_seconds
     )
 
     def control() -> None:
-        probe_server.maybe_serve()
         wire.poll()
         if cancel_flag.value:
             raise cancelled_error(name)
@@ -378,7 +342,7 @@ def _worker_control(wire: _Wire, probe_server: _ProbeServer, cancel_flag,
     return control
 
 
-def _worker_main(conn, catalog_payload, toolkit_factory, cancel_flag, probe_flag):
+def _worker_main(conn, catalog_payload, toolkit_factory, cancel_flag):
     """Entry point of one worker process: serve requests until told to stop."""
     catalog = _open_catalog_payload(catalog_payload)
     while True:
@@ -390,26 +354,23 @@ def _worker_main(conn, catalog_payload, toolkit_factory, cancel_flag, probe_flag
             return
         _serve_request(
             _Wire(conn, request.query_id),
-            catalog, toolkit_factory, cancel_flag, probe_flag, request,
+            catalog, toolkit_factory, cancel_flag, request,
         )
 
 
 def _serve_request(wire: _Wire, catalog, toolkit_factory, cancel_flag,
-                   probe_flag, request: _ExecuteRequest) -> None:
+                   request: _ExecuteRequest) -> None:
     state, report, error = QueryState.FAILED, None, None
     try:
         plan, estimators = decode_query(request.payload, catalog)
-        probe_server = _ProbeServer(wire, probe_flag)
 
         def on_degrade(estimator_name: str, reason: str) -> None:
             wire.send("degraded", estimator_name, reason)
 
         toolkit = estimators if estimators is not None else toolkit_factory()
-        probe_toolkit = toolkit_factory() if estimators is None else None
         wrapped = [ResilientEstimator(e, on_degrade) for e in toolkit]
         control = _worker_control(
-            wire, probe_server, cancel_flag, request.name,
-            request.deadline_seconds,
+            wire, cancel_flag, request.name, request.deadline_seconds,
         )
         runner = ProgressRunner(
             plan,
@@ -423,8 +384,6 @@ def _serve_request(wire: _Wire, catalog, toolkit_factory, cancel_flag,
             engine=request.engine,
             bounds=request.bounds,
             monitor_factory=lambda: ServiceExecutionMonitor(control),
-            on_probe=probe_server.attach,
-            probe_estimators=probe_toolkit,
         )
         state, report, error = run_outcome(runner.run)
     except Exception as exc:
@@ -444,49 +403,8 @@ def _serve_request(wire: _Wire, catalog, toolkit_factory, cancel_flag,
 # -- parent side ------------------------------------------------------------------
 
 
-class _ProbeBox:
-    """Parent-side rendezvous for probe replies of one in-flight query."""
-
-    def __init__(self, handle: QueryHandle) -> None:
-        self.handle = handle
-        self.condition = threading.Condition()
-        self.last_id = 0
-        self.last_sample: Optional[TraceSample] = None
-        self.aborted = False
-
-    def deliver(self, request_id: int, sample: Optional[TraceSample]) -> None:
-        with self.condition:
-            self.last_id = request_id
-            self.last_sample = sample
-            self.condition.notify_all()
-
-    def abort(self) -> None:
-        with self.condition:
-            self.aborted = True
-            self.condition.notify_all()
-
-    def wait_for(self, request_id: int, timeout: float) -> Optional[TraceSample]:
-        deadline = time.monotonic() + timeout
-        with self.condition:
-            while self.last_id < request_id and not self.aborted:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self.handle.done:
-                    return None
-                # Short waits so a query finishing without a reply (the
-                # worker raced past its last boundary) unparks promptly.
-                self.condition.wait(min(remaining, 0.05))
-            if self.aborted or self.last_id < request_id:
-                return None
-            return self.last_sample
-
-
 class _WorkerSlot:
     """One worker process plus the parent-side shepherd that feeds it."""
-
-    #: ceiling on one on-demand sample round trip; a worker between tick
-    #: batches answers in microseconds, so hitting this means the query is
-    #: ending (the caller gets None, exactly like a detached thread probe)
-    PROBE_TIMEOUT = 2.0
 
     def __init__(self, pool: "ProcessPool", index: int) -> None:
         self.pool = pool
@@ -494,10 +412,9 @@ class _WorkerSlot:
         self.process = None
         self.conn = None
         ctx = pool.ctx
-        # lock=False: single-writer flags on aligned machine words; the
-        # worker only ever reads them.
+        # lock=False: a single-writer flag on an aligned machine word; the
+        # worker only ever reads it.
         self.cancel_flag = ctx.RawValue("b", 0)
-        self.probe_flag = ctx.RawValue("q", 0)
 
     # -- process lifecycle ------------------------------------------------------
 
@@ -511,7 +428,6 @@ class _WorkerSlot:
                 self.pool.catalog_payload(),
                 self.pool.service.toolkit_factory,
                 self.cancel_flag,
-                self.probe_flag,
             ),
             name="repro-query-proc-%d" % (self.index,),
             daemon=True,
@@ -565,13 +481,8 @@ class _WorkerSlot:
         service = self.pool.service
         if not service._begin(handle):
             return
-        box = _ProbeBox(handle)
         self.cancel_flag.value = 0
-        self.probe_flag.value = 0
-        handle._bind_backend(
-            on_cancel=self._signal_cancel,
-            sampler=lambda: self._remote_sample(box),
-        )
+        handle._bind_backend(self._signal_cancel)
         state, report, error = QueryState.FAILED, None, None
         try:
             request = _ExecuteRequest(
@@ -592,15 +503,14 @@ class _WorkerSlot:
                 )
                 self.restart_process()
             else:
-                state, report, error = self.pump(handle, box)
+                state, report, error = self.pump(handle)
         except Exception as exc:  # pragma: no cover - shepherd must survive
             error = exc
         finally:
-            box.abort()
-            handle._bind_backend(None, None)
+            handle._bind_backend(None)
         service.admission.complete(handle, state, report=report, error=error)
 
-    def pump(self, handle: QueryHandle, box: _ProbeBox):
+    def pump(self, handle: QueryHandle):
         """Apply the worker's event stream to the handle until ``done``;
         returns the query's ``(state, report, error)``."""
         service = self.pool.service
@@ -625,8 +535,6 @@ class _WorkerSlot:
                         emit_to_all(sinks, event)
             elif kind == "degraded":
                 service._record_degraded(handle, message[2], message[3])
-            elif kind == "probe":
-                box.deliver(message[2], message[3])
             elif kind == "done":
                 _, _, state, report_blob, error_blob = message
                 return (
@@ -639,14 +547,6 @@ class _WorkerSlot:
 
     def _signal_cancel(self) -> None:
         self.cancel_flag.value = 1
-
-    def _remote_sample(self, box: _ProbeBox) -> Optional[TraceSample]:
-        if box.aborted or box.handle.state is not QueryState.RUNNING:
-            return None
-        with box.condition:
-            request_id = self.probe_flag.value + 1
-            self.probe_flag.value = request_id
-        return box.wait_for(request_id, timeout=self.PROBE_TIMEOUT)
 
 
 class ProcessPool:

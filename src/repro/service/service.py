@@ -25,11 +25,13 @@ queries in flight, each observable while it runs.
   on in-process worker threads: concurrent, but GIL-serialized.
   ``"process"`` runs each query in a worker *process* (see
   :mod:`repro.service.procpool`) for real CPU parallelism; handles,
-  cancellation, deadlines, live sampling and traces behave identically.
+  cancellation, deadlines, live progress and traces behave identically.
   ``$REPRO_BACKEND`` overrides the default, mirroring ``$REPRO_ENGINE``.
 * **Progress** — cadence samples are published to the query's handle as
-  they are taken, and a lock-scoped probe lets any thread sample a running
-  query's dne/pmax/safe on demand without racing the executor.
+  they are taken; :meth:`QueryHandle.progress` is the one live read, at
+  most one cadence interval behind the executor (one display interval
+  plus one tick batch on the process backend).  Each query builds one
+  estimator toolkit, and only the runner's cadence observer reads it.
 * **Robustness** — trace estimators are wrapped in
   :class:`~repro.service.resilient.ResilientEstimator`: an estimator that
   raises (including a strict toolkit's typed
@@ -58,7 +60,7 @@ from repro.core.observe import (
     ProgressEventSink,
     emit_to_all,
 )
-from repro.core.runner import ProgressRunner, RunnerProbe
+from repro.core.runner import ProgressRunner
 from repro.engine.plan import Plan
 from repro.errors import AdmissionError
 from repro.options import ExecutionOptions
@@ -288,20 +290,10 @@ class QueryService:
             handle._publish(event)
             emit_to_all(handle._sinks, event)
 
-        def on_probe(probe: RunnerProbe) -> None:
-            # The probe's monitor is the instrumented-pass monitor; its
-            # lock is the one every recording path already takes.
-            handle._attach_probe(probe, probe.monitor.lock)
-
         def run():
             toolkit = handle._estimators
-            probe_toolkit: Optional[List[ProgressEstimator]] = None
             if toolkit is None:
                 toolkit = self.toolkit_factory()
-                # The probe toolkit is a second, independent instance set:
-                # on-demand samples must not advance any stateful trace
-                # estimator between cadence points.
-                probe_toolkit = self.toolkit_factory()
             wrapped = [ResilientEstimator(e, on_degrade) for e in toolkit]
             control = handle_control(handle, first_paint=self.first_paint)
             return ProgressRunner(
@@ -313,14 +305,9 @@ class QueryService:
                 engine=self.engine,
                 bounds=self.bounds,
                 monitor_factory=lambda: ServiceExecutionMonitor(control),
-                on_probe=on_probe,
-                probe_estimators=probe_toolkit,
             ).run()
 
-        try:
-            state, report, error = run_outcome(run)
-        finally:
-            handle._detach_probe()
+        state, report, error = run_outcome(run)
         if handle._owns_plan:
             # Nothing re-runs a plan the service made itself: its prepared
             # analysis would only ride along on the retained handle.

@@ -11,12 +11,16 @@ reference tracker bit-identity with overlays active.
 import pytest
 
 from repro.core import BoundsTracker, ReferenceBoundsTracker, SafeEstimator
+from repro.engine.expressions import col, lit
+from repro.engine.operators import Filter, LeafOperator
+from repro.engine.plan import Plan
 from repro.core.observe import MemorySink
 from repro.core.runner import run_with_estimators
 from repro.engine.executor import execute
 from repro.engine.monitor import ExecutionMonitor
 from repro.engine.operators import ExecutionContext
 from repro.options import ENGINES
+from repro.storage import schema_of
 from repro.workloads import build_query, generate_tpch
 from repro.workloads.adversarial import make_zipfian_join
 
@@ -126,3 +130,42 @@ class TestIncrementalIdentityWithOverlays:
                 ("paper2005", "degree_seq"),
                 engine,
             )
+
+
+class _Countdown(LeafOperator):
+    """A user-defined leaf: kind ``OTHER``, its size unknown to the rules."""
+
+    name = "Countdown"
+
+    def __init__(self, n):
+        super().__init__(schema_of("c", "a:int"))
+        self.n = n
+
+    def _open(self):
+        self._left = self.n
+
+    def _next(self):
+        if self._left == 0:
+            return None
+        self._left -= 1
+        return (self._left,)
+
+
+class TestUserDefinedLeaf:
+    """A childless ``OTHER`` node may produce any number of rows, so its
+    upper bound is unknown until it finishes."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("filtered", [False, True],
+                             ids=["alone", "under_filter"])
+    def test_bounds_stay_sound_while_it_runs(self, engine, filtered):
+        def make():
+            leaf = _Countdown(200)
+            root = (Filter(leaf, col("c.a") % lit(4) == lit(0))
+                    if filtered else leaf)
+            return Plan(root)
+
+        report = assert_sound_run(make(), None, engine, ("paper2005",))
+        assert report.total == (250 if filtered else 200)
+        run_comparing_with_bounds(make(), None, ("paper2005",), engine,
+                                  every=1)

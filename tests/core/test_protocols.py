@@ -177,15 +177,6 @@ class TestExecutionCount:
 
 
 class TestLiveLabels:
-    def test_single_pass_live_actual_is_none(self):
-        captured = []
-        ProgressRunner(
-            scan_plan(), [DneEstimator()], target_samples=10,
-            on_probe=lambda probe: captured.append(probe.live_sample()),
-        ).run()
-        assert captured[0].actual is None
-        assert captured[0].curr == 0
-
     def test_sealed_traces_are_always_fully_labeled(self):
         report = run_once(scan_plan)
         actuals = [s.actual for s in report.trace.samples]

@@ -385,53 +385,6 @@ def test_observation_memoises_state_and_answers():
     plan.root.close()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_probe_between_cadence_points_is_fresh_and_leaves_the_trace_alone(
-    tpch_db, engine
-):
-    def run(probing):
-        probes = []
-        box = []
-
-        def factory():
-            monitor = ExecutionMonitor()
-            if probing:
-                # every 7 ticks: almost always between two cadence points
-                monitor.add_observer(
-                    lambda m: probes.append((m.total_ticks,
-                                             box[0].live_sample())),
-                    every=7,
-                )
-            return monitor
-
-        history = RobustHistory(catalog=tpch_db.catalog)
-        report = ProgressRunner(
-            build_query(tpch_db, 3),
-            toolkit_from_names(SEVEN, history=history.totals,
-                               robust_history=history,
-                               catalog=tpch_db.catalog),
-            tpch_db.catalog, target_samples=20, engine=engine,
-            monitor_factory=factory, on_probe=box.append,
-            probe_estimators=toolkit_from_names(["dne", "pmax", "hybrid-var"]),
-        ).run()
-        return report, probes
-
-    quiet, _ = run(probing=False)
-    report, probes = run(probing=True)
-    # hybrid-var's window, feedback and robust's log saw only the cadence.
-    assert report.trace.samples == quiet.trace.samples
-    cadence = {sample.curr for sample in report.trace.samples}
-    between = [(tick, live) for tick, live in probes if tick not in cadence]
-    assert len(between) > len(probes) // 2
-    for tick, live in between:
-        assert live.curr == tick and live.actual is None
-    # Fresh state at every instant: dne keeps moving between probes that
-    # share one cadence interval (a carried-over memo would repeat itself).
-    dne = [live.estimates["dne"] for _, live in probes]
-    assert len(set(dne)) > 2 * len(report.trace.samples)
-    assert all(a != b for a, b in zip(dne, dne[1:7]))
-
-
 # -- a finished run lets go of the plan -----------------------------------------------------
 
 

@@ -192,8 +192,8 @@ def test_a_user_defined_leaf_drives_its_own_pipeline(engine):
     assert report.total == 20 + 30 + 20 + 4
     for sample in report.trace.samples:
         assert sample.curr <= sample.lower_bound <= report.total
-    # an OTHER leaf's own upper bound is its output so far (docs/bounds.md),
-    # so only the last instant's upper bound is certain
+        # an unfinished OTHER leaf's upper bound is infinite (docs/bounds.md)
+        assert report.total <= sample.upper_bound
     assert report.trace.samples[-1].upper_bound == report.total
 
 

@@ -25,7 +25,6 @@ from repro.core import (
     MemorySink,
     ProgressRunner,
     SafeEstimator,
-    TraceSample,
     standard_toolkit,
 )
 from repro.errors import AdmissionError, QueryCancelled, ServiceError
@@ -40,7 +39,6 @@ from repro.service import (
 from repro.service.procpool import (
     DISPLAY_INTERVAL,
     _ExecuteRequest,
-    _ProbeServer,
     _serve_request,
     _Wire,
     _worker_control,
@@ -287,28 +285,6 @@ class TestControl:
             service.shutdown()
 
 
-class TestLiveSampling:
-    def test_sample_is_fresh_and_monotone(self, db):
-        service = process_service(db, max_workers=1, target_samples=400)
-        try:
-            handle = service.submit(big_plan(db, "sampled"))
-            while handle.progress() is None and not handle.done:
-                time.sleep(0.001)
-            currs = []
-            while len(currs) < 3 and not handle.done:
-                sample = handle.sample()
-                if sample is not None:
-                    assert isinstance(sample, TraceSample)
-                    assert sample.lower_bound <= sample.upper_bound
-                    currs.append(sample.curr)
-            assert currs == sorted(currs)
-            assert handle.wait(120)
-            # Terminal handles answer None, like the thread backend.
-            assert handle.sample() is None
-        finally:
-            service.shutdown()
-
-
 class TestDegradationAndCrash:
     def test_degradation_crosses_the_pipe(self, db):
         sink = MemorySink()
@@ -456,18 +432,16 @@ class _FakeClock:
         return self.now
 
 
-def serve_in_this_process(db, plan, clock, estimators=None, probe_flag=None):
+def serve_in_this_process(db, plan, clock, estimators=None,
+                          toolkit_factory=standard_toolkit):
     """One query through the worker's code path, its pipe a list."""
     conn = _RecordingConn()
     options = ExecutionOptions().resolve()
-    if probe_flag is None:  # (a zero-valued ctypes flag is falsy)
-        probe_flag = multiprocessing.RawValue("q", 0)
     _serve_request(
         _Wire(conn, 7, clock=clock),
         db.catalog,
-        standard_toolkit,
+        toolkit_factory,
         multiprocessing.RawValue("b", 0),
-        probe_flag,
         _ExecuteRequest(
             query_id=7, name=plan.name,
             payload=encode_query(plan, estimators, db.catalog),
@@ -569,47 +543,26 @@ class TestBatchedPipe:
         assert [len(message[2]) for message in sent[:2]] == [1, 1]
         assert sent[2][2:] == ("fails-later", "RuntimeError: boom, later")
 
-    def test_probe_reply_never_overtakes_an_earlier_sample(self, db):
-        probe_flag = multiprocessing.RawValue("q", 0)
+    def test_a_default_toolkit_query_builds_one_toolkit(self, db):
+        built = []
 
-        def ask():
-            probe_flag.value = 1
+        def counting_factory():
+            built.append(1)
+            return standard_toolkit()
 
-        # The clock is read once to stamp the first flush, then only
-        # while samples are buffered: by the fifth reading some are.
         sent = serve_in_this_process(
-            db, big_plan(db, "probed"), _FakeClock(on_call={5: ask}),
-            probe_flag=probe_flag,
+            db, build_query(db, 6), _FakeClock(),
+            toolkit_factory=counting_factory,
         )
-        kinds = [message[0] for message in sent]
-        assert kinds == ["events", "events", "probe", "events", "done"]
-        assert len(sent[1][2]) > 1
-        _, _, request, sample = sent[2]
-        assert request == 1
-        assert sent[1][2][-1].curr <= sample.curr <= sent[3][2][0].curr
-
-    def test_probe_before_attach_answers_none_through_the_wire(self):
-        conn = _RecordingConn()
-        wire = _Wire(conn, 7, clock=_FakeClock())
-        flag = multiprocessing.RawValue("q", 0)
-        server = _ProbeServer(wire, flag)
-        wire.sample("first")
-        wire.sample("second")
-        flag.value = 1
-        server.maybe_serve()
-        assert conn.sent == [
-            ("events", 7, ["first"]),
-            ("events", 7, ["second"]),
-            ("probe", 7, 1, None),
-        ]
+        assert sent[-1][2] == "done"
+        assert len(built) == 1
 
     def test_quiet_phase_flushes_from_the_control_check(self):
         conn = _RecordingConn()
         clock = _FakeClock()
         wire = _Wire(conn, 7, clock=clock)
         monitor = ServiceExecutionMonitor(_worker_control(
-            wire, _ProbeServer(wire, multiprocessing.RawValue("q", 0)),
-            multiprocessing.RawValue("b", 0), "quiet", None,
+            wire, multiprocessing.RawValue("b", 0), "quiet", None,
         ))
         wire.sample("first")
         wire.sample("second")

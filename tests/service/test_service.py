@@ -99,7 +99,7 @@ class TestStress:
             )
 
             # Poll every handle from this (foreign) thread while the pool
-            # works: progress() must be free, sample() lock-scoped + fresh.
+            # works: progress() must be free and answer whole samples.
             polled = {number: [] for number in STRESS_QUERIES}
             stop_polling = threading.Event()
 
@@ -111,16 +111,12 @@ class TestStress:
                 while not stopping:
                     stopping = stop_polling.is_set()
                     for number, handle in handles.items():
-                        live = handle.sample()
-                        if live is not None:
-                            assert isinstance(live, TraceSample)
-                            # Single-pass protocol: truth is unknown until
-                            # the run completes, so live probes are
-                            # unlabeled.
-                            assert live.actual is None
-                            assert live.lower_bound <= live.upper_bound
                         latest = handle.progress()
-                        if latest is not None and (
+                        if latest is None:
+                            continue
+                        assert isinstance(latest, TraceSample)
+                        assert latest.lower_bound <= latest.upper_bound
+                        if (
                             not polled[number]
                             or polled[number][-1] is not latest
                         ):
@@ -309,6 +305,26 @@ class TestPreparedAnalysis:
             assert again.trace.samples == first.trace.samples
         finally:
             service.shutdown()
+
+
+class TestOneToolkitPerQuery:
+    def test_a_default_toolkit_query_builds_one_toolkit(self, db):
+        built = []
+
+        def counting_factory():
+            built.append(1)
+            return standard_toolkit()
+
+        service = QueryService(
+            db.catalog,
+            options=ExecutionOptions(backend="thread", max_workers=1),
+            toolkit_factory=counting_factory,
+        )
+        try:
+            service.submit(build_query(db, 6)).result(timeout=60.0)
+        finally:
+            service.shutdown()
+        assert len(built) == 1
 
 
 class _ExplodingEstimator(SafeEstimator):
