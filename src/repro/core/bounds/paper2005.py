@@ -336,16 +336,13 @@ def _union_rule(node, static, produced, single_exec, full_scan,
 
 def _other_rule(node, static, produced, single_exec, full_scan,
                 exec_lower, exec_upper, visits):
-    # Unknown operator: be conservative.
-    if not visits:
-        # A user-defined leaf may produce any number of rows: nothing is
-        # known of its output until it finishes (and is frozen).
-        return float(produced), math.inf
-    uppers = 0.0
+    # A user-defined operator may produce any number of rows, whatever its
+    # inputs (one may emit each input row twice): nothing is known of its
+    # output until it finishes (and is frozen).  Its children are still
+    # visited, so their own bounds stay current.
     for visit in visits:
-        _, child_upper = visit(exec_lower, exec_upper, single_exec, full_scan)
-        uppers += child_upper
-    return float(produced), max(uppers, float(produced))
+        visit(exec_lower, exec_upper, single_exec, full_scan)
+    return float(produced), math.inf
 
 
 _Rule = Callable[

@@ -36,9 +36,10 @@ pipeline-boundary hook, every estimator call is wall-time profiled into a
 
 What a run derives from the plan before its first tick — optimizer
 estimates, pipelines, the bounds tracker's static payloads and visitors,
-the scanned leaves, the pipeline-boundary set — is built once per plan
-object by :func:`prepare` and kept on the plan until the catalog, the
-bound-provider stack or the plan's input sizes change.
+the scanned leaves, the pipeline-boundary set, and on the fused engine
+the generated program — is built once per plan object (:func:`prepare`,
+the program on the first fused run) and kept on the plan until the
+catalog, the bound-provider stack or the plan's input sizes change.
 """
 
 from __future__ import annotations
@@ -176,13 +177,14 @@ class PreparedPlan:
     same plan object starts sampling without re-deriving it.  ``key``
     names every input the analysis reads (see :func:`prepare`); the
     tracker's runtime state is reset by :meth:`BoundsTracker.attach` at
-    the start of every run, and the pipelines read their operators' live
-    counters, so nothing here carries one run into the next.
+    the start of every run, the pipelines read their operators' live
+    counters, and the fused program is bound to each run's monitor and
+    released after it, so nothing here carries one run into the next.
     """
 
     __slots__ = (
         "key", "estimates", "pipelines", "tracker", "scanned_leaf_ids",
-        "scanned_input", "boundaries",
+        "scanned_input", "boundaries", "program",
     )
 
     def __init__(
@@ -209,6 +211,9 @@ class PreparedPlan:
         self.boundaries: FrozenSet[int] = frozenset(
             pipeline_boundary_operators(plan)
         )
+        #: the fused engine's drained program, generated on the first
+        #: fused run (:func:`repro.engine.compiled.run_fused`)
+        self.program: Optional[object] = None
 
 
 def prepare(
@@ -511,7 +516,8 @@ class ProgressRunner:
         context = ExecutionContext(monitor)
         try:
             # The product of the run is its trace: the root keeps no rows.
-            run_root(self.plan.root, context, self.engine, keep_rows=False)
+            run_root(self.plan.root, context, self.engine, keep_rows=False,
+                     prepared=prepared)
             final_curr = (
                 weighted.current() if weighted is not None
                 else float(monitor.total_ticks)

@@ -1392,7 +1392,7 @@ class _ColumnarCompiler(_Compiler):
     """
 
     def __init__(self, monitor) -> None:
-        super().__init__(monitor)
+        super().__init__()
         self._vec = _VecRunner(monitor)
 
     def _source(self, op: Operator) -> Optional[_Node]:
@@ -1472,6 +1472,8 @@ def run_columnar(
             sink = _RootSink(keep_rows)
             runner.run_pipeline(root, sink)
             return sink.rows
-        return _ColumnarCompiler(monitor).run(root, keep_rows)
+        compiler = _ColumnarCompiler(monitor)
+        compiler.program(root, keep_rows)
+        return compiler.run(monitor)
     finally:
         root.close()

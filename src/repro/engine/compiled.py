@@ -22,6 +22,18 @@ literals, tables and helper callables reach the function through its one
 argument ``K``, so :data:`_CODE` memoises text → function across plans,
 runs and threads (``compile()`` costs about a millisecond per plan).
 
+Generating and binding are two steps.  :meth:`_Compiler.program` writes
+the text, compiles it (or finds it in :data:`_CODE`), collects its
+constants — the operators, the :class:`_Accounting` cells and the
+adapter's shims among them — once.  :meth:`_Compiler.run` then binds
+that program to one run's monitor (pending cells and budget zeroed, shims
+installed), calls it, and releases it (counts flushed, shims removed,
+suspended iterators and the monitor dropped), so nothing of a run stays
+reachable from the program afterwards.  The progress runner keeps a
+plan's drained program in the plan's prepared analysis and binds it again
+on every later run; ``execute()``, ``measure_total_work`` and the columnar
+engine's fallback generate per run.
+
 Accounting is batched but **tick-exact**.  A pipeline that neither yields
 nor pulls from a row source counts its ticks in frame locals and runs a
 local copy of the shared budget (``monitor.ticks_until_next_observer()``)
@@ -109,10 +121,21 @@ class _Accounting:
 
     __slots__ = ("monitor", "budget", "_cells")
 
-    def __init__(self, monitor: ExecutionMonitor) -> None:
-        self.monitor = monitor
+    def __init__(self) -> None:
+        self.monitor: Optional[ExecutionMonitor] = None  # set per run
         self.budget = [0]
         self._cells: List[tuple] = []
+
+    def bind(self, monitor: ExecutionMonitor) -> None:
+        """Count the next run on ``monitor``, from zero.
+
+        A run that raised inside :meth:`flush` (a cancel) left the cells
+        after the raising one holding counts; they belong to that run.
+        """
+        self.monitor = monitor
+        for _, pending in self._cells:
+            pending[0] = 0
+        self.reset_budget()
 
     def cell(self, op: Operator) -> List[int]:
         pending = [0]
@@ -183,7 +206,8 @@ class _Node:
     ``make()`` returns a fresh single-pass iterator; it may be called again
     only after the subtree was rewound (⋈NL rescans).  ``why`` says, for
     :func:`generated_source`, why the operator is not inlined; ``gen`` holds
-    the current pass's iterator for shimmed adapter children.
+    the current pass's iterator for shimmed adapter children, and is
+    dropped when the run is released.
     """
 
     __slots__ = ("op", "make", "why", "gen")
@@ -242,14 +266,23 @@ class _Gen(SourceContext):
 
 
 class _Compiler:
-    """Generates and binds the functions that execute an opened plan."""
+    """Generates the functions that execute a plan, then binds them to one
+    run at a time.
 
-    def __init__(self, monitor: ExecutionMonitor) -> None:
-        self.acct = _Accounting(monitor)
-        #: operators whose get_next/rewind were shadowed for the adapter
-        self.shimmed: List[Operator] = []
+    :meth:`program` writes, compiles and collects everything once; each
+    :meth:`run` binds the result to its monitor, calls it and releases
+    it, so one compiler may run the same plan any number of times.
+    """
+
+    def __init__(self) -> None:
+        self.acct = _Accounting()
+        #: (child, its row source, get_next, rewind): what the adapter
+        #: shadows a child's methods with while a run is bound
+        self.shims: List[tuple] = []
         #: text of every function generated, for :func:`generated_source`
         self.sources: List[str] = []
+        #: the plan's function and its argument, once :meth:`program` ran
+        self.entry: Optional[tuple] = None
 
     # -- entry points ---------------------------------------------------------------
 
@@ -263,27 +296,45 @@ class _Compiler:
         texts differ, so :data:`_CODE` holds each once.
         """
         g = _Gen(self.acct)
-        if not keep_rows:
+        if keep_rows:
+            g.emit("    ", "out = []; push = out.append")
+            self._produce(g, root, "    ", g.sink("result", "push(%s)"), False)
+            self.entry = self._function(g, "\n    return out"), g.consts
+        else:
             self._produce(g, root, "    ", g.sink("drain", ""), False)
-            return self._function(g), g.consts
-        g.emit("    ", "out = []; push = out.append")
-        self._produce(g, root, "    ", g.sink("result", "push(%s)"), False)
-        return self._function(g, "\n    return out"), g.consts
+            self.entry = self._function(g), g.consts
+        return self.entry
 
-    def run(self, root: Operator, keep_rows: bool = True) -> Optional[List[Row]]:
-        """Execute the opened tree under ``root``; its rows, in order, or
-        None when the caller keeps none (see :meth:`program`)."""
+    def run(self, monitor: ExecutionMonitor) -> Optional[List[Row]]:
+        """Execute the opened tree :meth:`program` was written for, counted
+        on ``monitor``; its rows, in order, or None when the program keeps
+        none."""
+        function, consts = self.entry
         try:
-            program, consts = self.program(root, keep_rows)
-            self.acct.reset_budget()
-            return program(consts)
+            self.bind(monitor)
+            return function(consts)
         finally:
+            self.release()
+
+    def bind(self, monitor: ExecutionMonitor) -> None:
+        """Point the program at ``monitor`` and shadow the adapter's
+        children, for one run."""
+        self.acct.bind(monitor)
+        for child, _, get_next, rewind in self.shims:
+            child.get_next = get_next  # type: ignore[method-assign]
+            child.rewind = rewind  # type: ignore[method-assign]
+
+    def release(self) -> None:
+        """End the bound run: nothing of it stays reachable from here."""
+        try:
             # On an exception mid-batch the pending counts are still applied
             # so the monitor reflects every getnext that actually happened
             # (a partial batch can never cross a cadence multiple, so no
             # observer fires here).
             self.acct.flush()
+        finally:
             self.remove_shims()
+            self.acct.monitor = None
 
     def compile(self, op: Operator) -> _Node:
         """``op``'s subtree as a row source for a consumer that pulls."""
@@ -696,7 +747,7 @@ class _Compiler:
         """
         child_nodes = [self.compile(child) for child in op.children]
         for child, node in zip(op.children, child_nodes):
-            self._install_shim(child, node)
+            self._shim(child, node)
         acct = self.acct
         cell = acct.cell(op)
         budget = acct.budget
@@ -724,7 +775,11 @@ class _Compiler:
 
         return _Node(op, make, _WHY.get(op.kind, "adapter"))
 
-    def _install_shim(self, child: Operator, node: _Node) -> None:
+    def _shim(self, child: Operator, node: _Node) -> None:
+        """Record the methods that make ``child`` pull from ``node``;
+        :meth:`bind` installs them."""
+        rewind = self.acct.rewind
+
         def shim_get_next() -> Optional[Row]:
             gen = node.gen
             if gen is None:
@@ -732,21 +787,21 @@ class _Compiler:
             return next(gen, None)
 
         def shim_rewind() -> None:
-            self.acct.rewind(child)
+            rewind(child)
             node.gen = node.make()
 
-        child.get_next = shim_get_next  # type: ignore[method-assign]
-        child.rewind = shim_rewind  # type: ignore[method-assign]
-        self.shimmed.append(child)
+        self.shims.append((child, node, shim_get_next, shim_rewind))
 
     def remove_shims(self) -> None:
-        for child in self.shimmed:
+        """Undo :meth:`bind`'s shadowing and drop the iterators the run's
+        pulls left suspended."""
+        for child, node, _, _ in self.shims:
+            node.gen = None
             for attribute in ("get_next", "rewind"):
                 try:
                     delattr(child, attribute)
                 except AttributeError:
                     pass
-        self.shimmed = []
 
 
 #: operator kinds whose code is generated inline; every other kind is a row
@@ -767,6 +822,7 @@ def run_fused(
     root: Operator,
     context: Optional[ExecutionContext] = None,
     keep_rows: bool = True,
+    prepared=None,
 ) -> Optional[List[Row]]:
     """Open ``root``, execute it through the fused engine, close it.
 
@@ -776,11 +832,23 @@ def run_fused(
     ``keep_rows`` — the same rows in the same order.  Without it the root
     consumer keeps no row and None is returned: an instrumented run's
     product is its progress trace, not the answer.
+
+    ``prepared`` is where the caller keeps ``root``'s program between
+    runs (the progress runner's prepared plan, always with the same
+    ``keep_rows``): its ``program`` attribute is filled on the first run
+    and bound again on every later one.  Without it the program is
+    generated for this run alone.
     """
     context = context or ExecutionContext()
     root.open(context)
     try:
-        return _Compiler(context.monitor).run(root, keep_rows)
+        compiler = prepared.program if prepared is not None else None
+        if compiler is None:
+            compiler = _Compiler()
+            compiler.program(root, keep_rows)
+            if prepared is not None:
+                prepared.program = compiler
+        return compiler.run(context.monitor)
     finally:
         root.close()
 
@@ -794,9 +862,6 @@ def generated_source(plan) -> str:
     operator it builds; a ``[Kind: reason]`` entry is a row source that is
     not inlined, with the reason.  For tests, docs and debugging.
     """
-    compiler = _Compiler(ExecutionMonitor())
-    try:
-        compiler.program(plan.root)
-    finally:
-        compiler.remove_shims()
+    compiler = _Compiler()
+    compiler.program(plan.root)
     return "\n\n".join(reversed(compiler.sources))

@@ -67,7 +67,7 @@ class ExecutionResult:
 
 def run_root(
     root: Operator, context: ExecutionContext, engine: str,
-    keep_rows: bool = True,
+    keep_rows: bool = True, prepared=None,
 ) -> Optional[List[Row]]:
     """Open, run and close ``root`` on the resolved ``engine``.
 
@@ -76,12 +76,15 @@ def run_root(
     every operator still runs, so ticks, observer instants, events and
     raised errors are the same either way.  Callers that only want the
     work accounting (the progress runner, :func:`measure_total_work`)
-    drain.
+    drain.  ``prepared`` keeps the fused engine's generated program
+    between runs of one plan (see
+    :func:`repro.engine.compiled.run_fused`); the other engines generate
+    nothing to keep.
     """
     if engine == "fused":
         from repro.engine.compiled import run_fused
 
-        return run_fused(root, context, keep_rows)
+        return run_fused(root, context, keep_rows, prepared)
     if engine == "columnar":
         from repro.engine.columnar import run_columnar
 

@@ -12,7 +12,12 @@ import pytest
 
 from repro.core import BoundsTracker, ReferenceBoundsTracker, SafeEstimator
 from repro.engine.expressions import col, lit
-from repro.engine.operators import Filter, LeafOperator
+from repro.engine.operators import (
+    Filter,
+    LeafOperator,
+    RowSource,
+    UnaryOperator,
+)
 from repro.engine.plan import Plan
 from repro.core.observe import MemorySink
 from repro.core.runner import run_with_estimators
@@ -167,5 +172,43 @@ class TestUserDefinedLeaf:
 
         report = assert_sound_run(make(), None, engine, ("paper2005",))
         assert report.total == (250 if filtered else 200)
+        run_comparing_with_bounds(make(), None, ("paper2005",), engine,
+                                  every=1)
+
+
+class _Twice(UnaryOperator):
+    """A user-defined operator that emits each input row twice: kind
+    ``OTHER`` with a child, and more output than input."""
+
+    name = "Twice"
+
+    def __init__(self, child):
+        super().__init__(child.schema, child)
+
+    def _open(self):
+        self._pending = None
+
+    def _next(self):
+        if self._pending is not None:
+            row, self._pending = self._pending, None
+            return row
+        row = self.child.get_next()
+        self._pending = row
+        return row
+
+
+class TestUserDefinedDuplicator:
+    """An ``OTHER`` node with children may emit more rows than it reads,
+    so its children's upper bounds are no bound on it until it finishes."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_bounds_stay_sound_while_it_runs(self, engine):
+        def make():
+            source = RowSource(schema_of("s", "a:int"),
+                               [(i,) for i in range(200)])
+            return Plan(_Twice(source))
+
+        report = assert_sound_run(make(), None, engine, ("paper2005",))
+        assert report.total == 200 + 400
         run_comparing_with_bounds(make(), None, ("paper2005",), engine,
                                   every=1)

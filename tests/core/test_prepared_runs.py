@@ -1,11 +1,13 @@
 """Re-runs of one plan object reuse its prepared analysis, exactly.
 
 A plan's first instrumented run stores the run-invariant analysis on the
-plan (:func:`repro.core.runner.prepare`); later runs reuse it while its key
-— catalog fingerprint, bound-provider stack, input sizes — holds, and
-rebuild it when any of them moves.  Reuse must not change a single number:
-the second and third runs of a plan equal a fresh copy's runs, sample for
-sample and event for event, on every engine and both bound stacks.
+plan (:func:`repro.core.runner.prepare`), and its first fused run the
+generated program with it; later runs reuse both while the key — catalog
+fingerprint, bound-provider stack, input sizes — holds, and rebuild them
+when any of them moves.  Reuse must not change a single number: the second
+and third runs of a plan equal a fresh copy's runs, sample for sample and
+event for event, on every engine and both bound stacks, also after a run
+that was cancelled or failed mid-pipeline.
 """
 
 from __future__ import annotations
@@ -21,9 +23,23 @@ import repro
 from repro.core.observe import MemorySink
 from repro.core.estimators import standard_toolkit
 from repro.core.runner import PreparedPlan, ProgressRunner, prepare
+from repro.engine import compiled
 from repro.engine.executor import ENGINES
 from repro.engine.expressions import col, lit
-from repro.engine.operators import Filter, HashJoin, RowSource, TableScan
+from repro.engine.monitor import ExecutionMonitor
+from repro.engine.operators import (
+    Filter,
+    HashJoin,
+    Limit,
+    MergeJoin,
+    NestedLoopsJoin,
+    Project,
+    RowSource,
+    Sort,
+    SortKey,
+    TableScan,
+    UnionAll,
+)
 from repro.engine.plan import Plan
 from repro.stats import StatisticsManager
 from repro.storage import Table, schema_of
@@ -221,3 +237,172 @@ def test_a_run_plans_pickle_carries_no_memo(tpch_db):
     assert plan._prepared is not None
     assert session.run(clone).total == first.total
     assert clone._prepared is not None
+
+
+# -- the kept fused program: row sources, pulled inputs, aborted runs -----------------
+
+
+def _scan(catalog, name):
+    return TableScan(catalog.table(name))
+
+
+#: plans whose fused program drives row sources through the generic adapter
+#: (shimmed children, rescans) or pulls from a generator
+ROW_SOURCE_PLANS = {
+    "limit": lambda c: Plan(Limit(
+        Filter(_scan(c, "emp"), col("emp.salary") < lit(1800.0)), 30,
+    )),
+    "nl_inner_rescanned": lambda c: Plan(NestedLoopsJoin(
+        _scan(c, "dept"),
+        Filter(_scan(c, "emp"), col("emp.id") < lit(60)),
+        col("emp.dept") == col("dept.did"),
+    )),
+    "union_all": lambda c: Plan(UnionAll(
+        Filter(_scan(c, "emp"), col("emp.dept") == lit(1)),
+        Filter(_scan(c, "emp"), col("emp.salary") > lit(1500.0)),
+    )),
+    "merge_pulled_right": lambda c: Plan(MergeJoin(
+        Sort(_scan(c, "emp"), [SortKey(col("emp.dept"))]),
+        Sort(_scan(c, "dept"), [SortKey(col("dept.did"))]),
+        col("emp.dept"), col("dept.did"),
+    )),
+    "outer_hash_residual": lambda c: Plan(HashJoin(
+        _scan(c, "dept"), _scan(c, "emp"),
+        col("dept.did"), col("emp.dept"),
+        residual=col("emp.salary") < lit(1500.0),
+        preserve_probe=True,
+    )),
+}
+
+
+def _story(plan, catalog, engine, monitor_factory=None):
+    sink = MemorySink()
+    report = ProgressRunner(
+        plan, standard_toolkit(), catalog, target_samples=20, sinks=[sink],
+        engine=engine, monitor_factory=monitor_factory,
+    ).run()
+    return _digest(plan, report, sink)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("shape", sorted(ROW_SOURCE_PLANS))
+def test_row_source_reruns_equal_a_fresh_copy(hr_catalog, engine, shape):
+    build = ROW_SOURCE_PLANS[shape]
+    plan = build(hr_catalog)
+    reruns = [_story(plan, hr_catalog, engine) for _ in range(3)]
+    fresh = [_story(build(hr_catalog), hr_catalog, engine) for _ in range(3)]
+    assert reruns == fresh
+    assert (plan._prepared.program is not None) == (engine == "fused")
+
+
+class _Cancelled(Exception):
+    pass
+
+
+class _CancelledAt(ExecutionMonitor):
+    """Raises from its recording entry points once ``at`` ticks were
+    recorded, as a service monitor does on a cancel.  A fused flush that
+    raises leaves the cells after the raising one holding counts."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at = at
+
+    def record(self, operator_id):
+        if self.total_ticks >= self.at:
+            raise _Cancelled()
+        super().record(operator_id)
+
+    def record_batch(self, operator_id, n):
+        if self.total_ticks >= self.at:
+            raise _Cancelled()
+        super().record_batch(operator_id, n)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("shape", sorted(ROW_SOURCE_PLANS))
+def test_a_rerun_after_a_cancel_equals_a_fresh_copy(hr_catalog, engine, shape):
+    build = ROW_SOURCE_PLANS[shape]
+    plan = build(hr_catalog)
+    first = _story(plan, hr_catalog, engine)
+    for at in (7, 41):
+        with pytest.raises(_Cancelled):
+            _story(plan, hr_catalog, engine, lambda: _CancelledAt(at))
+        assert all(not vars(op).keys() & {"get_next", "rewind"}
+                   for op in plan.operators())
+        assert _story(plan, hr_catalog, engine) == first
+    assert first == _story(build(hr_catalog), hr_catalog, engine)
+
+
+def _deep_limit(catalog):
+    """Five operators counting in the shared cells of one pulled pipeline,
+    so a cancel raised at the first cell of a flush leaves some pending."""
+    chain = Filter(
+        Filter(_scan(catalog, "emp"), col("emp.salary") < lit(1900.0)),
+        col("emp.dept") != lit(3),
+    )
+    return Plan(Limit(
+        Project(chain, [("id", col("emp.id")), ("dept", col("emp.dept"))]),
+        50,
+    ))
+
+
+def test_counts_a_cancel_left_pending_do_not_reach_the_next_run(hr_catalog):
+    plan = _deep_limit(hr_catalog)
+    first = _story(plan, hr_catalog, "fused")
+    leftovers = 0
+    for at in range(5, 120, 7):
+        with pytest.raises(_Cancelled):
+            _story(plan, hr_catalog, "fused", lambda: _CancelledAt(at))
+        cells = plan._prepared.program.acct._cells
+        leftovers += sum(1 for _, pending in cells if pending[0])
+        assert _story(plan, hr_catalog, "fused") == first
+    assert leftovers  # the case the binding step exists for did happen
+    assert first == _story(_deep_limit(hr_catalog), hr_catalog, "fused")
+
+
+def _fragile_plan():
+    """A ``Limit`` over a filtered row source, so the filter counts in the
+    shared cells; a ``str`` in column ``b`` fails the comparison."""
+    source = RowSource(schema_of("s", "a:int", "b:int"),
+                       [(i, i % 4) for i in range(120)])
+    return Plan(Limit(Filter(source, col("s.b") < lit(2)), 40)), source
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_rerun_after_a_failing_expression_equals_a_fresh_copy(engine):
+    plan, source = _fragile_plan()
+    first = _story(plan, None, engine)
+    source.rows[33] = (33, "x")  # same size: the key holds
+    with pytest.raises(TypeError):
+        _story(plan, None, engine)
+    source.rows[33] = (33, 1)
+    assert _story(plan, None, engine) == first
+    assert first == _story(_fragile_plan()[0], None, engine)
+
+
+def test_the_fused_program_is_generated_once_per_key(monkeypatch, hr_catalog):
+    generated = []
+    program = compiled._Compiler.program
+
+    def counting(self, root, keep_rows=True):
+        generated.append(root)
+        return program(self, root, keep_rows)
+
+    monkeypatch.setattr(compiled._Compiler, "program", counting)
+    session = repro.connect(catalog=hr_catalog, engine="fused")
+    plan = _hr_sql(session)
+    for _ in range(3):
+        session.run(plan)
+    assert generated == [plan.root]
+    kept = plan._prepared.program
+    assert isinstance(kept, compiled._Compiler)
+    hr_catalog.table("emp").insert((100, 1, 1000.0, "n100"))
+    session.run(plan)  # the key moved: a new memo, a new program
+    session.run(plan)
+    assert generated == [plan.root, plan.root]
+    assert plan._prepared.program is not kept
+    # execute() generates a program of its own; the interpreter none
+    session.execute(plan)
+    session.run(plan, engine="interpreted")
+    assert len(generated) == 3 and plan._prepared.program is not kept

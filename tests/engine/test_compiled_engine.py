@@ -212,7 +212,7 @@ def _program(plan):
     context = ExecutionContext()
     plan.root.open(context)
     try:
-        return compiled._Compiler(context.monitor).program(plan.root)[0]
+        return compiled._Compiler().program(plan.root)[0]
     finally:
         plan.root.close()
 
@@ -321,12 +321,15 @@ class _Fuse(LeafOperator):
         return self.rows[self._cursor - 1]
 
 
-def _reachable(root):
-    """Every object reachable from ``root`` (by ``gc.get_referents``)."""
+def _reachable(root, skip=frozenset()):
+    """Every object reachable from ``root`` (by ``gc.get_referents``),
+    not passing through the objects whose ids are in ``skip``."""
     seen, stack = {}, [root]
     while stack:
         item = stack.pop()
-        if id(item) in seen or isinstance(item, (type, types.ModuleType)):
+        if id(item) in seen or id(item) in skip or isinstance(
+            item, (type, types.ModuleType)
+        ):
             continue
         seen[id(item)] = item
         stack.extend(gc.get_referents(item))
@@ -355,6 +358,83 @@ def test_a_run_leaves_nothing_generated_on_the_plan(fail):
             assert item.__code__.co_filename != "<fused>"
             assert item.__module__ != compiled.__name__
     assert pickle.loads(pickle.dumps(plan)).root.name == "Filter"
+
+
+def _relay_plan(fail):
+    table = _small_table()
+    schema = table.schema.qualified("t")
+    return Plan(Filter(
+        _Relay(Filter(_Fuse(schema, table._rows, fail), col("a") >= lit(2))),
+        col("b") < lit(2),
+    ))
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_a_kept_program_holds_nothing_of_its_runs(fail):
+    """``Session.run`` keeps the plan's fused program in its prepared
+    analysis; between runs it holds no run's generators, frames, monitor
+    or sinks, and without the memo the plan holds nothing generated."""
+    import repro
+    from repro.core.observe import MemorySink
+
+    plan = _relay_plan(fail)
+    session = repro.connect(engine="fused")
+    sinks = []
+    for _ in range(2):
+        sinks.append(MemorySink())
+        if fail:
+            with pytest.raises(RuntimeError):
+                session.run(plan, sinks=[sinks[-1]])
+        else:
+            assert session.run(plan, sinks=[sinks[-1]]).total == 20 + 18 + 18 + 12
+        assert sinks[-1].events
+    assert isinstance(plan._prepared.program, compiled._Compiler)
+    for op in plan.operators():
+        assert "get_next" not in vars(op) and "rewind" not in vars(op)
+    # what the plan holds, not what its code can name: a function's
+    # globals (a module's dict) reach the whole process
+    globals_ = {id(vars(m)) for m in list(sys.modules.values()) if m}
+    for item in _reachable(plan, skip=globals_):
+        assert not isinstance(item, (types.GeneratorType, types.FrameType))
+        assert not isinstance(item, ExecutionMonitor)
+        assert not any(item is sink for sink in sinks)
+    assert pickle.loads(pickle.dumps(plan)).root.name == "Filter"
+    plan._prepared = None
+    for item in _reachable(plan):
+        if isinstance(item, types.FunctionType):
+            assert item.__code__.co_filename != "<fused>"
+            assert item.__module__ != compiled.__name__
+
+
+def test_a_service_drops_the_program_of_a_plan_it_made(monkeypatch):
+    import weakref
+
+    from repro.options import ExecutionOptions
+    from repro.service import QueryService
+
+    compilers = []
+    program = compiled._Compiler.program
+
+    def recording(self, root, keep_rows=True):
+        compilers.append(weakref.ref(self))
+        return program(self, root, keep_rows)
+
+    monkeypatch.setattr(compiled._Compiler, "program", recording)
+    service = QueryService(options=ExecutionOptions(
+        engine="fused", backend="thread", max_workers=1,
+    ))
+    try:
+        mine = _relay_plan(False)
+        kept = service.submit(mine)
+        made = service.submit(lambda: _relay_plan(False))
+        assert kept.result(timeout=60).total == made.result(timeout=60).total
+    finally:
+        service.shutdown(timeout=60)
+    # the caller's plan keeps its program; the service's own drops it
+    assert isinstance(mine._prepared.program, compiled._Compiler)
+    assert made.plan._prepared is None
+    gc.collect()
+    assert [ref() is None for ref in compilers] == [False, True]
 
 
 def test_generated_source_pins_q3(tpch_db):

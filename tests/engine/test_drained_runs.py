@@ -106,7 +106,8 @@ def _collecting(monkeypatch, kept):
     """Route the runner through the collecting entry point, keeping the
     rows it returns in ``kept``."""
 
-    def collect(root, context, engine, keep_rows=False):
+    def collect(root, context, engine, keep_rows=False, prepared=None):
+        # the kept program is the drained text: collect through a fresh one
         rows = run_root(root, context, engine, keep_rows=True)
         kept.append(rows)
         return None
@@ -184,11 +185,10 @@ def _texts(plan, keep_rows):
     """Every function text the fused engine generates for ``plan``."""
     context = ExecutionContext()
     plan.root.open(context)
-    compiler = compiled._Compiler(context.monitor)
+    compiler = compiled._Compiler()
     try:
         compiler.program(plan.root, keep_rows)
     finally:
-        compiler.remove_shims()
         plan.root.close()
     return compiler.sources
 
