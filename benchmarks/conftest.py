@@ -1,15 +1,9 @@
 """Benchmark suite configuration.
 
-Each benchmark regenerates one table or figure of the paper, saves the
-rendered artifact under ``benchmarks/results/`` and asserts the paper's
-qualitative shape.  Run with::
-
-    pytest benchmarks/ --benchmark-only
-
-``--benchmark-only`` deselects the two quality gates (they take no
-``benchmark`` fixture); run those by file name, as CI does::
-
-    pytest benchmarks/test_robust_sweep.py benchmarks/test_bounds_tightness.py
+``--repro-scale`` scales the two quality gates (``test_robust_sweep.py``,
+``test_bounds_tightness.py``); CI runs them reduced with
+``--repro-scale 0.3``.  The paper artifacts run at the one argument set of
+their registry entry and read no option (``test_paper_artifacts.py``).
 """
 
 import pytest
@@ -20,7 +14,7 @@ def pytest_addoption(parser):
         "--repro-scale",
         action="store",
         default="1.0",
-        help="multiplier on workload sizes (1.0 = default paper-shaped runs)",
+        help="multiplier on the quality gates' sizes (1.0 = committed runs)",
     )
 
 

@@ -1,17 +1,21 @@
 """One function per paper artifact (figures 3-7, tables 1-3) plus ablations.
 
 Each function builds its workload, runs the instrumented execution, and
-returns plain data structures; the benchmark suite renders and checks them.
-Scales default to laptop-fast sizes — every experiment takes a parameter to
-run bigger.
+returns plain data structures.  :data:`ARTIFACTS`, at the end, is the one
+registry of the sixteen artifacts: for each, the one argument set it runs at
+and the renderer that turns its data into the text it is saved as.  The
+benchmark suite, ``repro experiments`` and the tier-1 claims all read it, so
+an artifact's text is the same wherever it is produced.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
+from repro.bench.harness import render_series, render_table
 from repro.core.estimators import (
     DneEstimator,
     HybridMuEstimator,
@@ -41,7 +45,7 @@ from repro.workloads.tpch import build_query, generate_tpch
 # ---------------------------------------------------------------------------
 
 
-def figure3(scale: float = 0.002, skew: float = 2.0, seed: int = 42) -> Dict:
+def figure3(scale: float, skew: float = 2.0, seed: int = 42) -> Dict:
     db = generate_tpch(scale=scale, skew=skew, seed=seed)
     plan = build_query(db, 1)
     report = run_with_estimators(plan, [DneEstimator()], db.catalog)
@@ -59,7 +63,7 @@ def figure3(scale: float = 0.002, skew: float = 2.0, seed: int = 42) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def figure4(n: int = 8000, z: float = 2.0) -> Dict:
+def figure4(n: int, z: float = 2.0) -> Dict:
     workload = make_zipfian_join(n=n, z=z, order="skew_first")
     plan = workload.inl_plan()
     report = run_with_estimators(
@@ -80,7 +84,7 @@ def figure4(n: int = 8000, z: float = 2.0) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def figure5(n: int = 8000, z: float = 2.0) -> Dict:
+def figure5(n: int, z: float = 2.0) -> Dict:
     workload = make_zipfian_join(n=n, z=z, order="skew_last")
     plan = workload.inl_plan()
     report = run_with_estimators(
@@ -109,7 +113,7 @@ class Table1Row:
     avg_err_hash: float
 
 
-def table1(n: int = 8000, z: float = 2.0) -> List[Table1Row]:
+def table1(n: int, z: float = 2.0) -> List[Table1Row]:
     workload = make_zipfian_join(n=n, z=z, order="skew_last")
     reports = {
         "inl": run_with_estimators(
@@ -133,22 +137,41 @@ def table1(n: int = 8000, z: float = 2.0) -> List[Table1Row]:
     return rows
 
 
+def _render_table1(rows: List[Table1Row]) -> str:
+    return render_table(
+        ["estimator", "max err (INL)", "max err (hash)",
+         "avg err (INL)", "avg err (hash)"],
+        [
+            [row.estimator,
+             "%.2f%%" % (row.max_err_inl * 100),
+             "%.2f%%" % (row.max_err_hash * 100),
+             "%.2f%%" % (row.avg_err_inl * 100),
+             "%.2f%%" % (row.avg_err_hash * 100)]
+            for row in rows
+        ],
+        title="Table 1: impact of scan-based plan (worst-case order, z=2)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Table 2 — μ values for TPC-H Q1..Q21 (skewed data, z=2)
 # ---------------------------------------------------------------------------
 
 
-def table2(
-    scale: float = 0.001, skew: float = 2.0, seed: int = 42,
-    queries: Optional[Sequence[int]] = None,
-) -> Dict[int, float]:
+#: The paper's Table 2 (real skewed TPC-H, z=2).
+PAPER_TABLE2 = {
+    1: 1.989, 2: 1.213, 3: 1.886, 4: 1.003, 5: 1.007, 6: 1.008, 7: 1.538,
+    8: 1.432, 9: 1.021, 10: 1.004, 11: 1.014, 12: 1.001, 13: 2.019,
+    14: 1.001, 15: 1.149, 16: 1.157, 17: 1.020, 18: 2.771, 19: 1.025,
+    20: 1.159, 21: 2.782,
+}
+
+
+def table2(scale: float, skew: float = 2.0, seed: int = 42) -> Dict[int, float]:
     db = generate_tpch(scale=scale, skew=skew, seed=seed)
-    numbers = list(queries) if queries is not None else list(range(1, 22))
-    result: Dict[int, float] = {}
-    for number in numbers:
-        plan = build_query(db, number)
-        result[number] = compute_mu(plan)
-    return result
+    return {
+        number: compute_mu(build_query(db, number)) for number in PAPER_TABLE2
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +179,12 @@ def table2(
 # ---------------------------------------------------------------------------
 
 
-def table3(scale: int = 6000, seed: int = 11) -> Dict[int, float]:
+#: The paper's Table 3 (real SDSS data).
+PAPER_TABLE3 = {3: 1.008, 6: 1.428, 14: 1.078, 18: 1.79, 22: 1.246,
+                28: 1.044, 32: 1.253}
+
+
+def table3(scale: int, seed: int = 11) -> Dict[int, float]:
     db = generate_skyserver(scale=scale, seed=seed)
     return {
         number: compute_mu(builder(db))
@@ -169,7 +197,7 @@ def table3(scale: int = 6000, seed: int = 11) -> Dict[int, float]:
 # ---------------------------------------------------------------------------
 
 
-def figure6(scale: float = 0.002, skew: float = 2.0, seed: int = 42) -> Dict:
+def figure6(scale: float, skew: float = 2.0, seed: int = 42) -> Dict:
     db = generate_tpch(scale=scale, skew=skew, seed=seed)
     plan = build_query(db, 21)
     report = run_with_estimators(plan, [PmaxEstimator()], db.catalog)
@@ -188,7 +216,7 @@ def figure6(scale: float = 0.002, skew: float = 2.0, seed: int = 42) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def figure7(n: int = 8000, z: float = 2.0, skip_top_ranks: int = 25) -> Dict:
+def figure7(n: int, z: float = 2.0, skip_top_ranks: int = 25) -> Dict:
     workload = make_zipfian_join(n=n, z=z, order="skew_last")
     plan = workload.inl_plan(skip_top_ranks=skip_top_ranks)
     report = run_with_estimators(
@@ -211,7 +239,7 @@ def figure7(n: int = 8000, z: float = 2.0, skip_top_ranks: int = 25) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def ablation_lower_bound(n: int = 4000) -> Dict:
+def ablation_lower_bound(n: int) -> Dict:
     """Run both twin instances; compare estimates at the decision instant.
 
     At the tick just before the offending tuple is read, the two executions
@@ -252,13 +280,29 @@ def ablation_lower_bound(n: int = 4000) -> Dict:
     }
 
 
+def _render_lower_bound(result: Dict) -> str:
+    x, y = result["at_decision_x"], result["at_decision_y"]
+    forced = result["forced_ratio_error"]
+    return render_table(
+        ["estimator", "estimate on X", "estimate on Y", "forced ratio error"],
+        [
+            [name, "%.4f" % (x[name],), "%.4f" % (y[name],),
+             "%.2f" % (forced[name],)]
+            for name in ("dne", "pmax", "safe")
+        ]
+        + [["(actual)", "%.4f" % (x["actual"],), "%.4f" % (y["actual"],),
+            "optimal=%.2f" % (result["optimal_bound"],)]],
+        title="Ablation A1: Theorem 1 twins (totals %d vs %d)" % result["totals"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Ablation A2 — Theorem 4: at least half of all orders are 2-predictive
 # ---------------------------------------------------------------------------
 
 
 def ablation_predictive_orders(
-    trials: int = 400, n: int = 400, z: float = 1.5, seed: int = 3
+    trials: int, n: int, z: float = 1.5, seed: int = 3
 ) -> Dict:
     from repro.workloads.zipf import zipf_frequencies
 
@@ -275,6 +319,16 @@ def ablation_predictive_orders(
         "predictive": predictive,
         "fraction": predictive / trials,
     }
+
+
+def _render_predictive_orders(result: Dict) -> str:
+    return render_table(
+        ["trials", "2-predictive", "fraction"],
+        [[result["trials"], result["predictive"],
+          "%.3f" % (result["fraction"],)]],
+        title="Ablation A2: fraction of random orders that are 2-predictive "
+              "(Theorem 4 bound: >= 0.5)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +364,7 @@ def _scan_based_chain(tables: int, rows_per_table: int, seed: int) -> Tuple[Plan
 
 
 def ablation_scan_based(
-    table_counts: Sequence[int] = (2, 3, 4, 5), rows_per_table: int = 1500,
-    seed: int = 5,
+    table_counts: Sequence[int], rows_per_table: int, seed: int = 5,
 ) -> List[Dict]:
     results = []
     for tables in table_counts:
@@ -337,12 +390,23 @@ def ablation_scan_based(
     return results
 
 
+def _render_scan_based(results: List[Dict]) -> str:
+    return render_table(
+        ["tables", "m", "mu", "mu bound", "safe max ratio", "safe bound",
+         "pmax max ratio"],
+        [[r["tables"], r["m"], "%.3f" % r["mu"], r["mu_bound"],
+          "%.3f" % r["safe_max_ratio_error"], "%.3f" % r["safe_bound"],
+          "%.3f" % r["pmax_max_ratio_error"]] for r in results],
+        title="Ablation A3: Property 6 bounds on scan-based FK-join chains",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Ablation A4 — §6.4 hybrid estimators across the scenario grid
 # ---------------------------------------------------------------------------
 
 
-def ablation_hybrid(n: int = 6000, z: float = 2.0) -> Dict[str, Dict[str, float]]:
+def ablation_hybrid(n: int, z: float = 2.0) -> Dict[str, Dict[str, float]]:
     """Max abs error of every estimator on each canonical scenario."""
     scenarios: Dict[str, Tuple] = {}
     for order in ("skew_first", "skew_last"):
@@ -372,7 +436,7 @@ def ablation_hybrid(n: int = 6000, z: float = 2.0) -> Dict[str, Dict[str, float]
 # ---------------------------------------------------------------------------
 
 
-def ablation_bytes_model(n: int = 6000, z: float = 2.0) -> Dict[str, Dict[str, float]]:
+def ablation_bytes_model(n: int, z: float = 2.0) -> Dict[str, Dict[str, float]]:
     """Table-1-style errors under the GetNext and Bytes models side by side.
 
     The reproduced claim: the estimator ranking (safe best on max error in
@@ -403,7 +467,7 @@ def ablation_bytes_model(n: int = 6000, z: float = 2.0) -> Dict[str, Dict[str, f
 # ---------------------------------------------------------------------------
 
 
-def ablation_feedback(n: int = 6000, z: float = 2.0) -> Dict[str, Dict[str, float]]:
+def ablation_feedback(n: int, z: float = 2.0) -> Dict[str, Dict[str, float]]:
     """Repeat-run feedback vs the static tool-kit on the worst-case join.
 
     First run: no history (feedback degenerates to safe).  Second run of
@@ -450,7 +514,7 @@ def ablation_feedback(n: int = 6000, z: float = 2.0) -> Dict[str, Dict[str, floa
 
 
 def ablation_skew_sweep(
-    n: int = 4000, z_values: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5),
+    n: int, z_values: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5),
 ) -> List[Dict]:
     """Worst-case-order ⋈INL errors as the zipf parameter grows.
 
@@ -478,9 +542,7 @@ def ablation_skew_sweep(
     return results
 
 
-def ablation_scale_sweep(
-    sizes: Sequence[int] = (1000, 2000, 4000, 8000), z: float = 2.0,
-) -> List[Dict]:
+def ablation_scale_sweep(sizes: Sequence[int], z: float = 2.0) -> List[Dict]:
     """Errors as the relation size grows (fixed z = 2, worst-case order).
 
     The reproduced claim is scale-freeness: the paper's experiments run at
@@ -503,3 +565,152 @@ def ablation_scale_sweep(
             }
         )
     return results
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+
+def _series(title: str, *keys: str):
+    """Renderer of a figure: its series, titled with ``result[key]``s."""
+
+    def render(result: Dict) -> str:
+        return render_series(
+            result["series"], title=title % tuple(result[key] for key in keys)
+        )
+
+    return render
+
+
+def _mu_table(paper: Dict[int, float], title: str):
+    """Renderer of a ``{query: mu}`` result next to the paper's values."""
+
+    def render(values: Dict[int, float]) -> str:
+        return render_table(
+            ["query", "mu (ours)", "mu (paper)"],
+            [[q, "%.3f" % (values[q],), "%.3f" % (paper[q],)]
+             for q in sorted(values)],
+            title=title,
+        )
+
+    return render
+
+
+def _error_grid(first: str, estimators: Sequence[str], title: str):
+    """Renderer of a ``{row: {estimator: max abs error}}`` result."""
+
+    def render(results: Dict[str, Dict[str, float]]) -> str:
+        return render_table(
+            [first] + list(estimators),
+            [[key] + ["%.3f" % (errors[name],) for name in estimators]
+             for key, errors in results.items()],
+            title=title,
+        )
+
+    return render
+
+
+def _sweep(first: str, title: str):
+    """Renderer of a sweep: one row of max abs errors per ``first`` value."""
+
+    def render(rows: List[Dict]) -> str:
+        return render_table(
+            [first, "mu", "dne max err", "pmax max err", "safe max err"],
+            [[r[first], r["mu"], r["dne"], r["pmax"], r["safe"]] for r in rows],
+            title=title,
+        )
+
+    return render
+
+
+class Artifact(NamedTuple):
+    """One paper artifact: its run at the one argument set, and its text."""
+
+    run: Callable[[], Any]
+    render: Callable[[Any], str]
+
+
+#: Every paper artifact, keyed by the stem of the file it is saved as.
+ARTIFACTS: Dict[str, Artifact] = {
+    "figure3": Artifact(
+        partial(figure3, scale=0.002),
+        _series("Figure 3: dne on TPC-H Q1 (mu=%.3f, max err=%.4f, "
+                "avg err=%.4f)", "mu", "max_abs_error", "avg_abs_error"),
+    ),
+    "figure4": Artifact(
+        partial(figure4, n=10000),
+        _series("Figure 4: pmax vs dne, skew first (dne max err=%.3f, "
+                "pmax max err=%.3f, mu=%.2f)",
+                "dne_max_abs_error", "pmax_max_abs_error", "mu"),
+    ),
+    "figure5": Artifact(
+        partial(figure5, n=10000),
+        _series("Figure 5: safe vs dne, worst-case order (dne max err=%.3f, "
+                "safe max err=%.3f)",
+                "dne_max_abs_error", "safe_max_abs_error"),
+    ),
+    "figure6": Artifact(
+        partial(figure6, scale=0.002),
+        _series("Figure 6: pmax ratio error over TPC-H Q21 (mu=%.3f; "
+                "err@30%%=%.3f, err@70%%=%.3f)",
+                "mu", "error_after_30pct", "error_after_70pct"),
+    ),
+    "figure7": Artifact(
+        partial(figure7, n=10000),
+        _series("Figure 7: safe vs dne, skew filtered out (dne max err=%.4f, "
+                "safe max err=%.4f)",
+                "dne_max_abs_error", "safe_max_abs_error"),
+    ),
+    "table1": Artifact(partial(table1, n=10000), _render_table1),
+    "table2": Artifact(
+        partial(table2, scale=0.002),
+        _mu_table(PAPER_TABLE2, "Table 2: mu values for TPC-H (skew z=2)"),
+    ),
+    "table3": Artifact(
+        partial(table3, scale=8000),
+        _mu_table(PAPER_TABLE3,
+                  "Table 3: mu values for the synthetic SkyServer workload"),
+    ),
+    "ablation_lower_bound": Artifact(
+        partial(ablation_lower_bound, n=6000), _render_lower_bound,
+    ),
+    "ablation_predictive_orders": Artifact(
+        partial(ablation_predictive_orders, trials=600, n=500),
+        _render_predictive_orders,
+    ),
+    "ablation_scan_based": Artifact(
+        partial(ablation_scan_based, table_counts=(2, 3, 4, 5),
+                rows_per_table=2000),
+        _render_scan_based,
+    ),
+    "ablation_hybrid": Artifact(
+        partial(ablation_hybrid, n=8000),
+        _error_grid(
+            "scenario", ("dne", "pmax", "safe", "hybrid-mu", "hybrid-var"),
+            "Ablation A4: max abs error per scenario (no clear winner)",
+        ),
+    ),
+    "ablation_bytes_model": Artifact(
+        partial(ablation_bytes_model, n=8000),
+        _error_grid(
+            "model/plan", ("dne", "pmax", "safe"),
+            "Ablation A5: max abs error under GetNext vs Bytes work models",
+        ),
+    ),
+    "ablation_feedback": Artifact(
+        partial(ablation_feedback, n=8000),
+        _error_grid(
+            "phase", ("dne", "pmax", "safe", "feedback"),
+            "Ablation A6: inter-query feedback across runs (max abs error)",
+        ),
+    ),
+    "ablation_skew_sweep": Artifact(
+        partial(ablation_skew_sweep, n=4000),
+        _sweep("z", "Ablation A7a: worst-case error vs zipf skew (n fixed)"),
+    ),
+    "ablation_scale_sweep": Artifact(
+        partial(ablation_scale_sweep, sizes=(1000, 2000, 4000, 8000)),
+        _sweep("n", "Ablation A7b: worst-case error vs relation size (z=2)"),
+    ),
+}

@@ -1,15 +1,15 @@
 """Benchmark harness utilities: rendering tables and progress series.
 
-Every experiment in :mod:`repro.bench.experiments` returns plain data; this
-module turns that data into the text artifacts (tables, down-sampled series)
-that the ``benchmarks/`` suite prints and stores, one per figure/table of
-the paper.
+Every experiment in :mod:`repro.bench.experiments` returns plain data; the
+renderers there build on these helpers to turn it into the text artifacts
+(tables, down-sampled series) that the ``benchmarks/`` suite stores, one per
+figure/table of the paper.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Series = Sequence[Tuple[float, float]]
 
@@ -77,20 +77,17 @@ def render_series(
     return render_table(headers, rows, title)
 
 
-def results_dir() -> str:
-    """Directory where benchmark artifacts are written."""
-    path = os.environ.get(
-        "REPRO_RESULTS_DIR",
-        os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))))), "benchmarks", "results"),
-    )
-    os.makedirs(path, exist_ok=True)
-    return path
+#: Where the benchmark suite saves its artifacts: ``benchmarks/results``.
+RESULTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))), "benchmarks", "results",
+)
 
 
 def save_artifact(name: str, text: str) -> str:
-    """Write a rendered artifact under ``benchmarks/results``; returns path."""
-    path = os.path.join(results_dir(), name)
+    """Write a rendered artifact under :data:`RESULTS_DIR`; returns path."""
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(RESULTS_DIR, name)
     with open(path, "w") as handle:
         handle.write(text + "\n")
     return path

@@ -2,20 +2,17 @@
 
 Commands:
 
-* ``demo``        — run a monitored query on a generated database and print
-                    a live-style progress table for dne/pmax/safe;
-* ``sql``         — plan, explain and execute a SQL query against the
-                    bundled mini TPC-H database, with progress monitoring;
-* ``progress``    — run a query under full progress observability: live
-                    JSONL event trace, tick-rate/ETA gauges, per-estimator
-                    wall-time profile;
+* ``progress``    — run a TPC-H query or SQL text against a generated mini
+                    TPC-H database under full progress observability: the
+                    plan, a progress table per estimator, live JSONL event
+                    trace, per-estimator wall-time profile, and optionally
+                    the first result rows;
 * ``explain``     — just show the physical plan for a SQL query;
 * ``serve``       — stress the concurrent query service: admit a workload
                     mix onto a bounded worker pool and poll live progress,
                     with optional mid-flight cancellation and deadlines;
-* ``tpch-mu``     — print Table 2 (μ per TPC-H query);
-* ``sky-mu``      — print Table 3 (μ per SkyServer query);
-* ``experiments`` — regenerate paper artifacts (figures/tables/ablations).
+* ``experiments`` — regenerate paper artifacts (figures/tables/ablations),
+                    printing each exactly as the benchmark suite saves it.
 """
 
 from __future__ import annotations
@@ -25,33 +22,11 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from repro.bench import (
-    ablation_bytes_model,
-    ablation_scale_sweep,
-    ablation_skew_sweep,
-    ablation_feedback,
-    ablation_hybrid,
-    ablation_lower_bound,
-    ablation_predictive_orders,
-    ablation_scan_based,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    render_series,
-    render_table,
-    table1,
-    table2,
-    table3,
-)
-from repro.bench.harness import downsample
+from repro.bench import ARTIFACTS, downsample
 from repro.core import (
     JsonlTraceWriter,
     ProgressRunner,
     estimator_names,
-    mu,
-    run_with_estimators,
     standard_toolkit,
     toolkit_from_names,
 )
@@ -63,45 +38,7 @@ from repro.options import (
     ExecutionOptions,
 )
 from repro.sql import plan_query
-from repro.workloads import (
-    SKYSERVER_QUERIES,
-    build_query,
-    build_skyserver_query,
-    generate_skyserver,
-    generate_tpch,
-)
-
-EXPERIMENTS = {
-    "figure3": lambda: _series_artifact(figure3(), "Figure 3"),
-    "figure4": lambda: _series_artifact(figure4(), "Figure 4"),
-    "figure5": lambda: _series_artifact(figure5(), "Figure 5"),
-    "figure6": lambda: _series_artifact(figure6(), "Figure 6"),
-    "figure7": lambda: _series_artifact(figure7(), "Figure 7"),
-    "table1": lambda: render_table(
-        ["estimator", "max INL", "max hash", "avg INL", "avg hash"],
-        [[r.estimator, r.max_err_inl, r.max_err_hash, r.avg_err_inl,
-          r.avg_err_hash] for r in table1()],
-        title="Table 1",
-    ),
-    "table2": lambda: render_table(
-        ["query", "mu"], sorted(table2().items()), title="Table 2"
-    ),
-    "table3": lambda: render_table(
-        ["query", "mu"], sorted(table3().items()), title="Table 3"
-    ),
-    "lower-bound": lambda: str(ablation_lower_bound()),
-    "predictive-orders": lambda: str(ablation_predictive_orders()),
-    "scan-based": lambda: str(ablation_scan_based()),
-    "hybrid": lambda: str(ablation_hybrid()),
-    "bytes-model": lambda: str(ablation_bytes_model()),
-    "skew-sweep": lambda: str(ablation_skew_sweep()),
-    "scale-sweep": lambda: str(ablation_scale_sweep()),
-    "feedback": lambda: str(ablation_feedback()),
-}
-
-
-def _series_artifact(result, title: str) -> str:
-    return render_series(result["series"], title=title)
+from repro.workloads import build_query, generate_tpch
 
 
 def _bounds_for(args: argparse.Namespace) -> Optional[List[str]]:
@@ -147,41 +84,6 @@ def _print_progress_table(report: ProgressReport, points: int = 15) -> None:
         )
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
-    db = generate_tpch(scale=args.scale, skew=args.skew, seed=args.seed)
-    print("generated mini TPC-H:", db.cardinalities())
-    plan = build_query(db, args.query)
-    print("\nphysical plan for Q%d:" % (args.query,))
-    print(plan.explain())
-    print()
-    report = run_with_estimators(
-        plan, _toolkit_for(args), db.catalog, engine=args.engine,
-        bounds=_bounds_for(args),
-    )
-    _print_progress_table(report)
-    return 0
-
-
-def cmd_sql(args: argparse.Namespace) -> int:
-    db = generate_tpch(scale=args.scale, skew=args.skew, seed=args.seed)
-    plan = plan_query(args.query, db.catalog, name="cli-sql")
-    print(plan.explain())
-    print()
-    report = run_with_estimators(
-        plan, _toolkit_for(args), db.catalog, engine=args.engine,
-        bounds=_bounds_for(args),
-    )
-    _print_progress_table(report)
-    if args.rows:
-        from repro.engine.executor import execute
-
-        result = execute(plan, engine=args.engine)
-        print("\nfirst %d rows:" % (min(args.rows, result.row_count),))
-        for row in result.rows[: args.rows]:
-            print(" ", row)
-    return 0
-
-
 def cmd_progress(args: argparse.Namespace) -> int:
     db = generate_tpch(scale=args.scale, skew=args.skew, seed=args.seed)
     if args.sql:
@@ -224,6 +126,13 @@ def cmd_progress(args: argparse.Namespace) -> int:
             ))
     if args.trace:
         print("\nwrote %d events to %s" % (sinks[0].lines_written, args.trace))
+    if args.rows:
+        from repro.engine.executor import execute
+
+        result = execute(plan, engine=args.engine)
+        print("\nfirst %d rows:" % (min(args.rows, result.row_count),))
+        for row in result.rows[: args.rows]:
+            print(" ", row)
     return 0
 
 
@@ -337,37 +246,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tpch_mu(args: argparse.Namespace) -> int:
-    db = generate_tpch(scale=args.scale, skew=args.skew, seed=args.seed)
-    rows = []
-    for number in range(1, 23):
-        rows.append([number, mu(build_query(db, number))])
-    print(render_table(["query", "mu"], rows,
-                       title="mu per TPC-H query (skew z=%g)" % (args.skew,)))
-    return 0
-
-
-def cmd_sky_mu(args: argparse.Namespace) -> int:
-    db = generate_skyserver(scale=args.size, seed=args.seed)
-    rows = [
-        [number, mu(build_skyserver_query(db, number))]
-        for number in sorted(SKYSERVER_QUERIES)
-    ]
-    print(render_table(["query", "mu"], rows,
-                       title="mu per SkyServer query (%d objects)" % (args.size,)))
-    return 0
-
-
 def cmd_experiments(args: argparse.Namespace) -> int:
-    names = args.names or sorted(EXPERIMENTS)
-    for name in names:
-        if name not in EXPERIMENTS:
-            print("unknown experiment %r (choose from: %s)"
-                  % (name, ", ".join(sorted(EXPERIMENTS))), file=sys.stderr)
-            return 2
-        print("== %s ==" % (name,))
-        print(EXPERIMENTS[name]())
-        print()
+    names = args.names or list(ARTIFACTS)
+    unknown = [name for name in names if name not in ARTIFACTS]
+    if unknown:
+        print("unknown experiment %r (choose from: %s)"
+              % (unknown[0], ", ".join(ARTIFACTS)), file=sys.stderr)
+        return 2
+    for index, name in enumerate(names):
+        if index:
+            print()
+        artifact = ARTIFACTS[name]
+        print(artifact.render(artifact.run()))
     return 0
 
 
@@ -405,25 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: dne,pmax,safe; choose from: %s)"
                        % (", ".join(estimator_names()),))
 
-    demo = subparsers.add_parser("demo", help="monitor a TPC-H query")
-    add_db_options(demo)
-    add_engine_option(demo)
-    add_bounds_option(demo)
-    add_estimators_option(demo)
-    demo.add_argument("--query", type=int, default=1, choices=range(1, 23),
-                      metavar="N", help="TPC-H query number (1-22)")
-    demo.set_defaults(func=cmd_demo)
-
-    sql = subparsers.add_parser("sql", help="run SQL with progress monitoring")
-    add_db_options(sql)
-    add_engine_option(sql)
-    add_bounds_option(sql)
-    add_estimators_option(sql)
-    sql.add_argument("query", help="SQL text against the TPC-H schema")
-    sql.add_argument("--rows", type=int, default=0,
-                     help="also print the first N result rows")
-    sql.set_defaults(func=cmd_sql)
-
     progress = subparsers.add_parser(
         "progress", help="run with full progress observability"
     )
@@ -439,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stream progress events as JSON Lines")
     progress.add_argument("--samples", type=int, default=200,
                           help="target number of samples")
+    progress.add_argument("--rows", type=int, default=0,
+                          help="also print the first N result rows")
     progress.set_defaults(func=cmd_progress)
 
     serve = subparsers.add_parser(
@@ -482,21 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("query")
     explain.set_defaults(func=cmd_explain)
 
-    tpch_mu = subparsers.add_parser("tpch-mu", help="Table 2: mu per query")
-    add_db_options(tpch_mu)
-    tpch_mu.set_defaults(func=cmd_tpch_mu)
-
-    sky_mu = subparsers.add_parser("sky-mu", help="Table 3: mu per query")
-    sky_mu.add_argument("--size", type=int, default=6000)
-    sky_mu.add_argument("--seed", type=int, default=11)
-    sky_mu.set_defaults(func=cmd_sky_mu)
-
     experiments = subparsers.add_parser(
         "experiments", help="regenerate paper artifacts"
     )
     experiments.add_argument("names", nargs="*",
                              help="subset (default: all): %s"
-                             % (", ".join(sorted(EXPERIMENTS)),))
+                             % (", ".join(ARTIFACTS),))
     experiments.set_defaults(func=cmd_experiments)
     return parser
 

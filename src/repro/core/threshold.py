@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
 
 from repro.core.estimators.base import Observation, ProgressEstimator
 from repro.core.metrics import ProgressTrace
@@ -101,10 +100,3 @@ def threshold_accuracy(
             else:
                 wrong += 1
     return {"correct": correct, "wrong": wrong, "grey": grey}
-
-
-def violations_list(
-    trace: ProgressTrace, name: str, tau: float, delta: float
-) -> List:
-    """The trace samples violating the requirement (delegates to metrics)."""
-    return trace.threshold_violations(name, tau, delta)

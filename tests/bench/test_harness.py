@@ -1,10 +1,9 @@
 """Rendering utilities of the benchmark harness."""
 
-import os
-
 import pytest
 
 from repro.bench import downsample, render_series, render_table, save_artifact
+from repro.bench import harness
 
 
 class TestRenderTable:
@@ -59,8 +58,8 @@ class TestRenderSeries:
 
 class TestSaveArtifact:
     def test_writes_file(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.setattr(harness, "RESULTS_DIR", str(tmp_path / "results"))
         path = save_artifact("test.txt", "hello")
-        assert os.path.exists(path)
+        assert path == str(tmp_path / "results" / "test.txt")
         with open(path) as handle:
             assert handle.read() == "hello\n"

@@ -105,18 +105,6 @@ class TestPaperVarianceClaim:
         assert profile.variance > 100
 
 
-class TestThresholdViolationsHelper:
-    def test_violations_list_delegates(self):
-        from repro.core.metrics import ProgressTrace, TraceSample
-        from repro.core.threshold import violations_list
-
-        trace = ProgressTrace(total=10)
-        trace.samples.append(
-            TraceSample(curr=1, actual=0.1, estimates={"e": 0.9})
-        )
-        assert len(violations_list(trace, "e", 0.5, 0.05)) == 1
-
-
 class TestRunnerWithRandomOrderScan:
     def test_reshuffling_scan_total_is_order_invariant(self):
         """The oracle pass and the trace pass see different permutations,

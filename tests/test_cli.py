@@ -5,23 +5,23 @@ import pytest
 from repro.cli import main
 
 
-class TestDemo:
-    def test_demo_q1(self, capsys):
-        assert main(["demo", "--scale", "0.0003", "--query", "1"]) == 0
+class TestProgress:
+    def test_tpch_q1(self, capsys):
+        assert main(["progress", "--scale", "0.0003", "--tpch", "1"]) == 0
         out = capsys.readouterr().out
-        assert "physical plan for Q1" in out
+        assert "TableScan(lineitem" in out
         assert "mu (work per input tuple)" in out
         assert "dne" in out and "pmax" in out and "safe" in out
 
-    def test_demo_q6(self, capsys):
-        assert main(["demo", "--scale", "0.0003", "--query", "6"]) == 0
+    def test_tpch_q6(self, capsys):
+        assert main(["progress", "--scale", "0.0003", "--tpch", "6"]) == 0
         assert "total getnext calls" in capsys.readouterr().out
 
 
 class TestSql:
     def test_sql_with_rows(self, capsys):
         code = main([
-            "sql", "--scale", "0.0003", "--rows", "3",
+            "progress", "--scale", "0.0003", "--rows", "3",
             "SELECT o_orderpriority, COUNT(*) FROM orders "
             "GROUP BY o_orderpriority ORDER BY o_orderpriority",
         ])
@@ -36,19 +36,6 @@ class TestSql:
         out = capsys.readouterr().out
         assert "TableScan(lineitem" in out
         assert "scan-based: True" in out
-
-
-class TestMuTables:
-    def test_tpch_mu(self, capsys):
-        assert main(["tpch-mu", "--scale", "0.0003"]) == 0
-        out = capsys.readouterr().out
-        assert "mu per TPC-H query" in out
-        assert out.count("\n") >= 23
-
-    def test_sky_mu(self, capsys):
-        assert main(["sky-mu", "--size", "600"]) == 0
-        out = capsys.readouterr().out
-        assert "mu per SkyServer query" in out
 
 
 class TestServe:
@@ -87,9 +74,9 @@ class TestServe:
 
 class TestExperiments:
     def test_single_experiment(self, capsys):
-        assert main(["experiments", "predictive-orders"]) == 0
+        assert main(["experiments", "ablation_predictive_orders"]) == 0
         out = capsys.readouterr().out
-        assert "predictive" in out
+        assert "2-predictive" in out
 
     def test_unknown_experiment(self, capsys):
         assert main(["experiments", "bogus"]) == 2
